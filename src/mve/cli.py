@@ -35,6 +35,7 @@ from .index import read_embeddings_dump
 from .retrieval import Ranking, Strategy
 
 SEED_ENV_VAR = "MVE_SEED"
+_NO_EFFECT = "accepted but has no effect; only sweep uses threads"
 
 _CONFIG_FLAGS = (
     "dim",
@@ -91,7 +92,7 @@ def build_parser() -> _Parser:
                        help="ingest document embeddings from an external dump")
     index.add_argument("--config", help="JSON config file (flags override it)")
     _add_config_flags(index)
-    index.add_argument("--threads", type=int, default=1)
+    index.add_argument("--threads", type=int, default=1, help=_NO_EFFECT)
 
     search = sub.add_parser("search", help="rank documents for one query")
     search.add_argument("--index", required=True, help="engine directory")
@@ -103,7 +104,7 @@ def build_parser() -> _Parser:
     search.add_argument("--k", type=int)
     search.add_argument("--k-prime", dest="k_prime", type=int)
     search.add_argument("--n-probe", dest="n_probe", type=int)
-    search.add_argument("--threads", type=int, default=1)
+    search.add_argument("--threads", type=int, default=1, help=_NO_EFFECT)
 
     sweep = sub.add_parser("sweep", help="evaluate strategies across pruning levels")
     sweep.add_argument("--index", required=True, help="engine directory")
@@ -115,12 +116,12 @@ def build_parser() -> _Parser:
     sweep.add_argument("--p-values", dest="p_values",
                        help="values of p, e.g. '1-8' or '1,2,4,32' (default: 1-q_len)")
     sweep.add_argument("--alpha", type=float, default=0.05)
-    sweep.add_argument("--threads", type=int, default=1)
+    sweep.add_argument("--threads", type=int, default=1, help="worker threads across queries")
 
     evaluate = sub.add_parser("eval", help="score a TREC run file against qrels")
     evaluate.add_argument("--run", required=True)
     evaluate.add_argument("--qrels", required=True)
-    evaluate.add_argument("--threads", type=int, default=1)
+    evaluate.add_argument("--threads", type=int, default=1, help=_NO_EFFECT)
     return parser
 
 

@@ -198,14 +198,10 @@ def build_engine(
         lexicon = build_lexicon(entries)
         store = EmbeddingStore.from_documents(entries)
     else:
-        dims = {int(matrix.shape[1]) for _, matrix in dump_docs}
-        if len(dims) != 1:
-            raise InvalidInputError(f"mixed dimensions in embeddings dump: {sorted(dims)}")
-        config = dataclasses.replace(config, dim=dims.pop())
-        corpus_ids = {doc_id for doc_id, _ in corpus}
-        dump_ids = [doc_id for doc_id, _ in dump_docs]
-        if set(dump_ids) != corpus_ids or len(dump_ids) != len(set(dump_ids)):
+        store = EmbeddingStore.from_blocks(dump_docs)
+        if set(store.doc_ids) != {doc_id for doc_id, _ in corpus}:
             raise InvalidInputError("embeddings dump does not cover exactly the corpus doc ids")
+        config = dataclasses.replace(config, dim=store.dim)
         vocab = Vocabulary()
         id_lists = []
         for doc_id, text in corpus:
@@ -214,13 +210,6 @@ def build_engine(
                 raise InvalidInputError(f"document {doc_id!r} has no tokens")
             id_lists.append((doc_id, [vocab.add(w) for w in words]))
         lexicon = build_lexicon_from_ids(id_lists)
-        lengths = np.array([matrix.shape[0] for _, matrix in dump_docs], dtype=np.int64)
-        starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-        store = EmbeddingStore(
-            vectors=np.concatenate([matrix for _, matrix in dump_docs], axis=0),
-            doc_offsets=np.stack([starts, lengths], axis=1),
-            doc_ids=tuple(dump_ids),
-        )
 
     if config.n_list is None:
         sample_size = min(

@@ -28,6 +28,7 @@ from .retrieval import (
     Strategy,
     ann_candidates,
     order_embeddings,
+    pruned_union,
     score_documents,
 )
 
@@ -196,13 +197,9 @@ def rr_at(ranking: Ranking, qrels: Qrels, query_id: str, cutoff: int = 10) -> fl
     return 0.0
 
 
-def candidate_counts(
-    candidates: CandidateSet, qrels: Qrels, query_id: str
-) -> tuple[int, int]:
+def candidate_counts(candidates: CandidateSet, qrels: Qrels, query_id: str) -> tuple[int, int]:
     """(documents retrieved, judged-relevant documents retrieved)."""
-    relevant = qrels.relevant(query_id)
-    docs = candidates.docs
-    return len(docs), len(docs & relevant)
+    return len(candidates), len(candidates & qrels.relevant(query_id))
 
 
 # --------------------------------------------------------------------------
@@ -337,46 +334,39 @@ def _evaluate_query(
         ann_candidates(index, query.embeddings[position], k_prime, n_probe)[1]
         for position in range(query.q_len)
     ]
-    union_all = sorted(set().union(*doc_sets))
-    numbers = np.array([store.index_of(d) for d in union_all], dtype=np.int64)
-    scores = score_documents(query, store, numbers)
-    full_order = sorted(range(len(union_all)), key=lambda i: (-scores[i], union_all[i]))
-    ranked_docs = [union_all[i] for i in full_order]
-    ranked_scores = [float(scores[i]) for i in full_order]
+    union = pruned_union(doc_sets, query.q_len)
+    scores = score_documents(query, store, union.numbers)
+    # the union comes in doc-id order, so a stable sort breaks ties by doc id
+    order = np.argsort(-scores, kind="stable")
+    ranked = union.numbers[order]
+    ranked_ids = [store.doc_ids[n] for n in ranked.tolist()]
+    ranked_scores = scores[order].tolist()
+    ranked_relevant = np.array([qrels.grade(query_id, d) >= 1 for d in ranked_ids], dtype=bool)
 
-    def metrics_for(member: set[str]) -> tuple[float, float, float]:
-        entries = []
-        for doc_id, score in zip(ranked_docs, ranked_scores):
-            if doc_id in member:
-                entries.append((doc_id, score))
-                if len(entries) == k:
-                    break
-        ranking = Ranking(entries=tuple(entries), k=k)
+    def metrics_for(member: np.ndarray) -> tuple[float, float, float, int, int]:
+        """Metrics and counts of the cell whose doc numbers ``member`` marks."""
+        hit = member[ranked]
+        top = np.flatnonzero(hit)[:k].tolist()
+        ranking = Ranking(entries=tuple((ranked_ids[i], ranked_scores[i]) for i in top), k=k)
         return (
             ndcg_at(ranking, qrels, query_id),
             average_precision(ranking, qrels, query_id),
             rr_at(ranking, qrels, query_id),
+            int(hit.sum()),
+            int((hit & ranked_relevant).sum()),
         )
 
-    baseline = metrics_for(set(union_all))
-    relevant = qrels.relevant(query_id)
+    baseline = metrics_for(np.ones(store.num_docs, dtype=bool))[:3]
     per_config: dict[tuple[str, int], tuple[float, float, float, int, int]] = {}
     for strategy in strategies:
         ordering = order_embeddings(query, lexicon, strategy)
-        members: set[str] = set()
+        member = np.zeros(store.num_docs, dtype=bool)
         consumed = 0
         for p in p_values:
             while consumed < p:
-                members |= doc_sets[ordering[consumed]]
+                member[doc_sets[ordering[consumed]].numbers] = True
                 consumed += 1
-            ndcg, ap, rr = metrics_for(members)
-            per_config[(strategy.value, p)] = (
-                ndcg,
-                ap,
-                rr,
-                len(members),
-                len(members & relevant),
-            )
+            per_config[(strategy.value, p)] = metrics_for(member)
     return _QueryOutcome(per_config=per_config, baseline=baseline)
 
 

@@ -40,6 +40,8 @@ class EmbeddingStore:
     doc_offsets: np.ndarray  # (num_docs, 2) int64 rows of (start, length)
     doc_ids: tuple[str, ...]
     doc_of: np.ndarray = field(init=False, repr=False)  # embedding id -> doc number
+    id_rank: np.ndarray = field(init=False, repr=False)  # doc number -> rank of its id
+    id_order: np.ndarray = field(init=False, repr=False)  # ascending doc id -> doc number
 
     def __post_init__(self) -> None:
         vectors = np.ascontiguousarray(self.vectors, dtype=np.float32)
@@ -64,22 +66,29 @@ class EmbeddingStore:
             raise InvalidInputError("doc offsets do not partition the vector block")
         object.__setattr__(self, "doc_of", np.repeat(np.arange(len(self.doc_ids)), lengths))
         object.__setattr__(self, "_index_of", {d: i for i, d in enumerate(self.doc_ids)})
+        order = np.array(sorted(range(len(self.doc_ids)), key=self.doc_ids.__getitem__))
+        object.__setattr__(self, "id_order", order)
+        object.__setattr__(self, "id_rank", np.argsort(order))
+
+    @classmethod
+    def from_blocks(cls, blocks: Sequence[tuple[str, np.ndarray]]) -> "EmbeddingStore":
+        """A store of ``(doc_id, (length, dim) matrix)`` blocks in the given order."""
+        if not blocks:
+            raise InvalidInputError("cannot build a store from no documents")
+        dims = {matrix.shape[1] for _, matrix in blocks}
+        if len(dims) != 1:
+            raise InvalidInputError(f"mixed embedding dimensions: {sorted(dims)}")
+        lengths = np.array([matrix.shape[0] for _, matrix in blocks], dtype=np.int64)
+        starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+        return cls(
+            vectors=np.concatenate([matrix for _, matrix in blocks], axis=0),
+            doc_offsets=np.stack([starts, lengths], axis=1),
+            doc_ids=tuple(doc_id for doc_id, _ in blocks),
+        )
 
     @classmethod
     def from_documents(cls, corpus: Sequence[DocumentEntry]) -> "EmbeddingStore":
-        if not corpus:
-            raise InvalidInputError("cannot build a store from an empty corpus")
-        dims = {doc.embeddings.shape[1] for doc in corpus}
-        if len(dims) != 1:
-            raise InvalidInputError(f"mixed embedding dimensions in corpus: {sorted(dims)}")
-        lengths = np.array([doc.embeddings.shape[0] for doc in corpus], dtype=np.int64)
-        starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-        vectors = np.concatenate([doc.embeddings for doc in corpus], axis=0)
-        return cls(
-            vectors=vectors,
-            doc_offsets=np.stack([starts, lengths], axis=1),
-            doc_ids=tuple(doc.doc_id for doc in corpus),
-        )
+        return cls.from_blocks([(doc.doc_id, doc.embeddings) for doc in corpus])
 
     @property
     def num_embeddings(self) -> int:

@@ -6,14 +6,16 @@ Pruning only limits the first stage. The ordering strategy decides which
 query embeddings run candidate generation; the reranker always scores with
 the complete query representation. Every tie anywhere (probe choice, top-k'
 cut, final ranking) breaks toward the lowest id, which makes runs bitwise
-reproducible regardless of thread interleaving.
+reproducible regardless of thread interleaving. Candidates travel as a
+``CandidateSet``, a set of doc ids backed by the store's doc numbers.
 """
 
 from __future__ import annotations
 
+import collections.abc
 import enum
 from dataclasses import dataclass
-from typing import AbstractSet, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -55,25 +57,46 @@ class PruningConfig:
             raise InvalidConfigError(f"n_probe must be >= 1, got {self.n_probe}")
 
 
-@dataclass
-class CandidateSet:
-    """First-stage output: candidate doc ids with per-embedding provenance.
+@dataclass(frozen=True, eq=False, repr=False)
+class CandidateSet(collections.abc.Set):
+    """First-stage output: a set of doc ids backed by one store's doc numbers.
 
-    ``provenance[doc_id]`` holds the 1-based ranks, in processed order, of the
-    query embeddings whose candidate generation retrieved the document.
+    ``numbers`` holds each candidate's doc number once, in ascending doc-id
+    order, so a stable sort of the candidates by score alone breaks ties by
+    doc id. Set operators with other sets yield plain sets of doc ids.
     """
 
-    provenance: dict[str, frozenset[int]]
+    store: EmbeddingStore
+    numbers: np.ndarray  # distinct doc numbers, ascending by doc id
+
+    def __post_init__(self) -> None:
+        numbers = np.asarray(self.numbers, dtype=np.int64)
+        if numbers.size and not (0 <= numbers.min() and numbers.max() < self.store.num_docs):
+            raise InvalidInputError("candidate doc number outside the store")
+        numbers = self.store.id_order[np.unique(self.store.id_rank[numbers])]
+        numbers.flags.writeable = False
+        object.__setattr__(self, "numbers", numbers)
+
+    @classmethod
+    def _from_iterable(cls, iterable: Iterable[str]) -> set[str]:
+        return set(iterable)
 
     @property
     def docs(self) -> set[str]:
-        return set(self.provenance)
+        return set(self)
 
     def __len__(self) -> int:
-        return len(self.provenance)
+        return len(self.numbers)
 
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self.provenance
+    def __iter__(self) -> Iterator[str]:
+        return map(self.store.doc_ids.__getitem__, self.numbers.tolist())
+
+    def __contains__(self, doc_id: object) -> bool:
+        number = self.store.index_of(doc_id)  # type: ignore[arg-type]
+        return number is not None and bool((self.numbers == number).any())
+
+    def __repr__(self) -> str:
+        return f"CandidateSet({list(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -134,13 +157,13 @@ def order_embeddings(
 
 def ann_candidates(
     index: IvfIndex, phi: np.ndarray, k_prime: int, n_probe: int
-) -> tuple[np.ndarray, set[str]]:
+) -> tuple[np.ndarray, CandidateSet]:
     """Approximate nearest neighbours of one query embedding.
 
     Probes the ``n_probe`` centroids most similar to ``phi``, scans their
     lists with exact dot products, and keeps the ``k_prime`` best embedding
     ids (score descending, ties by ascending id). Returns those ids together
-    with the deduplicated set of owning doc ids. Probe scores only select the
+    with the candidate set of their documents. Probe scores only select the
     hits; they are never surfaced as ranking scores.
     """
     phi = np.asarray(phi, dtype=np.float32)
@@ -155,21 +178,15 @@ def ann_candidates(
     centroid_sims = index.centroids.vectors @ phi
     probed = np.argsort(-centroid_sims, kind="stable")[:n_probe]
     ids = np.concatenate([index.lists[c] for c in probed])
-    if ids.size == 0:
-        return ids, set()
     scores = index.store.vectors[ids] @ phi
-    keep = np.lexsort((ids, -scores))[:k_prime]
-    hits = ids[keep]
-    doc_numbers = np.unique(index.store.doc_of[hits])
-    return hits, {index.store.doc_ids[n] for n in doc_numbers}
+    hits = ids[np.lexsort((ids, -scores))[:k_prime]]
+    return hits, CandidateSet(index.store, index.store.doc_of[hits])
 
 
-def pruned_union(per_embedding: Sequence[AbstractSet[str]], p: int) -> CandidateSet:
-    """Union of the first ``p`` per-embedding document sets.
+def pruned_union(per_embedding: Sequence[CandidateSet], p: int) -> CandidateSet:
+    """Union of the first ``p`` per-embedding candidate sets, all over one store.
 
     With ``p`` equal to the number of sets this is the unpruned union.
-    Provenance records, per document, every contributing embedding rank
-    (1-based, in the processed order).
     """
     if p < 1:
         raise InvalidConfigError(f"p must be >= 1, got {p}")
@@ -177,11 +194,10 @@ def pruned_union(per_embedding: Sequence[AbstractSet[str]], p: int) -> Candidate
         raise InvalidConfigError(
             f"p={p} exceeds the {len(per_embedding)} per-embedding sets provided"
         )
-    provenance: dict[str, set[int]] = {}
-    for rank, docs in enumerate(per_embedding[:p], start=1):
-        for doc_id in docs:
-            provenance.setdefault(doc_id, set()).add(rank)
-    return CandidateSet({doc: frozenset(ranks) for doc, ranks in provenance.items()})
+    store = per_embedding[0].store
+    if any(docs.store is not store for docs in per_embedding[:p]):
+        raise ConsistencyError("candidate sets from different stores")
+    return CandidateSet(store, np.concatenate([docs.numbers for docs in per_embedding[:p]]))
 
 
 def _maxsim_scores(
@@ -242,18 +258,13 @@ def rerank(
     """
     if k < 1:
         raise InvalidConfigError(f"k must be >= 1, got {k}")
-    doc_ids = sorted(candidates.docs)
-    if not doc_ids:
-        return Ranking(entries=(), k=k)
-    numbers = []
-    for doc_id in doc_ids:
-        number = store.index_of(doc_id)
-        if number is None:
-            raise ConsistencyError(f"candidate doc {doc_id!r} is not in the store")
-        numbers.append(number)
-    scores = score_documents(query, store, np.array(numbers, dtype=np.int64))
-    order = sorted(range(len(doc_ids)), key=lambda i: (-scores[i], doc_ids[i]))[:k]
-    return Ranking(entries=tuple((doc_ids[i], float(scores[i])) for i in order), k=k)
+    if candidates.store is not store:
+        raise ConsistencyError("candidate set was built on a different store")
+    scores = score_documents(query, store, candidates.numbers)
+    # candidates come in doc-id order, so a stable sort breaks ties by doc id
+    order = np.argsort(-scores, kind="stable")[:k]
+    entries = zip(candidates.numbers[order].tolist(), scores[order].tolist())
+    return Ranking(entries=tuple((store.doc_ids[n], score) for n, score in entries), k=k)
 
 
 def search(
@@ -281,5 +292,4 @@ def search(
         for position in ordering[: config.p]
     ]
     candidates = pruned_union(per_embedding, config.p)
-    ranking = rerank(candidates, query, index.store, k)
-    return ranking, candidates
+    return rerank(candidates, query, index.store, k), candidates

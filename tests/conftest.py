@@ -65,9 +65,22 @@ def random_store(num_docs: int, dim: int, seed: int, min_len: int = 1, max_len: 
     lengths = rng.integers(min_len, max_len + 1, size=num_docs)
     vectors = rng.standard_normal((int(lengths.sum()), dim))
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    return EmbeddingStore(
-        vectors=vectors.astype(np.float32),
-        doc_offsets=np.stack([starts, lengths], axis=1),
-        doc_ids=tuple(f"d{i:04d}" for i in range(num_docs)),
+    blocks = np.split(vectors.astype(np.float32), np.cumsum(lengths)[:-1])
+    return EmbeddingStore.from_blocks([(f"d{i:04d}", block) for i, block in enumerate(blocks)])
+
+
+def named_store(doc_ids, dim: int = 4, seed: int = 0):
+    """A store holding one random embedding for each of ``doc_ids``, in order."""
+    from mve.index import EmbeddingStore
+
+    rng = np.random.default_rng(seed)
+    return EmbeddingStore.from_blocks(
+        [(doc_id, rng.standard_normal((1, dim)).astype(np.float32)) for doc_id in doc_ids]
     )
+
+
+def candidate_set(store, doc_ids):
+    """The candidate set of ``doc_ids`` over ``store``."""
+    from mve.retrieval import CandidateSet
+
+    return CandidateSet(store, [store.index_of(doc_id) for doc_id in doc_ids])

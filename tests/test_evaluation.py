@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mve.engine import EngineConfig, build_engine
 from mve.errors import InvalidConfigError, InvalidInputError
 from mve.evaluation import (
     CSV_HEADER,
@@ -20,7 +21,9 @@ from mve.evaluation import (
     sweep,
     write_run,
 )
-from mve.retrieval import CandidateSet, Ranking, Strategy
+from mve.retrieval import Ranking, Strategy
+
+from conftest import candidate_set, named_store
 
 DATA = Path(__file__).parent / "data"
 
@@ -95,8 +98,9 @@ def test_rr_examples():
 
 
 def test_candidate_counts():
-    assert candidate_counts(CandidateSet({}), QRELS, "q1") == (0, 0)
-    candidates = CandidateSet({d: frozenset({1}) for d in ("good", "meh", "other")})
+    store = named_store(["other", "good", "ok", "meh"])
+    assert candidate_counts(candidate_set(store, []), QRELS, "q1") == (0, 0)
+    candidates = candidate_set(store, ["good", "meh", "other"])
     assert candidate_counts(candidates, QRELS, "q1") == (3, 1)
 
 
@@ -106,7 +110,7 @@ def test_candidate_counts_against_independent_filter():
     judgments = {"q": {d: int(rng.integers(0, 3)) for d in docs[:25]}}
     qrels = Qrels(judgments)
     member = {d for d in docs if rng.random() < 0.5}
-    candidates = CandidateSet({d: frozenset({1}) for d in member})
+    candidates = candidate_set(named_store(docs), member)
     retrieved, relevant = candidate_counts(candidates, qrels, "q")
     oracle_relevant = sum(1 for d in member if judgments["q"].get(d, 0) >= 1)
     assert retrieved == len(member)
@@ -381,6 +385,23 @@ def test_sweep_csv_shape(small_planted_engine, small_planted, small_planted_qrel
     path = tmp_path / "sweep.csv"
     table.write_csv(path)
     assert path.read_text(encoding="utf-8") == text
+
+
+def test_sweep_breaks_score_ties_by_doc_id_not_corpus_order():
+    # "zz" and "aa" hold the same text, so they score identically; corpus
+    # order puts "zz" first, doc-id order puts "aa" first.
+    corpus = [("zz", "alpha beta gamma"), ("aa", "alpha beta gamma"), ("mm", "delta epsilon")]
+    config = EngineConfig(dim=8, q_len=4, k=10, k_prime=1000, n_list=1, n_probe=1,
+                          sample_fraction=1.0, iterations=3, seed=5)
+    engine = build_engine(corpus, config)
+    queries = [("q1", "alpha beta"), ("q2", "gamma")]
+    qrels = Qrels({"q1": {"aa": 1}, "q2": {"aa": 1}})
+    for _, text in queries:
+        ranking, _ = engine.search(text)
+        assert ranking.entries[0][1] == ranking.entries[1][1]
+        assert ranking.doc_ids()[:2] == ["aa", "zz"]
+    table = engine.sweep(queries, qrels, strategies=[Strategy.FIRST, Strategy.ICF])
+    assert [row.mrr10 for row in table.rows] == [1.0] * len(table.rows)
 
 
 def test_sweep_validates_inputs(small_planted_engine, small_planted, small_planted_qrels):

@@ -33,7 +33,7 @@ from mve.retrieval import (
     score_documents,
 )
 
-from conftest import random_store
+from conftest import candidate_set, named_store, random_store
 
 
 # ---------------------------------------------------------------------------
@@ -233,25 +233,44 @@ def test_ann_validates_inputs(ann_index):
 # ---------------------------------------------------------------------------
 
 
+def test_candidate_set_reads_as_doc_id_set_in_id_order():
+    store = named_store(["zz", "aa", "mm"])
+    candidates = candidate_set(store, ["zz", "mm", "zz", "aa"])
+    assert candidates.numbers.tolist() == [1, 2, 0]  # aa, mm, zz
+    assert list(candidates) == ["aa", "mm", "zz"]
+    assert len(candidates) == 3 and "aa" in candidates and "ghost" not in candidates
+    assert candidates == {"aa", "mm", "zz"} == candidates.docs
+    assert candidates & {"aa", "xx"} == {"aa"}
+    with pytest.raises(ValueError):
+        candidates.numbers[0] = 2
+    with pytest.raises(InvalidInputError):
+        CandidateSet(store, [3])
+
+
 def test_pruned_union_full_depth_is_plain_union():
-    sets = [{"a", "b"}, {"b", "c"}, {"d"}]
+    store = named_store(["d", "c", "b", "a"])
+    sets = [candidate_set(store, s) for s in ({"a", "b"}, {"b", "c"}, {"d"})]
     result = pruned_union(sets, 3)
     assert result.docs == {"a", "b", "c", "d"}
 
 
-def test_pruned_union_provenance_records_contributors():
-    result = pruned_union([{"a", "b"}, {"b", "c"}], 2)
-    assert result.docs == {"a", "b", "c"}
-    assert result.provenance["b"] == {1, 2}
-    assert result.provenance["a"] == {1}
-    assert result.provenance["c"] == {2}
-
-
 def test_pruned_union_rejects_bad_p():
+    sets = [candidate_set(named_store(["a"]), {"a"})]
     with pytest.raises(InvalidConfigError):
-        pruned_union([{"a"}], 0)
+        pruned_union(sets, 0)
     with pytest.raises(InvalidConfigError):
-        pruned_union([{"a"}], 2)
+        pruned_union(sets, 2)
+
+
+def test_pruned_union_rejects_sets_from_different_stores():
+    ids = ["a", "b"]
+    sets = [candidate_set(named_store(ids), {"a"}), candidate_set(named_store(ids), {"b"})]
+    assert pruned_union(sets, 1).docs == {"a"}
+    with pytest.raises(ConsistencyError):
+        pruned_union(sets, 2)
+
+
+UNION_STORE = named_store([f"d{i}" for i in reversed(range(12))])
 
 
 @settings(max_examples=60)
@@ -263,16 +282,14 @@ def test_pruned_union_rejects_bad_p():
     )
 )
 def test_pruned_union_matches_reduce_oracle_and_is_monotone(sets):
+    candidate_sets = [candidate_set(UNION_STORE, s) for s in sets]
     previous = frozenset()
     for p in range(1, len(sets) + 1):
-        got = pruned_union(sets, p)
+        got = pruned_union(candidate_sets, p)
         oracle = functools.reduce(lambda acc, s: acc | frozenset(s), sets[:p], frozenset())
         assert frozenset(got.docs) == oracle
         assert previous <= frozenset(got.docs)
         previous = frozenset(got.docs)
-        for doc, ranks in got.provenance.items():
-            assert ranks and all(1 <= r <= p for r in ranks)
-            assert all(doc in sets[r - 1] for r in ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +376,7 @@ def test_rerank_single_candidate():
     store = random_store(5, 8, seed=31)
     rng = np.random.default_rng(32)
     query = query_from_rows(rng.standard_normal((3, 8)))
-    ranking = rerank(CandidateSet({"d0002": frozenset({1})}), query, store, k=10)
+    ranking = rerank(candidate_set(store, ["d0002"]), query, store, k=10)
     assert len(ranking) == 1
     assert ranking.entries[0][0] == "d0002"
     assert ranking.entries[0][1] == pytest.approx(exact_score(query, store.doc_vectors(2)))
@@ -375,7 +392,7 @@ def test_rerank_breaks_ties_by_ascending_doc_id():
     offsets = np.array([[0, 1], [1, 1], [2, 1]])
     store = EmbeddingStore(vectors, offsets, ("zz", "aa", "mm"))
     query = query_from_rows(row)
-    ranking = rerank(CandidateSet({d: frozenset({1}) for d in ("zz", "aa", "mm")}), query, store, k=3)
+    ranking = rerank(candidate_set(store, ("zz", "aa", "mm")), query, store, k=3)
     assert ranking.doc_ids()[:2] == ["aa", "zz"]  # equal scores, id order
 
 
@@ -383,7 +400,7 @@ def test_rerank_matches_oracle_ordering_of_fifty_candidates():
     store = random_store(50, 8, seed=34, min_len=1, max_len=4)
     rng = np.random.default_rng(35)
     query = query_from_rows(rng.standard_normal((4, 8)))
-    candidates = CandidateSet({doc_id: frozenset({1}) for doc_id in store.doc_ids})
+    candidates = candidate_set(store, store.doc_ids)
     ranking = rerank(candidates, query, store, k=50)
 
     oracle_scores = {
@@ -400,10 +417,12 @@ def test_rerank_truncates_to_k_and_validates():
     store = random_store(10, 8, seed=36)
     rng = np.random.default_rng(37)
     query = query_from_rows(rng.standard_normal((3, 8)))
-    candidates = CandidateSet({doc_id: frozenset({1}) for doc_id in store.doc_ids})
+    candidates = candidate_set(store, store.doc_ids)
     assert len(rerank(candidates, query, store, k=4)) == 4
+    # a candidate set over another store cannot be reranked against this one
+    ghost = candidate_set(named_store(["ghost"], dim=8), ["ghost"])
     with pytest.raises(ConsistencyError):
-        rerank(CandidateSet({"ghost": frozenset({1})}), query, store, k=4)
+        rerank(ghost, query, store, k=4)
 
 
 def test_ranking_type_enforces_order():
