@@ -159,6 +159,8 @@ def _resolve_build_config(args: argparse.Namespace) -> EngineConfig:
             file_values = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"--config {args.config}: {exc}") from exc
+        if not isinstance(file_values, dict):
+            raise UsageError(f"--config {args.config}: expected a JSON object")
         values.update(file_values)
     for name in _CONFIG_FLAGS:
         flag = getattr(args, name, None)

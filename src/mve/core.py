@@ -212,6 +212,30 @@ class QueryRepresentation:
     def dim(self) -> int:
         return int(self.embeddings.shape[1])
 
+    @functools.cached_property
+    def distinct_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(firsts, slots)``: the first position of each distinct embedding
+        row, in position order, and for every position the index of its row
+        in ``firsts``.
+
+        Rows are compared by their bytes, so two positions share a slot only
+        when every computation on them gives the same bits. MASK padding and
+        repeated words collapse into one slot each.
+        """
+        slot_of: dict[bytes, int] = {}
+        firsts: list[int] = []
+        slots: list[int] = []
+        for position, row in enumerate(self.embeddings):
+            key = row.tobytes()
+            if key not in slot_of:
+                slot_of[key] = len(firsts)
+                firsts.append(position)
+            slots.append(slot_of[key])
+        out = np.array(firsts, dtype=np.intp), np.array(slots, dtype=np.intp)
+        for array in out:
+            array.flags.writeable = False
+        return out
+
 
 @dataclass(frozen=True)
 class DocumentEntry:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -63,6 +64,14 @@ class EngineConfig:
     p: int | None = None
 
     def __post_init__(self) -> None:
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if field.name == "strategy" or (value is None and field.default is None):
+                continue
+            wanted = numbers.Real if field.name == "sample_fraction" else numbers.Integral
+            if isinstance(value, bool) or not isinstance(value, wanted):
+                kind = "a number" if wanted is numbers.Real else "an integer"
+                raise InvalidConfigError(f"{field.name} must be {kind}, got {value!r}")
         try:
             object.__setattr__(self, "strategy", Strategy(self.strategy).value)
         except ValueError as exc:

@@ -213,6 +213,11 @@ class TTestResult(NamedTuple):
     significant: bool
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:  # also rejects NaN
+        raise InvalidConfigError(f"alpha must lie in (0, 1), got {alpha}")
+
+
 def paired_t_test_bonferroni(
     a: Sequence[float],
     b: Sequence[float],
@@ -223,12 +228,13 @@ def paired_t_test_bonferroni(
 
     The statistic is mean(d) / (sd(d) / sqrt(n)) over the paired differences
     d = a - b (sample standard deviation, n - 1 degrees of freedom), and the
-    result is significant iff p < alpha / num_comparisons. All-zero
-    differences yield (t=0, p=1, not significant); zero spread around a
-    nonzero mean yields an infinite statistic and p = 0.
+    result is significant iff p < alpha / num_comparisons, for an alpha in
+    (0, 1). All-zero differences yield (t=0, p=1, not significant); zero
+    spread around a nonzero mean yields an infinite statistic and p = 0.
     """
     if num_comparisons < 1:
         raise InvalidConfigError(f"num_comparisons must be >= 1, got {num_comparisons}")
+    _check_alpha(alpha)
     xs = np.asarray(a, dtype=np.float64)
     ys = np.asarray(b, dtype=np.float64)
     if xs.ndim != 1 or xs.shape != ys.shape:
@@ -323,18 +329,21 @@ def _evaluate_query(
 ) -> _QueryOutcome:
     """Evaluate every (strategy, p) cell for one query in a single pass.
 
-    Candidate generation runs once per query position; each cell's candidate
-    set is a prefix union over the strategy's ordering, and every ranking is
+    Candidate generation runs once per distinct query vector and is shared
+    by every position holding it; each cell's candidate set is a prefix
+    union over the strategy's ordering of positions, and every ranking is
     read off one shared scoring of the full union, so all cells are mutually
     consistent by construction.
     """
     query = encoder.encode(text)
     store = index.store
-    doc_sets = [
+    firsts, slots = query.distinct_rows
+    distinct_sets = [
         ann_candidates(index, query.embeddings[position], k_prime, n_probe)[1]
-        for position in range(query.q_len)
+        for position in firsts.tolist()
     ]
-    union = pruned_union(doc_sets, query.q_len)
+    doc_sets = [distinct_sets[slot] for slot in slots.tolist()]
+    union = pruned_union(distinct_sets, len(distinct_sets))
     scores = score_documents(query, store, union.numbers)
     # the union comes in doc-id order, so a stable sort breaks ties by doc id
     order = np.argsort(-scores, kind="stable")
@@ -409,6 +418,7 @@ def sweep(
         )
     if threads < 1:
         raise InvalidConfigError(f"threads must be >= 1, got {threads}")
+    _check_alpha(alpha)
     ordered_queries = sorted(queries, key=lambda pair: pair[0])
     if len({qid for qid, _ in ordered_queries}) != len(ordered_queries):
         raise InvalidInputError("duplicate query ids")

@@ -8,6 +8,16 @@ the complete query representation. Every tie anywhere (probe choice, top-k'
 cut, final ranking) breaks toward the lowest id, which makes runs bitwise
 reproducible regardless of thread interleaving. Candidates travel as a
 ``CandidateSet``, a set of doc ids backed by the store's doc numbers.
+
+Candidate generation and MaxSim run once per distinct query embedding: the
+MASK padding and repeated words share one vector, so they share one ANN
+probe and one row of the similarity matrix, and their results are expanded
+back to every position they occupy. ``p`` still counts query positions, as
+in the paper, and the float64 sum of the maxima still runs over every
+position in query order. A score keeps the bits of the all-positions product
+as long as BLAS computes each row of a product independently of how many
+rows it holds; small products (few document tokens, or one distinct row)
+may take another kernel and differ in the last bits.
 """
 
 from __future__ import annotations
@@ -201,18 +211,20 @@ def pruned_union(per_embedding: Sequence[CandidateSet], p: int) -> CandidateSet:
 
 
 def _maxsim_scores(
-    query_embeddings: np.ndarray, token_matrix: np.ndarray, starts: np.ndarray
+    query: QueryRepresentation, token_matrix: np.ndarray, starts: np.ndarray
 ) -> np.ndarray:
     """MaxSim scores for documents packed back to back in ``token_matrix``.
 
-    ``starts`` marks where each document's token block begins. Per query
-    embedding the maximum dot product over the document's tokens is taken,
-    then the maxima are accumulated in query order (sequentially, in float64,
-    so equal inputs always reproduce the same score bit for bit).
+    ``starts`` marks where each document's token block begins. Per distinct
+    query embedding the maximum dot product over the document's tokens is
+    taken once; the maxima are then expanded to every query position and
+    accumulated in query order (sequentially, in float64, so equal inputs
+    always reproduce the same score bit for bit).
     """
-    sims = query_embeddings @ token_matrix.T
-    maxima = np.maximum.reduceat(sims, starts, axis=1)
-    return np.cumsum(maxima.astype(np.float64), axis=0)[-1]
+    firsts, slots = query.distinct_rows
+    sims = query.embeddings[firsts] @ token_matrix.T
+    maxima = np.maximum.reduceat(sims, starts, axis=1).astype(np.float64)
+    return np.cumsum(maxima[slots], axis=0)[-1]
 
 
 def exact_score(query: QueryRepresentation, doc_embeddings: np.ndarray) -> float:
@@ -229,7 +241,7 @@ def exact_score(query: QueryRepresentation, doc_embeddings: np.ndarray) -> float
         raise InvalidInputError(
             f"dimension mismatch: query {query.dim}, document {doc.shape[1]}"
         )
-    return float(_maxsim_scores(query.embeddings, doc, np.array([0]))[0])
+    return float(_maxsim_scores(query, doc, np.array([0]))[0])
 
 
 def score_documents(
@@ -246,7 +258,7 @@ def score_documents(
     token_rows = (
         np.arange(int(lengths.sum())) - np.repeat(out_starts, lengths) + np.repeat(starts, lengths)
     )
-    return _maxsim_scores(query.embeddings, store.vectors[token_rows], out_starts)
+    return _maxsim_scores(query, store.vectors[token_rows], out_starts)
 
 
 def rerank(
@@ -278,18 +290,22 @@ def search(
     """End-to-end search for one query.
 
     Encodes and orders the query embeddings, runs candidate generation for
-    the first ``config.p`` of them, unions the per-embedding document sets,
-    and reranks the union with the full query representation. Returns the
-    ranking and the candidate set (the latter feeds the retrieved-count
-    metrics).
+    the first ``config.p`` of them (once per distinct vector among them),
+    unions the per-embedding document sets, and reranks the union with the
+    full query representation. Returns the ranking and the candidate set
+    (the latter feeds the retrieved-count metrics).
     """
     query = encoder.encode(query_text)
     if config.p > query.q_len:
         raise InvalidConfigError(f"p={config.p} exceeds q_len={query.q_len}")
     ordering = order_embeddings(query, lexicon, config.strategy)
-    per_embedding = [
-        ann_candidates(index, query.embeddings[position], config.k_prime, config.n_probe)[1]
-        for position in ordering[: config.p]
-    ]
+    slots = query.distinct_rows[1].tolist()
+    by_slot: dict[int, CandidateSet] = {}
+    for position in ordering[: config.p]:
+        if slots[position] not in by_slot:
+            by_slot[slots[position]] = ann_candidates(
+                index, query.embeddings[position], config.k_prime, config.n_probe
+            )[1]
+    per_embedding = [by_slot[slots[position]] for position in ordering[: config.p]]
     candidates = pruned_union(per_embedding, config.p)
     return rerank(candidates, query, index.store, k), candidates

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,14 @@ def small_planted_engine(small_planted):
 
 
 @pytest.fixture(scope="session")
+def padded_planted_engine(small_planted_engine):
+    """The small planted engine encoding queries at q_len 32, so each planted
+    query (CLS and 7 words) carries 24 identical MASK positions."""
+    config = dataclasses.replace(small_planted_engine.config, q_len=32)
+    return dataclasses.replace(small_planted_engine, config=config)
+
+
+@pytest.fixture(scope="session")
 def small_planted_qrels(small_planted):
     return Qrels(small_planted.judgments)
 
@@ -84,3 +94,16 @@ def candidate_set(store, doc_ids):
     from mve.retrieval import CandidateSet
 
     return CandidateSet(store, [store.index_of(doc_id) for doc_id in doc_ids])
+
+
+def count_ann_calls(monkeypatch, module):
+    """Record the bytes of every query vector ``module`` sends to ANN."""
+    calls = []
+    real = module.ann_candidates
+
+    def counted(index, phi, k_prime, n_probe):
+        calls.append(np.asarray(phi).tobytes())
+        return real(index, phi, k_prime, n_probe)
+
+    monkeypatch.setattr(module, "ann_candidates", counted)
+    return calls

@@ -124,6 +124,35 @@ def test_bad_strategy_and_p_values_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_config_file_that_is_not_an_object_or_ill_typed_exits_one(tmp_path, capsys):
+    corpus_path = write_tiny_corpus(tmp_path)
+    config_path = tmp_path / "config.json"
+    for content, named in (([1, 2], "JSON object"), ({"dim": "abc"}, "dim")):
+        config_path.write_text(json.dumps(content))
+        code = cli.run(
+            ["index", "--corpus", str(corpus_path), "--out", str(tmp_path / "engine"),
+             "--config", str(config_path)]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1 and named in err
+
+
+def test_sweep_rejects_alpha_outside_unit_interval(tmp_path, capsys):
+    out = build_tiny_engine_dir(tmp_path)
+    queries_path = tmp_path / "queries.tsv"
+    qrels_path = tmp_path / "qrels.txt"
+    write_queries([("q1", "zebra stripes"), ("q2", "quick fox")], queries_path)
+    write_qrels({"q1": {"d2": 1}, "q2": {"d1": 1}}, qrels_path)
+    sweep_args = ["sweep", "--index", str(out), "--queries", str(queries_path),
+                  "--qrels", str(qrels_path), "--out", str(tmp_path / "sweep.csv")]
+    for alpha in ("-1", "0", "2", "nan"):
+        assert cli.run([*sweep_args, f"--alpha={alpha}"]) == 1
+        assert "alpha" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+    assert cli.run([*sweep_args, "--alpha=0.5"]) == 0
+
+
 def test_corrupt_index_exits_two(tmp_path, capsys):
     out = build_tiny_engine_dir(tmp_path)
     index_path = out / "index.mvix"

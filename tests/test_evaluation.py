@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mve.evaluation
 from mve.engine import EngineConfig, build_engine
 from mve.errors import InvalidConfigError, InvalidInputError
 from mve.evaluation import (
@@ -21,9 +22,9 @@ from mve.evaluation import (
     sweep,
     write_run,
 )
-from mve.retrieval import Ranking, Strategy
+from mve.retrieval import Ranking, Strategy, ann_candidates, order_embeddings, pruned_union
 
-from conftest import candidate_set, named_store
+from conftest import candidate_set, count_ann_calls, named_store
 
 DATA = Path(__file__).parent / "data"
 
@@ -228,6 +229,20 @@ def test_t_test_input_validation():
         paired_t_test_bonferroni([1.0, 2.0], [1.0, 2.0], num_comparisons=0)
 
 
+def test_alpha_outside_unit_interval_is_rejected(
+    small_planted_engine, small_planted, small_planted_qrels, monkeypatch
+):
+    a, b = fixed_samples()
+    for alpha in (-1.0, 0.0, 1.0, 2.0, math.nan):
+        with pytest.raises(InvalidConfigError, match="alpha"):
+            paired_t_test_bonferroni(a, b, num_comparisons=1, alpha=alpha)
+    # the sweep refuses before any candidate generation runs
+    monkeypatch.setattr(mve.evaluation, "ann_candidates", None)
+    for alpha in (0.0, math.nan):
+        with pytest.raises(InvalidConfigError, match="alpha"):
+            small_planted_engine.sweep(small_planted.queries, small_planted_qrels, alpha=alpha)
+
+
 # ---------------------------------------------------------------------------
 # Run and qrels files
 # ---------------------------------------------------------------------------
@@ -323,6 +338,33 @@ def test_sweep_rows_match_individual_searches(
         relevant_counts.append(relevant)
     assert row.mean_docs == pytest.approx(sum(sizes) / len(sizes))
     assert row.mean_rel_docs == pytest.approx(sum(relevant_counts) / len(relevant_counts))
+
+
+def test_sweep_calls_ann_once_per_distinct_vector(
+    padded_planted_engine, small_planted, small_planted_qrels, monkeypatch
+):
+    engine = padded_planted_engine
+    q_len = engine.config.q_len
+    p_values = [1, 9, 10, q_len]
+    calls = count_ann_calls(monkeypatch, mve.evaluation)
+    table = engine.sweep(small_planted.queries, small_planted_qrels, p_values=p_values)
+    queries = [engine.encoder.encode(text) for _, text in small_planted.queries]
+    assert len(calls) == sum(len(query.distinct_rows[0]) for query in queries)
+
+    # the counts a per-position first stage gives
+    config = engine.pruning()
+    for strategy in (Strategy.FIRST, Strategy.ICF):
+        for p in p_values:
+            sizes = []
+            for query in queries:
+                ordering = order_embeddings(query, engine.lexicon, strategy)
+                sets = [
+                    ann_candidates(engine.index, query.embeddings[position],
+                                   config.k_prime, config.n_probe)[1]
+                    for position in ordering[:p]
+                ]
+                sizes.append(len(pruned_union(sets, p)))
+            assert table.row(strategy, p).mean_docs == sum(sizes) / len(sizes)
 
 
 def test_sweep_full_p_rows_agree_across_strategies(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mve.retrieval
 from mve.core import (
     CLS_ID,
     CLS_SURFACE,
@@ -33,7 +34,7 @@ from mve.retrieval import (
     score_documents,
 )
 
-from conftest import candidate_set, named_store, random_store
+from conftest import candidate_set, count_ann_calls, named_store, random_store
 
 
 # ---------------------------------------------------------------------------
@@ -520,3 +521,96 @@ def test_per_embedding_doc_sets_bounded_by_k_prime(small_planted_engine, small_p
     for position in range(query.q_len):
         _, docs = ann_candidates(engine.index, query.embeddings[position], k_prime, 2)
         assert len(docs) <= k_prime
+
+
+# ---------------------------------------------------------------------------
+# once per distinct query vector
+# ---------------------------------------------------------------------------
+
+
+def all_rows_scores(query, store, doc_numbers):
+    """MaxSim with one similarity row per query position: no deduplication."""
+    blocks = [store.doc_vectors(int(n)) for n in doc_numbers]
+    tokens = np.concatenate(blocks)
+    starts = np.concatenate([[0], np.cumsum([len(b) for b in blocks])[:-1]])
+    sims = query.embeddings @ tokens.T
+    return np.cumsum(np.maximum.reduceat(sims, starts, axis=1).astype(np.float64), axis=0)[-1]
+
+
+def per_position_search(engine, text, strategy, p):
+    """Search with one ANN call per processed position and all-rows scores."""
+    query = engine.encoder.encode(text)
+    config = engine.pruning(strategy=strategy, p=p)
+    ordering = order_embeddings(query, engine.lexicon, config.strategy)
+    sets = [
+        ann_candidates(engine.index, query.embeddings[position], config.k_prime, config.n_probe)[1]
+        for position in ordering[:p]
+    ]
+    candidates = pruned_union(sets, p)
+    return candidates, all_rows_scores(query, engine.index.store, candidates.numbers)
+
+
+def test_distinct_rows_maps_every_position_to_its_first_equal_row():
+    query = make_query(
+        [
+            (CLS_SURFACE, TokenKind.CLS, CLS_ID),
+            ("to", TokenKind.WORDPIECE, 2),
+            ("be", TokenKind.WORDPIECE, 3),
+            ("to", TokenKind.WORDPIECE, 2),
+            (MASK_SURFACE, TokenKind.MASK, MASK_ID),
+            (MASK_SURFACE, TokenKind.MASK, MASK_ID),
+        ]
+    )
+    firsts, slots = query.distinct_rows
+    assert firsts.tolist() == [0, 1, 2, 4]
+    assert slots.tolist() == [0, 1, 2, 1, 3, 3]
+    assert np.array_equal(query.embeddings[firsts][slots], query.embeddings)
+    # rows count as equal by value, not by token id
+    assert query_from_rows([[1.0, 0.0], [1.0, 0.0]]).distinct_rows[0].tolist() == [0]
+
+
+def test_search_once_per_distinct_vector_keeps_every_bit(padded_planted_engine, small_planted):
+    engine = padded_planted_engine
+    store = engine.index.store
+    q_len = engine.config.q_len
+    for _, text in small_planted.queries:
+        query = engine.encoder.encode(text)
+        assert len(query.distinct_rows[0]) == 9  # CLS, 7 words, MASK
+        for strategy in Strategy:
+            for p in (1, 9, 10, q_len):
+                ranking, candidates = engine.search(text, strategy=strategy, p=p)
+                expected, scores = per_position_search(engine, text, strategy, p)
+                assert np.array_equal(candidates.numbers, expected.numbers)
+                assert np.array_equal(score_documents(query, store, candidates.numbers), scores)
+                order = np.argsort(-scores, kind="stable")[: engine.config.k]
+                assert ranking.entries == tuple(
+                    (store.doc_ids[n], s)
+                    for n, s in zip(expected.numbers[order].tolist(), scores[order].tolist())
+                )
+        # A single document's few tokens make a product small enough that
+        # BLAS may use another kernel for 9 rows than for 32, so single
+        # documents are held to float32 tolerance rather than to the bit.
+        for n in range(0, store.num_docs, 40):
+            single = exact_score(query, store.doc_vectors(n))
+            assert single == pytest.approx(all_rows_scores(query, store, [n])[0], rel=1e-6)
+
+
+def test_search_calls_ann_once_per_distinct_vector(padded_planted_engine, small_planted, monkeypatch):
+    engine = padded_planted_engine
+    calls = count_ann_calls(monkeypatch, mve.retrieval)
+    text = small_planted.queries[0][1]
+    query = engine.encoder.encode(text)
+    engine.search(text, strategy=Strategy.ICF, p=engine.config.q_len)
+    assert len(calls) == len(set(calls)) == len(query.distinct_rows[0])
+
+    ordering = order_embeddings(query, engine.lexicon, Strategy.ICF)
+    mask = next(i for i, token in enumerate(query.tokens) if token.kind is TokenKind.MASK)
+    first_mask = ordering.index(mask) + 1
+    calls.clear()
+    _, at_first_mask = engine.search(text, strategy=Strategy.ICF, p=first_mask)
+    reached_first = len(calls)
+    calls.clear()
+    _, at_second_mask = engine.search(text, strategy=Strategy.ICF, p=first_mask + 1)
+    assert len(calls) == reached_first
+    assert np.array_equal(at_second_mask.numbers, at_first_mask.numbers)
+    assert at_second_mask == at_first_mask
