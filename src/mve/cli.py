@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
+from .core import is_single_field, read_corpus
 from .engine import EngineConfig, build_engine, load_engine, save_engine
 from .errors import CorruptIndexError, EngineError, UsageError
 from .evaluation import (
@@ -157,7 +158,7 @@ def _resolve_build_config(args: argparse.Namespace) -> EngineConfig:
     if args.config:
         try:
             file_values = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise UsageError(f"--config {args.config}: {exc}") from exc
         if not isinstance(file_values, dict):
             raise UsageError(f"--config {args.config}: expected a JSON object")
@@ -180,8 +181,6 @@ def _echo_config(config: EngineConfig) -> None:
 
 
 def _cmd_index(args: argparse.Namespace) -> int:
-    from .core import read_corpus
-
     config = _resolve_build_config(args)
     corpus = read_corpus(args.corpus)
     dump_docs = read_embeddings_dump(args.embeddings_dump) if args.embeddings_dump else None
@@ -197,6 +196,9 @@ def _cmd_index(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    for flag, value in (("--qid", args.qid), ("--tag", args.tag)):
+        if not is_single_field(value):
+            raise UsageError(f"{flag} must be non-empty and free of whitespace, got {value!r}")
     engine = load_engine(args.index)
     pruning = engine.pruning(
         strategy=args.strategy, p=args.p, k_prime=args.k_prime, n_probe=args.n_probe

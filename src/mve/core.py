@@ -11,6 +11,7 @@ document frequency) drive the embedding-ordering strategies in
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import functools
 import hashlib
@@ -18,7 +19,7 @@ import math
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -331,11 +332,34 @@ def build_lexicon(corpus: Sequence[DocumentEntry]) -> Lexicon:
     return build_lexicon_from_ids([(doc.doc_id, doc.token_ids) for doc in corpus])
 
 
+@contextlib.contextmanager
+def open_text(path: str | Path) -> Iterator[TextIO]:
+    """Open a UTF-8 text file for reading.
+
+    Bytes that do not decode as UTF-8 raise :class:`InvalidInputError`
+    naming the file, not a ``UnicodeDecodeError``.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as exc:
+            raise InvalidInputError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def is_single_field(value: str) -> bool:
+    """True if ``value`` is non-empty and free of whitespace, so that it
+    reads back as one field of a whitespace-separated run or qrels line."""
+    return value.split() == [value]
+
+
 def read_corpus(path: str | Path) -> list[tuple[str, str]]:
-    """Read a corpus file: one ``doc_id<TAB>text`` line per document, UTF-8."""
+    """Read a corpus file: one ``doc_id<TAB>text`` line per document, UTF-8.
+
+    Doc ids must be non-empty and free of whitespace.
+    """
     pairs: list[tuple[str, str]] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if not line.strip():
@@ -343,8 +367,10 @@ def read_corpus(path: str | Path) -> list[tuple[str, str]]:
             if "\t" not in line:
                 raise InvalidInputError(f"{path}:{lineno}: expected doc_id<TAB>text")
             doc_id, text = line.split("\t", 1)
-            if not doc_id:
-                raise InvalidInputError(f"{path}:{lineno}: empty doc id")
+            if not is_single_field(doc_id):
+                raise InvalidInputError(
+                    f"{path}:{lineno}: doc id {doc_id!r} is empty or contains whitespace"
+                )
             if doc_id in seen:
                 raise InvalidInputError(f"{path}:{lineno}: duplicate doc id {doc_id!r}")
             seen.add(doc_id)
@@ -396,7 +422,7 @@ def load_lexicon(path: str | Path, num_docs: int) -> tuple[Lexicon, Vocabulary]:
     vocab = Vocabulary()
     entries: dict[int, LexiconEntry] = {}
     num_tokens = 0
-    with open(path, "r", encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if not line:

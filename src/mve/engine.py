@@ -251,7 +251,7 @@ def load_engine(directory: str | Path) -> Engine:
         raise InvalidInputError(f"{directory} is not an engine directory (missing {CONFIG_FILE})")
     try:
         config = EngineConfig.from_mapping(json.loads(config_path.read_text(encoding="utf-8")))
-    except (json.JSONDecodeError, TypeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, TypeError) as exc:
         raise InvalidConfigError(f"{config_path}: unreadable config: {exc}") from exc
     index = load_index(directory / INDEX_FILE)
     if config.dim != index.dim:

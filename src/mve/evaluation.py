@@ -6,20 +6,24 @@ the raw relevance grade (not 2^grade - 1) with a 1/log2(rank + 1) discount;
 queries without judged-relevant documents score 0 for every metric and stay
 in the means; Bonferroni corrects over every (strategy, p, metric)
 comparison a sweep performs.
+
+Importing this module does not import scipy: the t-test's tail,
+``scipy.special.stdtr`` (what ``scipy.stats.t.sf`` evaluates), is imported on
+the test's first call, so only the sweep pays for it. Queries, qrels and run
+files are read as UTF-8, and bytes that are not raise
+:class:`~mve.errors.InvalidInputError` naming the file.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
-from .core import Lexicon, QueryEncoder
+from .core import Lexicon, QueryEncoder, is_single_field, open_text
 from .errors import InvalidConfigError, InvalidInputError
 from .index import IvfIndex
 from .retrieval import (
@@ -65,7 +69,7 @@ class Qrels:
 def load_qrels(path: str | Path) -> Qrels:
     """Read TREC qrels: ``qid 0 doc_id grade``, whitespace-separated."""
     judgments: dict[str, dict[str, int]] = {}
-    with open(path, "r", encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             parts = line.split()
             if not parts:
@@ -82,10 +86,13 @@ def load_qrels(path: str | Path) -> Qrels:
 
 
 def load_queries(path: str | Path) -> list[tuple[str, str]]:
-    """Read a queries file: one ``qid<TAB>text`` line per query."""
+    """Read a queries file: one ``qid<TAB>text`` line per query, UTF-8.
+
+    Query ids must be non-empty and free of whitespace.
+    """
     queries: list[tuple[str, str]] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if not line.strip():
@@ -93,6 +100,10 @@ def load_queries(path: str | Path) -> list[tuple[str, str]]:
             if "\t" not in line:
                 raise InvalidInputError(f"{path}:{lineno}: expected qid<TAB>text")
             qid, text = line.split("\t", 1)
+            if not is_single_field(qid):
+                raise InvalidInputError(
+                    f"{path}:{lineno}: query id {qid!r} is empty or contains whitespace"
+                )
             if qid in seen:
                 raise InvalidInputError(f"{path}:{lineno}: duplicate query id {qid!r}")
             seen.add(qid)
@@ -124,7 +135,7 @@ def read_run(path: str | Path) -> dict[str, Ranking]:
     deterministically.
     """
     per_query: dict[str, dict[str, float]] = {}
-    with open(path, "r", encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             parts = line.split()
             if not parts:
@@ -251,8 +262,12 @@ def paired_t_test_bonferroni(
         t = math.inf if mean > 0 else -math.inf
         p_value = 0.0
     else:
+        # the survival function scipy.stats.t.sf evaluates; scipy.special
+        # is imported here so that only callers of the test pay its import
+        from scipy.special import stdtr
+
         t = mean / (sd / math.sqrt(n))
-        p_value = 2.0 * float(_scipy_stats.t.sf(abs(t), n - 1))
+        p_value = 2.0 * float(stdtr(n - 1, -abs(t)))
     return TTestResult(float(t), p_value, p_value < alpha / num_comparisons)
 
 
@@ -433,6 +448,8 @@ def sweep(
     if threads == 1:
         outcomes = [work(pair) for pair in ordered_queries]
     else:
+        import concurrent.futures
+
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
             outcomes = list(pool.map(work, ordered_queries))
 

@@ -17,7 +17,7 @@ from typing import BinaryIO, Sequence
 
 import numpy as np
 
-from .core import DocumentEntry
+from .core import DocumentEntry, is_single_field
 from .errors import CorruptIndexError, InvalidConfigError, InvalidInputError
 
 INDEX_MAGIC = b"MVIX"
@@ -453,6 +453,7 @@ def read_embeddings_dump(path: str | Path) -> list[tuple[str, np.ndarray]]:
 
     Dumps are user input, so failures raise :class:`InvalidInputError`
     (unlike our own index files, which raise :class:`CorruptIndexError`).
+    Doc ids must be non-empty and free of whitespace.
     """
 
     def need(handle: BinaryIO, count: int, section: str) -> bytes:
@@ -477,6 +478,10 @@ def read_embeddings_dump(path: str | Path) -> list[tuple[str, np.ndarray]]:
                 doc_id = need(handle, name_len, f"doc {i} name").decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise InvalidInputError(f"dump doc {i}: undecodable name") from exc
+            if not is_single_field(doc_id):
+                raise InvalidInputError(
+                    f"dump doc {i}: doc id {doc_id!r} is empty or contains whitespace"
+                )
             (count,) = _U32.unpack(need(handle, 4, f"doc {doc_id!r} count"))
             if count == 0:
                 raise InvalidInputError(f"dump doc {doc_id!r} has no embeddings")

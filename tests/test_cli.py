@@ -1,4 +1,8 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -310,3 +314,141 @@ def test_read_corpus_validates(tmp_path):
     path.write_text("d1\talpha\nd1\tbeta\n")
     with pytest.raises(InvalidInputError):
         read_corpus(path)
+
+
+_IMPORT_GUARD = """
+import json, sys
+import mve, mve.cli
+for argv in json.loads(sys.argv[1]):
+    if mve.cli.run(argv) != 0:
+        sys.exit(f"mve {argv[0]} failed")
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_index_search_and_eval_never_import_scipy(tmp_path):
+    corpus_path = write_tiny_corpus(tmp_path)
+    out = tmp_path / "engine"
+    commands = [
+        ["index", "--corpus", str(corpus_path), "--out", str(out),
+         "--dim", "16", "--q-len", "8", "--n-list", "2", "--sample-fraction", "1.0"],
+        ["search", "--index", str(out), "--query", "zebras stripes"],
+        ["eval", "--run", str(DATA / "golden_run.txt"), "--qrels", str(DATA / "golden_qrels.txt")],
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GUARD, json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == []
+
+
+def assert_one_line_error(code: int, captured, named: Path) -> None:
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and str(named) in lines[0], captured.err
+
+
+def test_index_rejects_non_utf8_corpus_and_config(tmp_path, capsys):
+    corpus_path = write_tiny_corpus(tmp_path)
+    bad_corpus = tmp_path / "latin1.tsv"
+    bad_corpus.write_bytes("d1\tcafé au lait\n".encode("latin-1"))
+    code = cli.run(["index", "--corpus", str(bad_corpus), "--out", str(tmp_path / "e")])
+    assert_one_line_error(code, capsys.readouterr(), bad_corpus)
+    bad_config = tmp_path / "config.json"
+    bad_config.write_bytes(b'{"dim": 8, "note": "\xff"}')
+    code = cli.run(["index", "--corpus", str(corpus_path), "--out", str(tmp_path / "e"),
+                    "--config", str(bad_config)])
+    assert_one_line_error(code, capsys.readouterr(), bad_config)
+    assert not (tmp_path / "e").exists()
+
+
+def test_search_rejects_non_utf8_engine_files(tmp_path, capsys):
+    out = build_tiny_engine_dir(tmp_path)
+    capsys.readouterr()
+    for name in ("config.json", "lexicon.tsv"):
+        damaged = tmp_path / f"damaged-{name}"
+        shutil.copytree(out, damaged)
+        with open(damaged / name, "ab") as handle:
+            handle.write(b"\xff\xfe\n")
+        code = cli.run(["search", "--index", str(damaged), "--query", "zebras"])
+        assert_one_line_error(code, capsys.readouterr(), damaged / name)
+
+
+def test_sweep_rejects_non_utf8_queries_and_qrels(tmp_path, capsys):
+    out = build_tiny_engine_dir(tmp_path)
+    queries_path = tmp_path / "queries.tsv"
+    qrels_path = tmp_path / "qrels.txt"
+    write_queries([("q1", "zebra stripes"), ("q2", "quick fox")], queries_path)
+    write_qrels({"q1": {"d2": 1}, "q2": {"d1": 1}}, qrels_path)
+    capsys.readouterr()
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"q1\tzebra \xc3\x28\n")
+    for queries, qrels in ((bad, qrels_path), (queries_path, bad)):
+        code = cli.run(["sweep", "--index", str(out), "--queries", str(queries),
+                        "--qrels", str(qrels), "--out", str(tmp_path / "sweep.csv")])
+        assert_one_line_error(code, capsys.readouterr(), bad)
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_eval_rejects_non_utf8_run_and_qrels(tmp_path, capsys):
+    run_path, qrels_path = DATA / "golden_run.txt", DATA / "golden_qrels.txt"
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(run_path.read_bytes() + b"q9 Q0 d\xe9 1 0.5 t\n")
+    for run, qrels in ((bad, qrels_path), (run_path, bad)):
+        code = cli.run(["eval", "--run", str(run), "--qrels", str(qrels)])
+        assert_one_line_error(code, capsys.readouterr(), bad)
+
+
+def test_search_run_file_reads_back_in_eval(tmp_path, capsys):
+    out = build_tiny_engine_dir(tmp_path)
+    capsys.readouterr()
+    assert cli.run(["search", "--index", str(out), "--query", "zebras stripes",
+                    "--qid", "q-7", "--tag", "run/a", "--k", "2"]) == 0
+    run_path = tmp_path / "run.txt"
+    run_path.write_text(capsys.readouterr().out, encoding="utf-8")
+    qrels_path = tmp_path / "qrels.txt"
+    write_qrels({"q-7": {"d2": 1}}, qrels_path)
+    assert cli.run(["eval", "--run", str(run_path), "--qrels", str(qrels_path)]) == 0
+    assert capsys.readouterr().out == (
+        "num_queries 1\nndcg10 1.000000\nmap 1.000000\nmrr10 1.000000\n"
+    )
+
+
+def test_ids_that_a_run_file_cannot_carry_are_rejected(tmp_path, capsys):
+    out = build_tiny_engine_dir(tmp_path)
+    capsys.readouterr()
+    for flag, value in (("--qid", "a b"), ("--tag", "a b"), ("--qid", ""), ("--tag", "x\ty")):
+        code = cli.run(["search", "--index", str(out), "--query", "zebras", flag, value])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert flag in captured.err and "whitespace" in captured.err
+
+    corpus_path = tmp_path / "spaced.tsv"
+    write_corpus([("d1", "alpha beta"), ("d 2", "gamma delta")], corpus_path)
+    code = cli.run(["index", "--corpus", str(corpus_path), "--out", str(tmp_path / "e")])
+    assert code == 1 and "'d 2'" in capsys.readouterr().err
+    write_corpus([("d1", "alpha beta"), ("d2", "gamma delta")], corpus_path)
+    dump_path = tmp_path / "docs.mved"
+    rng = np.random.default_rng(3)
+    write_embeddings_dump(
+        [(doc_id, rng.standard_normal((2, 4)).astype(np.float32)) for doc_id in ("d1", "d2 ")],
+        dump_path,
+    )
+    code = cli.run(["index", "--corpus", str(corpus_path), "--out", str(tmp_path / "e"),
+                    "--embeddings-dump", str(dump_path)])
+    assert code == 1 and "'d2 '" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
+
+    queries_path = tmp_path / "queries.tsv"
+    qrels_path = tmp_path / "qrels.txt"
+    write_qrels({"q1": {"d2": 1}}, qrels_path)
+    for qid in ("q 1", ""):
+        write_queries([(qid, "zebra stripes")], queries_path)
+        code = cli.run(["sweep", "--index", str(out), "--queries", str(queries_path),
+                        "--qrels", str(qrels_path), "--out", str(tmp_path / "sweep.csv")])
+        assert code == 1 and f"query id {qid!r}" in capsys.readouterr().err

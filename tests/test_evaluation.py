@@ -203,6 +203,26 @@ def test_t_test_matches_closed_form_and_cdf_oracle():
     assert result.p_value == pytest.approx(2 * student_t_sf_oracle(abs(expected_t), 29), rel=1e-9)
 
 
+def test_t_test_tail_is_bit_identical_to_scipy_stats_t_sf():
+    from scipy import stats
+
+    rng = np.random.default_rng(41)
+    checked = 0
+    for n in (2, 3, 5, 10, 31, 100, 200):
+        noise = rng.standard_normal(n)
+        unit = (noise - noise.mean()) / noise.std(ddof=1)
+        for magnitude in np.logspace(-8, 3, 23):
+            for sign in (1.0, -1.0):
+                diffs = unit + sign * magnitude / math.sqrt(n)
+                result = paired_t_test_bonferroni(diffs, np.zeros(n), num_comparisons=1)
+                assert result.t != 0.0 and math.isfinite(result.t)
+                assert math.copysign(1.0, result.t) == sign
+                expected = 2.0 * float(stats.t.sf(abs(result.t), n - 1))
+                assert result.p_value == expected, (n, result.t)
+                checked += 1
+    assert checked == 7 * 23 * 2
+
+
 def test_t_test_antisymmetry():
     a, b = fixed_samples()
     forward = paired_t_test_bonferroni(a, b, num_comparisons=4)
