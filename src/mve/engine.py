@@ -20,6 +20,7 @@ from .core import (
     build_lexicon,
     build_lexicon_from_ids,
     embed_corpus,
+    is_single_field,
     load_lexicon,
     save_lexicon,
     tokenize,
@@ -190,6 +191,12 @@ class Engine:
         )
 
 
+def _check_doc_ids(pairs: Sequence[tuple[str, object]]) -> None:
+    for doc_id, _ in pairs:
+        if not is_single_field(doc_id):
+            raise InvalidInputError(f"doc id {doc_id!r} is empty or contains whitespace")
+
+
 def build_engine(
     corpus: Sequence[tuple[str, str]],
     config: EngineConfig,
@@ -201,12 +208,16 @@ def build_engine(
     (its dimension overrides ``config.dim``; the dump must cover exactly the
     corpus doc ids) while collection statistics still come from the corpus
     text. Without it, documents are embedded by the built-in token embedder.
+    Doc ids must be non-empty and free of whitespace, so that a run file can
+    carry them.
     """
+    _check_doc_ids(corpus)
     if dump_docs is None:
         entries, vocab = embed_corpus(corpus, config.seed, config.dim)
         lexicon = build_lexicon(entries)
         store = EmbeddingStore.from_documents(entries)
     else:
+        _check_doc_ids(dump_docs)
         store = EmbeddingStore.from_blocks(dump_docs)
         if set(store.doc_ids) != {doc_id for doc_id, _ in corpus}:
             raise InvalidInputError("embeddings dump does not cover exactly the corpus doc ids")

@@ -365,7 +365,11 @@ def _evaluate_query(
     ranked = union.numbers[order]
     ranked_ids = [store.doc_ids[n] for n in ranked.tolist()]
     ranked_scores = scores[order].tolist()
-    ranked_relevant = np.array([qrels.grade(query_id, d) >= 1 for d in ranked_ids], dtype=bool)
+    relevant = np.zeros(store.num_docs, dtype=bool)
+    for number in map(store.index_of, qrels.relevant(query_id)):
+        if number is not None:  # judged docs the store lacks are never ranked
+            relevant[number] = True
+    ranked_relevant = relevant[ranked]
 
     def metrics_for(member: np.ndarray) -> tuple[float, float, float, int, int]:
         """Metrics and counts of the cell whose doc numbers ``member`` marks."""

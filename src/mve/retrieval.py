@@ -11,13 +11,14 @@ reproducible regardless of thread interleaving. Candidates travel as a
 
 Candidate generation and MaxSim run once per distinct query embedding: the
 MASK padding and repeated words share one vector, so they share one ANN
-probe and one row of the similarity matrix, and their results are expanded
-back to every position they occupy. ``p`` still counts query positions, as
-in the paper, and the float64 sum of the maxima still runs over every
-position in query order. A score keeps the bits of the all-positions product
-as long as BLAS computes each row of a product independently of how many
-rows it holds; small products (few document tokens, or one distinct row)
-may take another kernel and differ in the last bits.
+probe, one candidate set (the union takes each set once) and one column of
+the similarity matrix. ``p`` still counts query positions, as in the paper.
+MaxSim multiplies token-major (document tokens by distinct query rows), and
+its float64 sum of the maxima still runs over every position in query order,
+one addition per position. A score keeps the bits of the all-positions
+product as long as BLAS computes each entry of a product independently of
+how many query rows it holds; small products (few document tokens, or one
+distinct row) may take another kernel and differ in the last bits.
 """
 
 from __future__ import annotations
@@ -83,7 +84,10 @@ class CandidateSet(collections.abc.Set):
         numbers = np.asarray(self.numbers, dtype=np.int64)
         if numbers.size and not (0 <= numbers.min() and numbers.max() < self.store.num_docs):
             raise InvalidInputError("candidate doc number outside the store")
-        numbers = self.store.id_order[np.unique(self.store.id_rank[numbers])]
+        ranks = np.sort(self.store.id_rank[numbers])
+        # the sorted ranks without repeats, as np.unique gives them; np.unique
+        # took about ten times as long on 1,000 ranks with numpy 2.4
+        numbers = self.store.id_order[ranks[np.diff(ranks, prepend=-1) != 0]]
         numbers.flags.writeable = False
         object.__setattr__(self, "numbers", numbers)
 
@@ -196,7 +200,9 @@ def ann_candidates(
 def pruned_union(per_embedding: Sequence[CandidateSet], p: int) -> CandidateSet:
     """Union of the first ``p`` per-embedding candidate sets, all over one store.
 
-    With ``p`` equal to the number of sets this is the unpruned union.
+    With ``p`` equal to the number of sets this is the unpruned union. A set
+    passed for several positions (one object) is unioned once, and a single
+    distinct set is returned as it is.
     """
     if p < 1:
         raise InvalidConfigError(f"p must be >= 1, got {p}")
@@ -207,7 +213,10 @@ def pruned_union(per_embedding: Sequence[CandidateSet], p: int) -> CandidateSet:
     store = per_embedding[0].store
     if any(docs.store is not store for docs in per_embedding[:p]):
         raise ConsistencyError("candidate sets from different stores")
-    return CandidateSet(store, np.concatenate([docs.numbers for docs in per_embedding[:p]]))
+    distinct = list({id(docs): docs for docs in per_embedding[:p]}.values())
+    if len(distinct) == 1:
+        return distinct[0]
+    return CandidateSet(store, np.concatenate([docs.numbers for docs in distinct]))
 
 
 def _maxsim_scores(
@@ -215,16 +224,22 @@ def _maxsim_scores(
 ) -> np.ndarray:
     """MaxSim scores for documents packed back to back in ``token_matrix``.
 
-    ``starts`` marks where each document's token block begins. Per distinct
-    query embedding the maximum dot product over the document's tokens is
-    taken once; the maxima are then expanded to every query position and
-    accumulated in query order (sequentially, in float64, so equal inputs
-    always reproduce the same score bit for bit).
+    ``starts`` marks where each document's token block begins. The product
+    is token-major, one row per document token and one column per distinct
+    query embedding, so each distinct embedding's maximum over a document's
+    tokens is taken once. The float64 maxima are then summed position by
+    position in query order (one addition per position, a column repeated
+    for every position sharing it), so equal inputs always reproduce the
+    same score bit for bit.
     """
     firsts, slots = query.distinct_rows
-    sims = query.embeddings[firsts] @ token_matrix.T
-    maxima = np.maximum.reduceat(sims, starts, axis=1).astype(np.float64)
-    return np.cumsum(maxima[slots], axis=0)[-1]
+    sims = token_matrix @ query.embeddings[firsts].T
+    maxima = np.maximum.reduceat(sims, starts, axis=0).astype(np.float64)
+    first, *rest = slots.tolist()
+    total = maxima[:, first].copy()
+    for slot in rest:
+        total += maxima[:, slot]
+    return total
 
 
 def exact_score(query: QueryRepresentation, doc_embeddings: np.ndarray) -> float:

@@ -21,7 +21,7 @@ from mve.core import (
 )
 from mve.engine import EngineConfig, build_engine
 from mve.errors import ConsistencyError, InvalidConfigError, InvalidInputError
-from mve.index import build_ivf, train_centroids
+from mve.index import EmbeddingStore, build_ivf, train_centroids
 from mve.retrieval import (
     CandidateSet,
     Ranking,
@@ -271,6 +271,27 @@ def test_pruned_union_rejects_sets_from_different_stores():
         pruned_union(sets, 2)
 
 
+def test_pruned_union_takes_a_repeated_set_once():
+    store = named_store(["d", "c", "b", "a"])
+    ab, bc, d = (candidate_set(store, s) for s in ({"a", "b"}, {"b", "c"}, {"d"}))
+    repeated = pruned_union([ab, bc, ab, d, bc, bc], 6)
+    plain = pruned_union([ab, bc, d], 3)
+    assert np.array_equal(repeated.numbers, plain.numbers)
+    assert repeated == plain == {"a", "b", "c", "d"}
+    # one distinct set comes back as it is
+    single = pruned_union([bc, bc, bc, ab], 3)
+    assert single == bc and np.array_equal(single.numbers, bc.numbers)
+
+
+def test_pruned_union_checks_the_store_of_every_repeated_set():
+    ids = ["a", "b"]
+    mine, other = candidate_set(named_store(ids), {"a"}), candidate_set(named_store(ids), {"a"})
+    for sets in ([mine, mine, other], [mine, other, other], [mine, other, mine]):
+        with pytest.raises(ConsistencyError):
+            pruned_union(sets, 3)
+    assert pruned_union([mine, mine, other], 2) == {"a"}
+
+
 UNION_STORE = named_store([f"d{i}" for i in reversed(range(12))])
 
 
@@ -453,6 +474,22 @@ def test_search_single_doc_corpus_finds_it():
     assert ranking.doc_ids() == ["only"]
 
 
+def test_build_engine_rejects_doc_ids_a_run_file_cannot_carry():
+    config = EngineConfig(dim=4, q_len=4, k=5, k_prime=10, n_list=1, n_probe=1,
+                          sample_fraction=1.0, iterations=3, seed=1)
+    rng = np.random.default_rng(5)
+    for bad in ("d 1", "", "d\t1", " d1"):
+        corpus = [("d0", "alpha beta"), (bad, "gamma delta")]
+        with pytest.raises(InvalidInputError, match="empty or contains whitespace"):
+            build_engine(corpus, config)
+        dump = [(doc_id, rng.standard_normal((2, 4)).astype(np.float32)) for doc_id, _ in corpus]
+        with pytest.raises(InvalidInputError, match="empty or contains whitespace"):
+            build_engine(corpus, config, dump_docs=dump)
+        good_corpus = [("d0", "alpha beta"), ("d1", "gamma delta")]
+        with pytest.raises(InvalidInputError, match="empty or contains whitespace"):
+            build_engine(good_corpus, config, dump_docs=[dump[0], (bad, dump[1][1])])
+
+
 def test_search_full_p_is_strategy_independent(small_planted_engine, small_planted):
     engine = small_planted_engine
     q_len = engine.config.q_len
@@ -614,3 +651,46 @@ def test_search_calls_ann_once_per_distinct_vector(padded_planted_engine, small_
     assert len(calls) == reached_first
     assert np.array_equal(at_second_mask.numbers, at_first_mask.numbers)
     assert at_second_mask == at_first_mask
+
+
+def row_major_scores(query, store, doc_numbers):
+    """MaxSim over the distinct rows, row-major: one similarity row per
+    distinct query vector, maxima expanded to every position and summed in
+    query order by ``cumsum``."""
+    blocks = [store.doc_vectors(int(n)) for n in doc_numbers]
+    tokens = np.concatenate(blocks)
+    starts = np.concatenate([[0], np.cumsum([len(b) for b in blocks])[:-1]])
+    firsts, slots = query.distinct_rows
+    sims = query.embeddings[firsts] @ tokens.T
+    maxima = np.maximum.reduceat(sims, starts, axis=1).astype(np.float64)
+    return np.cumsum(maxima[slots], axis=0)[-1]
+
+
+@pytest.mark.parametrize("engine_name", ["small_planted_engine", "padded_planted_engine"])
+def test_token_major_maxsim_keeps_the_row_major_bits(engine_name, small_planted, request):
+    engine = request.getfixturevalue(engine_name)
+    store = engine.index.store
+    for _, text in small_planted.queries:
+        query = engine.encoder.encode(text)
+        for strategy in Strategy:
+            for p in (1, engine.config.q_len):
+                _, candidates = engine.search(text, strategy=strategy, p=p)
+                expected = row_major_scores(query, store, candidates.numbers)
+                assert np.array_equal(score_documents(query, store, candidates.numbers), expected)
+                singles = [exact_score(query, store.doc_vectors(n)) for n in candidates.numbers]
+                reference = [row_major_scores(query, store, [n])[0] for n in candidates.numbers]
+                assert np.array_equal(singles, reference)
+
+
+def test_maxsim_adds_one_position_at_a_time_in_query_order():
+    # maxima of 1 and 2**-54: a float64 sum rounds after every addition, so
+    # the order of the additions shows in the last bits
+    tiny = 2.0**-54
+    big_first = query_from_rows([[1.0, 0.0]] + [[0.0, 1.0]] * 15)
+    big_last = query_from_rows([[0.0, 1.0]] * 15 + [[1.0, 0.0]])
+    doc = np.array([[1.0, 0.0], [0.0, tiny]], dtype=np.float32)
+    store = EmbeddingStore.from_blocks([("a", doc), ("b", doc[::-1].copy())])
+    for query, expected in ((big_first, 1.0), (big_last, 1.0 + 2.0**-50)):
+        assert exact_score(query, doc) == expected
+        assert score_documents(query, store, np.array([0, 1])).tolist() == [expected, expected]
+        assert row_major_scores(query, store, [0, 1]).tolist() == [expected, expected]
