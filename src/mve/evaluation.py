@@ -28,6 +28,7 @@ from .errors import InvalidConfigError, InvalidInputError
 from .index import IvfIndex
 from .retrieval import (
     CandidateSet,
+    RankedEntries,
     Ranking,
     Strategy,
     ann_candidates,
@@ -53,9 +54,6 @@ class Qrels:
                         f"negative grade for query {qid!r}, doc {doc_id!r}"
                     )
 
-    def grade(self, query_id: str, doc_id: str) -> int:
-        return self.judgments.get(query_id, {}).get(doc_id, 0)
-
     def judged(self, query_id: str) -> dict[str, int]:
         return self.judgments.get(query_id, {})
 
@@ -67,7 +65,11 @@ class Qrels:
 
 
 def load_qrels(path: str | Path) -> Qrels:
-    """Read TREC qrels: ``qid 0 doc_id grade``, whitespace-separated."""
+    """Read TREC qrels: ``qid 0 doc_id grade``, whitespace-separated.
+
+    A ``(qid, doc_id)`` pair judged on two lines is rejected, since no grade
+    of the two is more right than the other.
+    """
     judgments: dict[str, dict[str, int]] = {}
     with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -81,7 +83,12 @@ def load_qrels(path: str | Path) -> Qrels:
                 grade = int(grade_text)
             except ValueError as exc:
                 raise InvalidInputError(f"{path}:{lineno}: non-integer grade") from exc
-            judgments.setdefault(qid, {})[doc_id] = grade
+            docs = judgments.setdefault(qid, {})
+            if doc_id in docs:
+                raise InvalidInputError(
+                    f"{path}:{lineno}: query {qid!r} judges doc {doc_id!r} twice"
+                )
+            docs[doc_id] = grade
     return Qrels(judgments)
 
 
@@ -174,7 +181,7 @@ def ndcg_at(ranking: Ranking, qrels: Qrels, query_id: str, cutoff: int = 10) -> 
     if cutoff < 1:
         raise InvalidConfigError(f"cutoff must be >= 1, got {cutoff}")
     judged = qrels.judged(query_id)
-    dcg = _dcg(judged.get(doc_id, 0) for doc_id, _ in ranking.entries[:cutoff])
+    dcg = _dcg(judged.get(doc_id, 0) for doc_id in ranking.entries.ids[:cutoff])
     ideal = _dcg(sorted(judged.values(), reverse=True)[:cutoff])
     return dcg / ideal if ideal > 0.0 else 0.0
 
@@ -188,12 +195,11 @@ def average_precision(ranking: Ranking, qrels: Qrels, query_id: str) -> float:
     relevant = qrels.relevant(query_id)
     if not relevant:
         return 0.0
-    hits = 0
+    ids = ranking.entries.ids
+    ranks = [rank for rank, doc_id in enumerate(ids, start=1) if doc_id in relevant]
     precision_sum = 0.0
-    for rank, (doc_id, _) in enumerate(ranking.entries, start=1):
-        if doc_id in relevant:
-            hits += 1
-            precision_sum += hits / rank
+    for hits, rank in enumerate(ranks, start=1):
+        precision_sum += hits / rank
     return precision_sum / len(relevant)
 
 
@@ -202,7 +208,7 @@ def rr_at(ranking: Ranking, qrels: Qrels, query_id: str, cutoff: int = 10) -> fl
     if cutoff < 1:
         raise InvalidConfigError(f"cutoff must be >= 1, got {cutoff}")
     relevant = qrels.relevant(query_id)
-    for rank, (doc_id, _) in enumerate(ranking.entries[:cutoff], start=1):
+    for rank, doc_id in enumerate(ranking.entries.ids[:cutoff], start=1):
         if doc_id in relevant:
             return 1.0 / rank
     return 0.0
@@ -363,8 +369,8 @@ def _evaluate_query(
     # the union comes in doc-id order, so a stable sort breaks ties by doc id
     order = np.argsort(-scores, kind="stable")
     ranked = union.numbers[order]
-    ranked_ids = [store.doc_ids[n] for n in ranked.tolist()]
-    ranked_scores = scores[order].tolist()
+    ranked_ids = np.array(store.doc_ids, dtype=object)[ranked]
+    ranked_scores = scores[order]
     relevant = np.zeros(store.num_docs, dtype=bool)
     for number in map(store.index_of, qrels.relevant(query_id)):
         if number is not None:  # judged docs the store lacks are never ranked
@@ -374,8 +380,9 @@ def _evaluate_query(
     def metrics_for(member: np.ndarray) -> tuple[float, float, float, int, int]:
         """Metrics and counts of the cell whose doc numbers ``member`` marks."""
         hit = member[ranked]
-        top = np.flatnonzero(hit)[:k].tolist()
-        ranking = Ranking(entries=tuple((ranked_ids[i], ranked_scores[i]) for i in top), k=k)
+        top = np.flatnonzero(hit)[:k]
+        entries = RankedEntries(ranked_ids[top].tolist(), ranked_scores[top])
+        ranking = Ranking(entries=entries, k=k)
         return (
             ndcg_at(ranking, qrels, query_id),
             average_precision(ranking, qrels, query_id),

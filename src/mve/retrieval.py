@@ -7,7 +7,10 @@ query embeddings run candidate generation; the reranker always scores with
 the complete query representation. Every tie anywhere (probe choice, top-k'
 cut, final ranking) breaks toward the lowest id, which makes runs bitwise
 reproducible regardless of thread interleaving. Candidates travel as a
-``CandidateSet``, a set of doc ids backed by the store's doc numbers.
+``CandidateSet``, a set of doc ids backed by the store's doc numbers. A
+``Ranking`` holds two columns, its doc ids and their float64 scores, and
+builds ``(doc_id, score)`` pairs only when they are read; it refers to no
+store, so a kept ranking keeps no engine alive.
 
 Candidate generation and MaxSim run once per distinct query embedding: the
 MASK padding and repeated words share one vector, so they share one ANN
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import collections.abc
 import enum
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -113,32 +117,99 @@ class CandidateSet(collections.abc.Set):
         return f"CandidateSet({list(self)!r})"
 
 
+class RankedEntries(collections.abc.Sequence):
+    """A ranking's ``(doc_id, score)`` pairs, held as two columns.
+
+    ``ids`` is a tuple of doc ids and ``scores`` a read-only float64 array of
+    the same length. A pair is built only when one is read, and a slice is
+    entries again. Entries compare equal to entries with the same columns and
+    to the tuple of the same pairs, and hash like that tuple.
+    """
+
+    __slots__ = ("ids", "scores")
+
+    def __init__(self, ids: Iterable[str], scores: Iterable[float]) -> None:
+        ids = tuple(ids)
+        scores = np.array(scores, dtype=np.float64)
+        if scores.shape != (len(ids),):
+            raise InvalidInputError("a ranking needs exactly one score per doc id")
+        scores.flags.writeable = False
+        self.ids = ids
+        self.scores = scores
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i: int | slice):  # type: ignore[override]
+        if isinstance(i, slice):
+            return RankedEntries(self.ids[i], self.scores[i])
+        return self.ids[i], float(self.scores[i])
+
+    def __iter__(self) -> Iterator[tuple[str, float]]:
+        return zip(self.ids, self.scores.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, RankedEntries):
+            return self.ids == other.ids and np.array_equal(self.scores, other.scores)
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"RankedEntries({tuple(self)!r})"
+
+
 @dataclass(frozen=True)
 class Ranking:
-    """Scored documents, deepest first: descending score, ties by ascending
-    doc id, truncated to depth ``k``."""
+    """Scored documents, best first: descending score, ties by ascending doc
+    id, truncated to depth ``k``.
 
-    entries: tuple[tuple[str, float], ...]
+    ``entries`` is a :class:`RankedEntries`, a read-only sequence of
+    ``(doc_id, float64 score)`` pairs over a doc-id tuple and a score array.
+    A ranking built from other pairs, e.g. read from a run file, is first
+    turned into those columns. A ranking owns its ids and scores and refers
+    to no store, so keeping it keeps no engine alive.
+    """
+
+    entries: RankedEntries
     k: int
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise InvalidConfigError(f"ranking depth must be >= 1, got {self.k}")
-        if len(self.entries) > self.k:
+        entries = self.entries
+        if not isinstance(entries, RankedEntries):
+            pairs = tuple(entries)
+            scores = [score for _, score in pairs]
+            if not all(isinstance(score, numbers.Real) for score in scores):
+                raise InvalidInputError("ranking scores must be real numbers")
+            entries = RankedEntries([doc_id for doc_id, _ in pairs], scores)
+            object.__setattr__(self, "entries", entries)
+        ids, scores = entries.ids, entries.scores
+        if len(ids) > self.k:
             raise InvalidInputError("ranking holds more entries than its depth")
-        seen = set()
-        previous: tuple[float, str] | None = None
-        for doc_id, score in self.entries:
-            if doc_id in seen:
-                raise InvalidInputError(f"duplicate doc id {doc_id!r} in ranking")
-            seen.add(doc_id)
-            key = (-score, doc_id)
-            if previous is not None and key < previous:
-                raise InvalidInputError("ranking violates the (score desc, doc id asc) order")
-            previous = key
+        # a position is out of order when its score rises, or when it ties
+        # its predecessor with a smaller id; ids are compared at ties only
+        out_of_order = scores[1:] > scores[:-1]
+        for i in np.flatnonzero(scores[1:] == scores[:-1]).tolist():
+            out_of_order[i] = ids[i + 1] < ids[i]
+        first_out = int(np.argmax(out_of_order)) + 1 if out_of_order.any() else len(ids)
+        if len(set(ids)) != len(ids):
+            # the error first in rank order is reported, a repeated id
+            # before an order violation at the same position
+            seen = set()
+            for doc_id in ids[: first_out + 1]:
+                if doc_id in seen:
+                    raise InvalidInputError(f"duplicate doc id {doc_id!r} in ranking")
+                seen.add(doc_id)
+        if first_out < len(ids):
+            raise InvalidInputError("ranking violates the (score desc, doc id asc) order")
 
     def doc_ids(self) -> list[str]:
-        return [doc_id for doc_id, _ in self.entries]
+        return list(self.entries.ids)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -290,8 +361,8 @@ def rerank(
     scores = score_documents(query, store, candidates.numbers)
     # candidates come in doc-id order, so a stable sort breaks ties by doc id
     order = np.argsort(-scores, kind="stable")[:k]
-    entries = zip(candidates.numbers[order].tolist(), scores[order].tolist())
-    return Ranking(entries=tuple((store.doc_ids[n], score) for n, score in entries), k=k)
+    ids = [store.doc_ids[n] for n in candidates.numbers[order].tolist()]
+    return Ranking(entries=RankedEntries(ids, scores[order]), k=k)
 
 
 def search(

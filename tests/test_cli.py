@@ -404,6 +404,25 @@ def test_eval_rejects_non_utf8_run_and_qrels(tmp_path, capsys):
         assert_one_line_error(code, capsys.readouterr(), bad)
 
 
+def test_eval_and_sweep_reject_a_qrels_pair_judged_twice(tmp_path, capsys):
+    out = build_tiny_engine_dir(tmp_path)
+    queries_path = tmp_path / "queries.tsv"
+    write_queries([("q1", "zebra stripes"), ("q2", "quick fox")], queries_path)
+    qrels_path = tmp_path / "qrels.txt"
+    qrels_path.write_text("q1 0 d2 1\nq2 0 d1 1\nq1 0 d2 0\n", encoding="utf-8")
+    capsys.readouterr()
+    code = cli.run(["eval", "--run", str(DATA / "golden_run.txt"), "--qrels", str(qrels_path)])
+    captured = capsys.readouterr()
+    assert_one_line_error(code, captured, qrels_path)
+    assert f"{qrels_path}:3:" in captured.err
+    code = cli.run(["sweep", "--index", str(out), "--queries", str(queries_path),
+                    "--qrels", str(qrels_path), "--out", str(tmp_path / "sweep.csv")])
+    captured = capsys.readouterr()
+    assert_one_line_error(code, captured, qrels_path)
+    assert f"{qrels_path}:3:" in captured.err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_search_run_file_reads_back_in_eval(tmp_path, capsys):
     out = build_tiny_engine_dir(tmp_path)
     capsys.readouterr()

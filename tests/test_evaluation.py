@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mve.evaluation
 from mve.engine import EngineConfig, build_engine
@@ -96,6 +98,62 @@ def test_rr_examples():
     assert rr_at(eleven, QRELS, "q1") == 0.0
     with pytest.raises(InvalidConfigError):
         rr_at(ranking_of("good"), QRELS, "q1", cutoff=0)
+
+
+def reference_dcg(gains):
+    return sum(g / math.log2(rank + 1) for rank, g in enumerate(gains, start=1))
+
+
+def reference_ndcg(pairs, qrels, query_id, cutoff):
+    """nDCG as computed over ``(doc_id, score)`` entries before rankings held columns."""
+    judged = qrels.judged(query_id)
+    dcg = reference_dcg(judged.get(doc_id, 0) for doc_id, _ in pairs[:cutoff])
+    ideal = reference_dcg(sorted(judged.values(), reverse=True)[:cutoff])
+    return dcg / ideal if ideal > 0.0 else 0.0
+
+
+def reference_ap(pairs, qrels, query_id):
+    relevant = qrels.relevant(query_id)
+    if not relevant:
+        return 0.0
+    hits = 0
+    precision_sum = 0.0
+    for rank, (doc_id, _) in enumerate(pairs, start=1):
+        if doc_id in relevant:
+            hits += 1
+            precision_sum += hits / rank
+    return precision_sum / len(relevant)
+
+
+def reference_rr(pairs, qrels, query_id, cutoff):
+    relevant = qrels.relevant(query_id)
+    for rank, (doc_id, _) in enumerate(pairs[:cutoff], start=1):
+        if doc_id in relevant:
+            return 1.0 / rank
+    return 0.0
+
+
+DOC_IDS = st.text(alphabet="abcdefg", min_size=1, max_size=2)
+SCORES = st.sampled_from([3.0, 2.0, 1.0, 0.0, -0.0, -1.0])  # ties, and a -0.0/0.0 tie
+
+
+@settings(max_examples=200)
+@given(
+    scored=st.dictionaries(DOC_IDS, SCORES, max_size=40),
+    judged=st.dictionaries(DOC_IDS, st.integers(min_value=0, max_value=3), max_size=30),
+    extra_depth=st.integers(min_value=0, max_value=3),
+)
+# 1/3 + 2/4 + 3/5 rounds differently added in rank order than exactly (math.fsum)
+@example(scored=dict.fromkeys("abcde", 3.0), judged=dict.fromkeys("cde", 1), extra_depth=0)
+def test_metrics_keep_the_bits_of_the_entry_loop(scored, judged, extra_depth):
+    pairs = tuple(sorted(scored.items(), key=lambda pair: (-pair[1], pair[0])))
+    k = max(1, len(pairs) + extra_depth)
+    ranking = Ranking(entries=pairs, k=k)
+    qrels = Qrels({"q": judged})
+    assert average_precision(ranking, qrels, "q") == reference_ap(pairs, qrels, "q")
+    for cutoff in range(1, k + 3):
+        assert ndcg_at(ranking, qrels, "q", cutoff) == reference_ndcg(pairs, qrels, "q", cutoff)
+        assert rr_at(ranking, qrels, "q", cutoff) == reference_rr(pairs, qrels, "q", cutoff)
 
 
 def test_candidate_counts():
@@ -290,6 +348,15 @@ def test_read_run_reorders_by_score_then_doc_id(tmp_path):
         "q1 Q0 top 3 9.0 t\n"
     )
     assert read_run(path)["q1"].doc_ids() == ["top", "aa", "zz"]
+
+
+def test_load_qrels_rejects_a_pair_judged_twice(tmp_path):
+    path = tmp_path / "qrels.txt"
+    path.write_text("q 0 a 1\nq 0 b 1\nr 0 a 0\nq 0 a 0\n")
+    with pytest.raises(InvalidInputError, match=f"{path}:4: .*'a' twice"):
+        load_qrels(path)
+    path.write_text("q 0 a 1\nr 0 a 0\n")  # one doc judged for two queries is fine
+    assert load_qrels(path).judgments == {"q": {"a": 1}, "r": {"a": 0}}
 
 
 def test_qrels_and_queries_loaders_validate(tmp_path):

@@ -1,5 +1,8 @@
+import dataclasses
 import functools
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -458,6 +461,88 @@ def test_ranking_type_enforces_order():
         Ranking(entries=(("a", 1.0), ("a", 0.5)), k=5)  # duplicate doc
     with pytest.raises(InvalidInputError):
         Ranking(entries=(("a", 1.0), ("b", 0.5)), k=1)  # deeper than k
+
+
+def reference_ranking_check(pairs, k):
+    """The entry-by-entry check ``Ranking`` ran before it held columns."""
+    if k < 1:
+        raise InvalidConfigError(f"ranking depth must be >= 1, got {k}")
+    if len(pairs) > k:
+        raise InvalidInputError("ranking holds more entries than its depth")
+    seen = set()
+    previous = None
+    for doc_id, score in pairs:
+        if doc_id in seen:
+            raise InvalidInputError(f"duplicate doc id {doc_id!r} in ranking")
+        seen.add(doc_id)
+        key = (-score, doc_id)
+        if previous is not None and key < previous:
+            raise InvalidInputError("ranking violates the (score desc, doc id asc) order")
+        previous = key
+
+
+def check_outcome(check, pairs, k):
+    try:
+        check(pairs, k)
+    except (InvalidConfigError, InvalidInputError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=300)
+@given(
+    pairs=st.lists(
+        st.tuples(
+            st.sampled_from(["a", "b", "c", "d", "e"]),
+            st.sampled_from([2.0, 1.0, 0.0, -0.0, -1.0, math.nan]),
+        ),
+        max_size=6,
+    ),
+    in_order=st.booleans(),
+    extra_depth=st.integers(min_value=-2, max_value=2),
+)
+def test_column_check_accepts_and_rejects_what_the_pair_loop_does(pairs, in_order, extra_depth):
+    if in_order:  # mostly valid rankings; repeated ids and NaN still make some invalid
+        pairs = sorted(pairs, key=lambda pair: (-pair[1], pair[0]))
+    pairs = tuple(pairs)
+    k = len(pairs) + extra_depth
+    expected = check_outcome(reference_ranking_check, pairs, k)
+    assert check_outcome(lambda p, depth: Ranking(entries=p, k=depth), pairs, k) == expected
+    if expected is None:
+        ranking = Ranking(entries=pairs, k=k)
+        assert ranking.entries.scores.dtype == np.float64
+        assert ranking.doc_ids() == [doc_id for doc_id, _ in pairs]
+        if not any(math.isnan(score) for _, score in pairs):
+            assert ranking.entries == pairs and pairs == ranking.entries
+            assert hash(ranking.entries) == hash(pairs)
+            assert dataclasses.replace(ranking) == ranking
+
+
+def test_ranking_entries_read_as_a_tuple_of_pairs():
+    pairs = (("b", 3.0), ("a", 1.0), ("c", 1.0))
+    ranking = Ranking(entries=pairs, k=5)
+    entries = ranking.entries
+    assert len(entries) == 3 and list(entries) == list(pairs)
+    assert entries[0] == ("b", 3.0) and entries[-1] == ("c", 1.0)
+    assert entries[1:] == pairs[1:] and entries[:0] == ()
+    assert entries != pairs[:2] and entries != list(pairs)
+    assert ranking != Ranking(entries=pairs[:2], k=5)
+    with pytest.raises(ValueError):
+        entries.scores[0] = 0.0  # the score column is read-only
+    with pytest.raises(InvalidInputError):
+        Ranking(entries=(("a", "1.0"),), k=5)
+
+
+def test_ranking_from_search_keeps_no_store_alive(small_planted, small_planted_engine):
+    engine = build_engine(small_planted.corpus, small_planted_engine.config)
+    _, text = small_planted.queries[0]
+    ranking, candidates = engine.search(text, strategy=Strategy.ICF, p=2)
+    expected = tuple(ranking.entries)
+    store = weakref.ref(engine.index.store)
+    del engine, candidates
+    gc.collect()
+    assert store() is None
+    assert ranking.entries == expected
 
 
 # ---------------------------------------------------------------------------
