@@ -56,17 +56,31 @@ class Token:
     position: int
 
 
-def tokenize(text: str) -> list[str]:
-    """Lowercase, split on Unicode whitespace, and drop punctuation characters.
+class _PunctuationTable(dict):
+    """``str.translate`` table deleting Unicode ``P*`` characters.
 
-    Chunks that consist only of punctuation disappear entirely.
+    Filled lazily, one entry per distinct code point seen, so importing the
+    module costs nothing.
     """
-    words = []
-    for chunk in text.lower().split():
-        word = "".join(c for c in chunk if not unicodedata.category(c).startswith("P"))
-        if word:
-            words.append(word)
-    return words
+
+    def __missing__(self, code_point: int) -> int | None:
+        keep = not unicodedata.category(chr(code_point)).startswith("P")
+        value = self[code_point] = code_point if keep else None
+        return value
+
+
+_PUNCTUATION = _PunctuationTable()
+
+
+def tokenize(text: str) -> list[str]:
+    """Lowercase, delete Unicode punctuation (category ``P*``), and split on
+    whitespace as ``str.split`` does.
+
+    Chunks that consist only of punctuation disappear entirely. Deleting
+    before splitting gives the same words as splitting first, because no
+    code point is both whitespace and punctuation.
+    """
+    return text.lower().translate(_PUNCTUATION).split()
 
 
 def oov_id(surface: str) -> int:
@@ -380,22 +394,43 @@ def read_corpus(path: str | Path) -> list[tuple[str, str]]:
     return pairs
 
 
-def embed_corpus(
-    pairs: Sequence[tuple[str, str]], seed: int, dim: int
-) -> tuple[list[DocumentEntry], Vocabulary]:
-    """Tokenize and embed raw documents, assigning vocabulary ids as they appear."""
+def tokenize_corpus(
+    pairs: Sequence[tuple[str, str]],
+) -> tuple[list[tuple[str, tuple[int, ...]]], Vocabulary]:
+    """Tokenize raw documents into ``(doc_id, token ids)`` pairs, assigning
+    vocabulary ids in first-occurrence order.
+
+    Raises:
+        InvalidInputError: If a document has no tokens.
+    """
     vocab = Vocabulary()
-    entries: list[DocumentEntry] = []
+    id_lists: list[tuple[str, tuple[int, ...]]] = []
     for doc_id, text in pairs:
         words = tokenize(text)
         if not words:
             raise InvalidInputError(f"document {doc_id!r} has no tokens")
-        token_ids = tuple(vocab.add(w) for w in words)
-        tokens = [
-            Token(tid, w, TokenKind.WORDPIECE, pos)
-            for pos, (tid, w) in enumerate(zip(token_ids, words))
-        ]
-        entries.append(DocumentEntry(doc_id, embed_tokens(tokens, seed, dim), token_ids))
+        id_lists.append((doc_id, tuple(map(vocab.add, words))))
+    return id_lists, vocab
+
+
+def embed_corpus(
+    pairs: Sequence[tuple[str, str]], seed: int, dim: int
+) -> tuple[list[DocumentEntry], Vocabulary]:
+    """Tokenize and embed raw documents, assigning vocabulary ids as they appear.
+
+    Every document is tokenized first; then :func:`token_vector` is called
+    once per vocabulary id to fill one table, and each document's embeddings
+    are a copy of the table rows of its token ids.
+    """
+    id_lists, vocab = tokenize_corpus(pairs)
+    table = np.array(
+        [token_vector(FIRST_WORDPIECE_ID + row, seed, dim) for row in range(len(vocab))],
+        dtype=np.float32,
+    )
+    entries = [
+        DocumentEntry(doc_id, table[np.array(token_ids) - FIRST_WORDPIECE_ID], token_ids)
+        for doc_id, token_ids in id_lists
+    ]
     return entries, vocab
 
 

@@ -23,7 +23,7 @@ from .core import (
     is_single_field,
     load_lexicon,
     save_lexicon,
-    tokenize,
+    tokenize_corpus,
 )
 from .errors import CorruptIndexError, InvalidConfigError, InvalidInputError
 from .evaluation import Qrels, SweepTable, sweep
@@ -222,13 +222,7 @@ def build_engine(
         if set(store.doc_ids) != {doc_id for doc_id, _ in corpus}:
             raise InvalidInputError("embeddings dump does not cover exactly the corpus doc ids")
         config = dataclasses.replace(config, dim=store.dim)
-        vocab = Vocabulary()
-        id_lists = []
-        for doc_id, text in corpus:
-            words = tokenize(text)
-            if not words:
-                raise InvalidInputError(f"document {doc_id!r} has no tokens")
-            id_lists.append((doc_id, [vocab.add(w) for w in words]))
+        id_lists, vocab = tokenize_corpus(corpus)
         lexicon = build_lexicon_from_ids(id_lists)
 
     if config.n_list is None:

@@ -139,7 +139,8 @@ def read_run(path: str | Path) -> dict[str, Ranking]:
 
     Entries are reordered by (score descending, doc id ascending), the same
     tie rule the engine uses, so externally produced runs evaluate
-    deterministically.
+    deterministically. A NaN score is rejected; ``inf`` and ``-inf`` are
+    accepted, since they order like any other score.
     """
     per_query: dict[str, dict[str, float]] = {}
     with open_text(path) as handle:
@@ -156,6 +157,8 @@ def read_run(path: str | Path) -> dict[str, Ranking]:
                 score = float(score_text)
             except ValueError as exc:
                 raise InvalidInputError(f"{path}:{lineno}: non-numeric score") from exc
+            if math.isnan(score):  # NaN would order the ranking by line order
+                raise InvalidInputError(f"{path}:{lineno}: score is NaN")
             docs = per_query.setdefault(qid, {})
             if doc_id in docs:
                 raise InvalidInputError(f"{path}:{lineno}: duplicate doc {doc_id!r}")

@@ -222,6 +222,11 @@ def train_centroids(
     assignment round is re-seeded with the point least similar to its own
     centroid. Deterministic for a fixed seed.
 
+    Cluster sums are float64 and add their points one at a time in sample
+    order (one ``np.bincount`` over every (centroid, coordinate) cell), and
+    each mean's norm is the square root of its own dot product, as
+    ``np.linalg.norm`` takes it for one vector.
+
     Args:
         store: Embeddings to sample from.
         sample_fraction: Fraction in (0, 1] sampled without replacement.
@@ -246,6 +251,8 @@ def train_centroids(
     sample = _normalize_rows(store.vectors[picked])
 
     centroids = _kmeans_pp_init(sample, n_list, rng)
+    dim = sample.shape[1]
+    sample64 = sample.astype(np.float64).ravel()
     history: list[float] = []
     for _ in range(iterations):
         sims = sample @ centroids.T
@@ -253,14 +260,16 @@ def train_centroids(
         assigned_sim = sims[np.arange(sample_size), assign].astype(np.float64)
         history.append(float(assigned_sim.mean()))
 
-        sums = np.zeros((n_list, sample.shape[1]), dtype=np.float64)
-        np.add.at(sums, assign, sample.astype(np.float64))
+        cells = (assign[:, None] * dim + np.arange(dim)).ravel()
+        sums = np.bincount(cells, weights=sample64, minlength=n_list * dim).reshape(n_list, dim)
         counts = np.bincount(assign, minlength=n_list)
-        for c in np.flatnonzero(counts > 0):
-            mean = sums[c] / counts[c]
-            norm = np.linalg.norm(mean)
-            if norm > 0.0:  # zero-norm mean keeps the previous centroid
-                centroids[c] = (mean / norm).astype(np.float32)
+        filled = np.flatnonzero(counts > 0)
+        means = sums[filled] / counts[filled, None]
+        # np.linalg.norm(means, axis=1) sums pairwise and can round a
+        # centroid coordinate the other way
+        norms = np.sqrt([row.dot(row) for row in means])
+        moved = norms > 0.0  # zero-norm mean keeps the previous centroid
+        centroids[filled[moved]] = (means[moved] / norms[moved, None]).astype(np.float32)
 
         stealable = assigned_sim.copy()
         for c in np.flatnonzero(counts == 0):

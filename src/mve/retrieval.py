@@ -254,6 +254,8 @@ def ann_candidates(
     phi = np.asarray(phi, dtype=np.float32)
     if phi.shape != (index.dim,):
         raise InvalidInputError(f"query embedding has shape {phi.shape}, expected ({index.dim},)")
+    if not np.isfinite(phi).all():
+        raise InvalidInputError("query embedding contains NaN or Inf")
     if k_prime < 1:
         raise InvalidConfigError(f"k_prime must be >= 1, got {k_prime}")
     if not (1 <= n_probe <= index.n_list):

@@ -1,0 +1,281 @@
+"""Bit-identity guards for the bulk build stages.
+
+``tokenize``, ``embed_corpus`` and ``train_centroids`` were rewritten to
+work over whole strings, tables and arrays instead of one character, token
+or centroid at a time. The ``reference_*`` functions below are verbatim
+copies of the per-item versions they replaced; the rewritten stages must
+return exactly what these return, bit for bit.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+import unicodedata
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mve.core import (
+    DocumentEntry,
+    Token,
+    TokenKind,
+    Vocabulary,
+    embed_corpus,
+    embed_tokens,
+    tokenize,
+)
+from mve.errors import InvalidConfigError, InvalidInputError
+from mve.index import (
+    Centroids,
+    EmbeddingStore,
+    _kmeans_pp_init,
+    _normalize_rows,
+    train_centroids,
+)
+
+from conftest import random_store
+
+_SEED_MASK = (1 << 64) - 1
+
+
+# ---------------------------------------------------------------------------
+# Reference copies of the per-item stages
+# ---------------------------------------------------------------------------
+
+
+def reference_tokenize(text: str) -> list[str]:
+    words = []
+    for chunk in text.lower().split():
+        word = "".join(c for c in chunk if not unicodedata.category(c).startswith("P"))
+        if word:
+            words.append(word)
+    return words
+
+
+def reference_embed_corpus(pairs, seed, dim):
+    vocab = Vocabulary()
+    entries: list[DocumentEntry] = []
+    for doc_id, text in pairs:
+        words = reference_tokenize(text)
+        if not words:
+            raise InvalidInputError(f"document {doc_id!r} has no tokens")
+        token_ids = tuple(vocab.add(w) for w in words)
+        tokens = [
+            Token(tid, w, TokenKind.WORDPIECE, pos)
+            for pos, (tid, w) in enumerate(zip(token_ids, words))
+        ]
+        entries.append(DocumentEntry(doc_id, embed_tokens(tokens, seed, dim), token_ids))
+    return entries, vocab
+
+
+def reference_train_centroids(store, sample_fraction, n_list, iterations, seed):
+    if not (0.0 < sample_fraction <= 1.0):
+        raise InvalidConfigError(f"sample_fraction must be in (0, 1], got {sample_fraction}")
+    if n_list < 1:
+        raise InvalidConfigError(f"n_list must be >= 1, got {n_list}")
+    if iterations < 1:
+        raise InvalidConfigError(f"iterations must be >= 1, got {iterations}")
+    total = store.num_embeddings
+    sample_size = min(total, math.ceil(sample_fraction * total))
+    if n_list > sample_size:
+        raise InvalidConfigError(
+            f"n_list {n_list} exceeds the sample size {sample_size}"
+        )
+    rng = np.random.default_rng(seed & _SEED_MASK)
+    picked = np.sort(rng.choice(total, size=sample_size, replace=False))
+    sample = _normalize_rows(store.vectors[picked])
+
+    centroids = _kmeans_pp_init(sample, n_list, rng)
+    history: list[float] = []
+    for _ in range(iterations):
+        sims = sample @ centroids.T
+        assign = np.argmax(sims, axis=1)  # first maximum = lowest centroid index
+        assigned_sim = sims[np.arange(sample_size), assign].astype(np.float64)
+        history.append(float(assigned_sim.mean()))
+
+        sums = np.zeros((n_list, sample.shape[1]), dtype=np.float64)
+        np.add.at(sums, assign, sample.astype(np.float64))
+        counts = np.bincount(assign, minlength=n_list)
+        for c in np.flatnonzero(counts > 0):
+            mean = sums[c] / counts[c]
+            norm = np.linalg.norm(mean)
+            if norm > 0.0:  # zero-norm mean keeps the previous centroid
+                centroids[c] = (mean / norm).astype(np.float32)
+
+        stealable = assigned_sim.copy()
+        for c in np.flatnonzero(counts == 0):
+            victim = int(np.argmin(stealable))
+            centroids[c] = sample[victim]
+            stealable[victim] = np.inf
+    return Centroids(vectors=centroids, objective_history=tuple(history))
+
+
+# ---------------------------------------------------------------------------
+# tokenize
+# ---------------------------------------------------------------------------
+
+WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u200a\u2028\u2029\u202f\u205f\u3000"
+PUNCTUATION = ".,;:!?'\"()[]{}-_/\\@#%&*«»¡¿—–…、。・՝！"
+SPECIAL_PIECES = [
+    *WHITESPACE,
+    *PUNCTUATION,
+    "İ",  # lowercases to i and a combining dot above
+    "ß",
+    "ẞ",  # lowercases to ß
+    "ǅ",  # titlecase digraph
+    "Σ",  # its lowercase depends on the next letter
+    "\u0301",  # combining acute
+    "\u0307",  # combining dot above
+    "...", "--", "«»", "!?", "'…'",  # chunks of punctuation only
+    "Don't", "U.S.A.", "café", "ÉCOLE",
+]
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(
+        st.one_of(st.characters(), st.sampled_from(SPECIAL_PIECES)), max_size=40
+    ).map("".join)
+)
+def test_tokenize_equals_the_per_character_reference(text):
+    assert tokenize(text) == reference_tokenize(text)
+
+
+def test_no_code_point_is_both_whitespace_and_punctuation():
+    # Deleting punctuation before the whitespace split is exact because of
+    # these two facts; the scan covers every code point.
+    for code_point in range(sys.maxunicode + 1):
+        char = chr(code_point)
+        lowered = char.lower()
+        if char.isspace():
+            assert not unicodedata.category(char).startswith("P"), hex(code_point)
+            assert lowered.isspace(), hex(code_point)
+        else:
+            assert lowered.split() == [lowered], hex(code_point)
+
+
+# ---------------------------------------------------------------------------
+# embed_corpus
+# ---------------------------------------------------------------------------
+
+
+def assert_same_embedding(pairs, seed, dim):
+    got_entries, got_vocab = embed_corpus(pairs, seed, dim)
+    want_entries, want_vocab = reference_embed_corpus(pairs, seed, dim)
+    assert list(got_vocab.surfaces()) == list(want_vocab.surfaces())
+    assert len(got_entries) == len(want_entries)
+    for got, want in zip(got_entries, want_entries):
+        assert got.doc_id == want.doc_id
+        assert got.token_ids == want.token_ids
+        assert got.embeddings.dtype == want.embeddings.dtype == np.float32
+        assert got.embeddings.shape == want.embeddings.shape
+        assert got.embeddings.tobytes() == want.embeddings.tobytes()
+
+
+def test_embed_corpus_equals_the_per_token_reference_on_the_planted_fixture(small_planted):
+    assert_same_embedding(small_planted.corpus, seed=11, dim=32)
+
+
+def test_embed_corpus_equals_the_per_token_reference_with_unicode_punctuation():
+    pairs = [
+        ("d1", "«Bonjour», dit-il… ÉCOLE — école!"),
+        ("d2", "Straße\u3000STRASSE ẞ İstanbul ǅungla"),
+        ("d3", "... don't\x1cstop\x85now ¿qué? 、。 cafe\u0301"),
+        ("d4", "ΣΟΦΙΑ σοφια, bonjour dit il"),
+    ]
+    for seed, dim in ((0, 4), (7, 17), (2**40 + 3, 64)):
+        assert_same_embedding(pairs, seed, dim)
+
+
+def test_embed_corpus_raises_what_the_reference_raises():
+    for pairs in ([("d1", "fine"), ("d2", "!!! ...")], [("d1", "\u3000…")]):
+        with pytest.raises(InvalidInputError) as got:
+            embed_corpus(pairs, seed=1, dim=4)
+        with pytest.raises(InvalidInputError) as want:
+            reference_embed_corpus(pairs, seed=1, dim=4)
+        assert str(got.value) == str(want.value)
+    assert embed_corpus([], seed=1, dim=4)[0] == []
+
+
+# ---------------------------------------------------------------------------
+# train_centroids
+# ---------------------------------------------------------------------------
+
+
+def assert_same_centroids(store, sample_fraction, n_list, iterations, seed):
+    got = train_centroids(store, sample_fraction, n_list, iterations, seed)
+    want = reference_train_centroids(store, sample_fraction, n_list, iterations, seed)
+    assert got.vectors.tobytes() == want.vectors.tobytes()
+    assert got.objective_history == want.objective_history
+
+
+@pytest.mark.parametrize(
+    "num_docs, dim, sample_fraction, n_list, seed",
+    [
+        (40, 3, 1.0, 4, 0),
+        (200, 8, 0.5, 16, 1),
+        (300, 17, 0.7, 9, 2),
+        (400, 32, 1.0, 20, 3),
+        (500, 64, 0.3, 24, 4),
+        (600, 64, 1.0, 60, 5),
+        (150, 128, 1.0, 12, 6),
+    ],
+)
+def test_train_centroids_equals_the_per_centroid_reference(num_docs, dim, sample_fraction, n_list, seed):
+    store = random_store(num_docs, dim, seed=seed + 100)
+    assert_same_centroids(store, sample_fraction, n_list, 12, seed)
+
+
+def test_train_centroids_equals_the_reference_on_the_planted_engine(small_planted_engine):
+    store = small_planted_engine.index.store
+    for seed in (11, 12, 13):
+        assert_same_centroids(store, 0.5, 16, 15, seed)
+
+
+def single_vector_store(rows):
+    vectors = np.asarray(rows, dtype=np.float32)
+    offsets = np.stack([np.arange(len(vectors)), np.ones(len(vectors), dtype=np.int64)], axis=1)
+    return EmbeddingStore(vectors, offsets, tuple(f"d{i}" for i in range(len(vectors))))
+
+
+def test_train_centroids_equals_the_reference_when_a_cluster_empties():
+    # 10 copies of one point and 2 of another leave a third cluster empty, so
+    # the update re-seeds it with the least similar sample point
+    store = single_vector_store([[1, 0, 0, 0]] * 10 + [[0, 1, 0, 0]] * 2)
+    for seed in range(4):
+        assert_same_centroids(store, 1.0, 3, 4, seed)
+
+
+def test_train_centroids_equals_the_reference_on_a_zero_norm_mean():
+    # one cluster over a point and its opposite has the mean 0: the centroid
+    # keeps its previous value
+    store = single_vector_store([[0.6, 0.8, 0.0], [-0.6, -0.8, 0.0]])
+    got = train_centroids(store, 1.0, 1, 3, seed=0)
+    assert got.vectors.tolist() in (store.vectors[:1].tolist(), store.vectors[1:].tolist())
+    assert_same_centroids(store, 1.0, 1, 3, 0)
+    store = single_vector_store([[1, 0], [-1, 0], [0, 1], [0, 1]])
+    for seed in range(4):
+        assert_same_centroids(store, 1.0, 2, 5, seed)
+
+
+def test_train_centroids_equals_the_reference_where_the_norm_decides_a_tie():
+    # Two unit vectors, the second the first with coordinates 0 and 5
+    # swapped and 1 to 3 negated, so that one cluster's mean has the float32
+    # midpoint 0.33912791... at coordinates 0 and 5 and a squared norm within
+    # an ulp of 1/4. The float32 rounding of those coordinates then depends
+    # on the last bit of the float64 norm: a norm summed in another order
+    # (np.linalg.norm(means, axis=1) is pairwise) rounds them the other way.
+    first = np.array(
+        [0.33912793, 0.8660254, 0.0001640803, 5.8643632e-08,
+         3.4838384e-05, 0.3391279, 0.1413666, 1.2220384e-08],
+        dtype=np.float32,
+    )
+    second = first * np.array([1, -1, -1, -1, 1, 1, 1, 1], dtype=np.float32)
+    second[[0, 5]] = second[[5, 0]]
+    store = single_vector_store([first, second])
+    assert (_normalize_rows(store.vectors) == store.vectors).all()
+    for iterations in (1, 3):
+        assert_same_centroids(store, 1.0, 1, iterations, 0)

@@ -1,13 +1,15 @@
-"""Byte-identity pin for ``mve search`` and ``mve sweep`` on the small planted
-fixture.
+"""Byte-identity pin for ``mve index``, ``mve search`` and ``mve sweep`` on the
+small planted fixture.
 
-``data/planted_search.txt``, ``data/planted_padded_search.txt`` and
-``data/planted_sweep.csv`` were written once by an earlier version of the
-engine. They are a regression pin, not an oracle:
+``data/planted_search.txt``, ``data/planted_padded_search.txt``,
+``data/planted_sweep.csv`` and ``data/planted_engine.sha256`` (sha256 of each
+file of the indexed engine directory) were written once by an earlier version
+of the engine. They are a regression pin, not an oracle:
 refactors of the retrieval pipeline must reproduce them byte for byte, and
 they are never regenerated to make a difference go away.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -102,4 +104,13 @@ def test_padded_search_output_matches_pinned_bytes(small_planted, padded_engine_
     got = planted_search_output(
         small_planted, padded_engine_dir, capsys, PADDED_SEARCH_CELLS, PADDED_Q_LEN
     ).encode("utf-8")
+    assert got == expected
+
+
+def test_engine_directory_matches_pinned_hashes(planted_engine_dir):
+    expected = (DATA / "planted_engine.sha256").read_text(encoding="utf-8")
+    got = "".join(
+        f"{hashlib.sha256((planted_engine_dir / name).read_bytes()).hexdigest()}  {name}\n"
+        for name in ("index.mvix", "lexicon.tsv", "config.json")
+    )
     assert got == expected

@@ -423,6 +423,18 @@ def test_eval_and_sweep_reject_a_qrels_pair_judged_twice(tmp_path, capsys):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+def test_eval_rejects_a_nan_score(tmp_path, capsys):
+    run_path = tmp_path / "run.txt"
+    run_path.write_text("q Q0 a 1 nan t\nq Q0 b 2 1.0 t\n", encoding="utf-8")
+    qrels_path = tmp_path / "qrels.txt"
+    write_qrels({"q": {"a": 1}}, qrels_path)
+    capsys.readouterr()
+    code = cli.run(["eval", "--run", str(run_path), "--qrels", str(qrels_path)])
+    captured = capsys.readouterr()
+    assert_one_line_error(code, captured, run_path)
+    assert f"{run_path}:1:" in captured.err
+
+
 def test_search_run_file_reads_back_in_eval(tmp_path, capsys):
     out = build_tiny_engine_dir(tmp_path)
     capsys.readouterr()

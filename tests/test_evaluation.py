@@ -350,6 +350,18 @@ def test_read_run_reorders_by_score_then_doc_id(tmp_path):
     assert read_run(path)["q1"].doc_ids() == ["top", "aa", "zz"]
 
 
+def test_read_run_rejects_a_nan_score_and_keeps_infinities(tmp_path):
+    # with NaN accepted, MAP against qrels "q 0 a 1" was 1.0 or 0.5 by line order
+    path = tmp_path / "run.txt"
+    for text, bad_line in (("q Q0 a 1 nan t\nq Q0 b 2 1.0 t\n", 1),
+                           ("q Q0 b 1 1.0 t\nq Q0 a 2 NaN t\n", 2)):
+        path.write_text(text)
+        with pytest.raises(InvalidInputError, match=f"{path}:{bad_line}: score is NaN"):
+            read_run(path)
+    path.write_text("q Q0 a 1 inf t\nq Q0 b 2 1.0 t\nq Q0 c 3 -inf t\n")
+    assert read_run(path)["q"].doc_ids() == ["a", "b", "c"]
+
+
 def test_load_qrels_rejects_a_pair_judged_twice(tmp_path):
     path = tmp_path / "qrels.txt"
     path.write_text("q 0 a 1\nq 0 b 1\nr 0 a 0\nq 0 a 0\n")

@@ -232,6 +232,17 @@ def test_ann_validates_inputs(ann_index):
         ann_candidates(ann_index, np.ones(8, dtype=np.float32), 0, 1)
 
 
+def test_ann_rejects_a_non_finite_query_vector(ann_index):
+    # an all-NaN vector makes every centroid similarity NaN, and the stable
+    # probe order would then fall back to list order
+    for bad in (np.nan, np.inf, -np.inf):
+        one_bad = np.ones(8, dtype=np.float32)
+        one_bad[3] = bad
+        for phi in (np.full(8, bad, dtype=np.float32), one_bad):
+            with pytest.raises(InvalidInputError, match="NaN or Inf"):
+                ann_candidates(ann_index, phi, 5, 2)
+
+
 # ---------------------------------------------------------------------------
 # pruned_union
 # ---------------------------------------------------------------------------
