@@ -7,6 +7,12 @@ sides share the same embedding function and equal tokens always compare at
 similarity 1.0. Collection statistics (per-token collection frequency and
 document frequency) drive the embedding-ordering strategies in
 :mod:`mve.retrieval`.
+
+A corpus is built flat: :func:`tokenize_flat` turns it into one int64 array
+of token ids in corpus order plus per-document lengths,
+:func:`count_lexicon` counts that array, and :func:`token_table` gives the
+rows the array indexes. :func:`embed_corpus` and :func:`build_lexicon` are
+per-document views over the same three functions.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import contextlib
 import enum
 import functools
 import hashlib
+import itertools
 import math
 import unicodedata
 from dataclasses import dataclass
@@ -98,10 +105,10 @@ class Vocabulary:
     """
 
     def __init__(self, surfaces: Iterable[str] = ()) -> None:
-        self._ids: dict[str, int] = {}
-        self._surfaces: list[str] = []
-        for surface in surfaces:
-            self.add(surface)
+        self._surfaces: list[str] = list(dict.fromkeys(surfaces))
+        self._ids: dict[str, int] = dict(
+            zip(self._surfaces, itertools.count(FIRST_WORDPIECE_ID))
+        )
 
     def __len__(self) -> int:
         return len(self._surfaces)
@@ -315,25 +322,49 @@ class Lexicon:
         return math.log((self.num_docs + 1) / (self.df(token_id) + 1))
 
 
-def build_lexicon_from_ids(docs: Sequence[tuple[str, Sequence[int]]]) -> Lexicon:
-    """Count collection and document frequencies over (doc_id, token ids) pairs."""
-    if not docs:
+def count_lexicon(
+    token_ids: np.ndarray, lengths: np.ndarray, doc_ids: Sequence[str]
+) -> Lexicon:
+    """Count collection and document frequencies over a flat corpus.
+
+    ``token_ids`` holds every document's token ids in corpus order and
+    ``lengths[i]`` is the token count of document ``doc_ids[i]``. One stable
+    sort groups the array by token with each group's positions ascending, so
+    a group's first element is the token's first occurrence and a new
+    ``(token, document)`` pair starts wherever the token or the document
+    changes. Ids are never used as array indices, so sparse ids (such as
+    OOV ids) cost no more than dense ones. Entries are in first-occurrence
+    order.
+
+    Raises:
+        InvalidInputError: On an empty corpus, or naming the first document
+            that carries a reserved special-token id, and that id.
+    """
+    if not doc_ids:
         raise InvalidInputError("cannot build a lexicon from an empty corpus")
-    cf: dict[int, int] = {}
-    df: dict[int, int] = {}
-    num_tokens = 0
-    for doc_id, token_ids in docs:
-        num_tokens += len(token_ids)
-        for token_id in token_ids:
-            if token_id < FIRST_WORDPIECE_ID:
-                raise InvalidInputError(
-                    f"document {doc_id!r} contains reserved token id {token_id}"
-                )
-            cf[token_id] = cf.get(token_id, 0) + 1
-        for token_id in set(token_ids):
-            df[token_id] = df.get(token_id, 0) + 1
-    entries = {tid: LexiconEntry(cf=cf[tid], df=df[tid]) for tid in cf}
-    return Lexicon(entries=entries, num_docs=len(docs), num_tokens=num_tokens)
+    reserved = np.flatnonzero(token_ids < FIRST_WORDPIECE_ID)
+    if reserved.size:
+        at = int(reserved[0])
+        doc = int(np.searchsorted(np.cumsum(lengths), at, side="right"))
+        raise InvalidInputError(
+            f"document {doc_ids[doc]!r} contains reserved token id {int(token_ids[at])}"
+        )
+    order = np.argsort(token_ids, kind="stable")
+    tokens = token_ids[order]
+    docs = np.repeat(np.arange(len(lengths)), lengths)[order]
+    new_token = np.diff(tokens, prepend=-1) != 0
+    new_pair = new_token | (np.diff(docs, prepend=-1) != 0)
+    starts = np.flatnonzero(new_token)
+    cf = np.diff(starts, append=tokens.size)
+    df = np.add.reduceat(new_pair, starts, dtype=np.int64)
+    by_first = np.argsort(order[starts])
+    entries = {
+        token_id: LexiconEntry(cf=c, df=d)
+        for token_id, c, d in zip(
+            tokens[starts][by_first].tolist(), cf[by_first].tolist(), df[by_first].tolist()
+        )
+    }
+    return Lexicon(entries=entries, num_docs=len(doc_ids), num_tokens=tokens.size)
 
 
 def build_lexicon(corpus: Sequence[DocumentEntry]) -> Lexicon:
@@ -343,7 +374,13 @@ def build_lexicon(corpus: Sequence[DocumentEntry]) -> Lexicon:
         InvalidInputError: On an empty corpus, or if a document carries a
             reserved special-token id (specials never occur in documents).
     """
-    return build_lexicon_from_ids([(doc.doc_id, doc.token_ids) for doc in corpus])
+    lengths = np.fromiter((len(doc.token_ids) for doc in corpus), dtype=np.int64)
+    token_ids = np.fromiter(
+        itertools.chain.from_iterable(doc.token_ids for doc in corpus),
+        dtype=np.int64,
+        count=int(lengths.sum()),
+    )
+    return count_lexicon(token_ids, lengths, [doc.doc_id for doc in corpus])
 
 
 @contextlib.contextmanager
@@ -394,23 +431,40 @@ def read_corpus(path: str | Path) -> list[tuple[str, str]]:
     return pairs
 
 
-def tokenize_corpus(
+def tokenize_flat(
     pairs: Sequence[tuple[str, str]],
-) -> tuple[list[tuple[str, tuple[int, ...]]], Vocabulary]:
-    """Tokenize raw documents into ``(doc_id, token ids)`` pairs, assigning
-    vocabulary ids in first-occurrence order.
+) -> tuple[np.ndarray, np.ndarray, Vocabulary]:
+    """Tokenize raw documents into one flat array of token ids.
+
+    Returns ``(token_ids, lengths, vocab)``: the int64 token ids of every
+    document in corpus order, each document's token count (int64), and the
+    vocabulary, whose ids are assigned in first-occurrence order over the
+    whole corpus.
 
     Raises:
-        InvalidInputError: If a document has no tokens.
+        InvalidInputError: Naming the first document that has no tokens.
     """
-    vocab = Vocabulary()
-    id_lists: list[tuple[str, tuple[int, ...]]] = []
-    for doc_id, text in pairs:
-        words = tokenize(text)
-        if not words:
-            raise InvalidInputError(f"document {doc_id!r} has no tokens")
-        id_lists.append((doc_id, tuple(map(vocab.add, words))))
-    return id_lists, vocab
+    words = [tokenize(text) for _, text in pairs]
+    lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+    empty = np.flatnonzero(lengths == 0)
+    if empty.size:
+        raise InvalidInputError(f"document {pairs[int(empty[0])][0]!r} has no tokens")
+    chained = itertools.chain.from_iterable
+    vocab = Vocabulary(chained(words))
+    token_ids = np.fromiter(
+        map(vocab._ids.__getitem__, chained(words)), dtype=np.int64, count=int(lengths.sum())
+    )
+    return token_ids, lengths, vocab
+
+
+def token_table(vocab_size: int, seed: int, dim: int) -> np.ndarray:
+    """The float32 vectors of every vocabulary id; row ``r`` embeds id
+    ``FIRST_WORDPIECE_ID + r``, so ``table[token_ids - FIRST_WORDPIECE_ID]``
+    embeds a token-id array."""
+    return np.array(
+        [token_vector(FIRST_WORDPIECE_ID + row, seed, dim) for row in range(vocab_size)],
+        dtype=np.float32,
+    )
 
 
 def embed_corpus(
@@ -418,18 +472,17 @@ def embed_corpus(
 ) -> tuple[list[DocumentEntry], Vocabulary]:
     """Tokenize and embed raw documents, assigning vocabulary ids as they appear.
 
-    Every document is tokenized first; then :func:`token_vector` is called
-    once per vocabulary id to fill one table, and each document's embeddings
-    are a copy of the table rows of its token ids.
+    The per-document view of :func:`tokenize_flat` and :func:`token_table`:
+    each entry holds its document's slice of the embedded flat array.
     """
-    id_lists, vocab = tokenize_corpus(pairs)
-    table = np.array(
-        [token_vector(FIRST_WORDPIECE_ID + row, seed, dim) for row in range(len(vocab))],
-        dtype=np.float32,
-    )
+    token_ids, lengths, vocab = tokenize_flat(pairs)
+    vectors = token_table(len(vocab), seed, dim)[token_ids - FIRST_WORDPIECE_ID]
+    bounds = np.cumsum(lengths)[:-1]
     entries = [
-        DocumentEntry(doc_id, table[np.array(token_ids) - FIRST_WORDPIECE_ID], token_ids)
-        for doc_id, token_ids in id_lists
+        DocumentEntry(doc_id, block, tuple(ids.tolist()))
+        for (doc_id, _), block, ids in zip(
+            pairs, np.split(vectors, bounds), np.split(token_ids, bounds)
+        )
     ]
     return entries, vocab
 

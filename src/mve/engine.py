@@ -14,16 +14,16 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    FIRST_WORDPIECE_ID,
     Lexicon,
     QueryEncoder,
     Vocabulary,
-    build_lexicon,
-    build_lexicon_from_ids,
-    embed_corpus,
+    count_lexicon,
     is_single_field,
     load_lexicon,
     save_lexicon,
-    tokenize_corpus,
+    token_table,
+    tokenize_flat,
 )
 from .errors import CorruptIndexError, InvalidConfigError, InvalidInputError
 from .evaluation import Qrels, SweepTable, sweep
@@ -210,20 +210,26 @@ def build_engine(
     text. Without it, documents are embedded by the built-in token embedder.
     Doc ids must be non-empty and free of whitespace, so that a run file can
     carry them.
+
+    The corpus is tokenized into one flat token-id array; the lexicon is
+    counted from it, and the built-in store is that array's rows of the token
+    table, with no per-document arrays in between.
     """
     _check_doc_ids(corpus)
+    doc_ids = [doc_id for doc_id, _ in corpus]
     if dump_docs is None:
-        entries, vocab = embed_corpus(corpus, config.seed, config.dim)
-        lexicon = build_lexicon(entries)
-        store = EmbeddingStore.from_documents(entries)
+        token_ids, lengths, vocab = tokenize_flat(corpus)
+        lexicon = count_lexicon(token_ids, lengths, doc_ids)
+        vectors = token_table(len(vocab), config.seed, config.dim)[token_ids - FIRST_WORDPIECE_ID]
+        store = EmbeddingStore.from_lengths(vectors, lengths, doc_ids)
     else:
         _check_doc_ids(dump_docs)
         store = EmbeddingStore.from_blocks(dump_docs)
-        if set(store.doc_ids) != {doc_id for doc_id, _ in corpus}:
+        if set(store.doc_ids) != set(doc_ids):
             raise InvalidInputError("embeddings dump does not cover exactly the corpus doc ids")
         config = dataclasses.replace(config, dim=store.dim)
-        id_lists, vocab = tokenize_corpus(corpus)
-        lexicon = build_lexicon_from_ids(id_lists)
+        token_ids, lengths, vocab = tokenize_flat(corpus)
+        lexicon = count_lexicon(token_ids, lengths, doc_ids)
 
     if config.n_list is None:
         sample_size = min(

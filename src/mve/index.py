@@ -10,6 +10,7 @@ it exact, which the tests rely on.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -56,7 +57,8 @@ class EmbeddingStore:
             raise InvalidInputError("doc_offsets must be a non-empty (n, 2) array")
         if len(self.doc_ids) != offsets.shape[0]:
             raise InvalidInputError("doc_ids and doc_offsets differ in length")
-        if len(set(self.doc_ids)) != len(self.doc_ids):
+        index_of = dict(zip(self.doc_ids, range(len(self.doc_ids))))
+        if len(index_of) != len(self.doc_ids):
             raise InvalidInputError("duplicate doc ids in store")
         starts, lengths = offsets[:, 0], offsets[:, 1]
         if (lengths < 1).any():
@@ -65,10 +67,20 @@ class EmbeddingStore:
         if (starts != expected).any() or int(lengths.sum()) != vectors.shape[0]:
             raise InvalidInputError("doc offsets do not partition the vector block")
         object.__setattr__(self, "doc_of", np.repeat(np.arange(len(self.doc_ids)), lengths))
-        object.__setattr__(self, "_index_of", {d: i for i, d in enumerate(self.doc_ids)})
+        object.__setattr__(self, "_index_of", index_of)
         order = np.array(sorted(range(len(self.doc_ids)), key=self.doc_ids.__getitem__))
         object.__setattr__(self, "id_order", order)
         object.__setattr__(self, "id_rank", np.argsort(order))
+
+    @classmethod
+    def from_lengths(
+        cls, vectors: np.ndarray, lengths: np.ndarray, doc_ids: Sequence[str]
+    ) -> "EmbeddingStore":
+        """A store over one block of vectors in which document ``doc_ids[i]``
+        owns the next ``lengths[i]`` rows."""
+        lengths = np.asarray(lengths, dtype=np.int64)
+        starts = np.cumsum(lengths) - lengths
+        return cls(vectors, np.stack([starts, lengths], axis=1), tuple(doc_ids))
 
     @classmethod
     def from_blocks(cls, blocks: Sequence[tuple[str, np.ndarray]]) -> "EmbeddingStore":
@@ -78,12 +90,10 @@ class EmbeddingStore:
         dims = {matrix.shape[1] for _, matrix in blocks}
         if len(dims) != 1:
             raise InvalidInputError(f"mixed embedding dimensions: {sorted(dims)}")
-        lengths = np.array([matrix.shape[0] for _, matrix in blocks], dtype=np.int64)
-        starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-        return cls(
-            vectors=np.concatenate([matrix for _, matrix in blocks], axis=0),
-            doc_offsets=np.stack([starts, lengths], axis=1),
-            doc_ids=tuple(doc_id for doc_id, _ in blocks),
+        return cls.from_lengths(
+            np.concatenate([matrix for _, matrix in blocks], axis=0),
+            [matrix.shape[0] for _, matrix in blocks],
+            [doc_id for doc_id, _ in blocks],
         )
 
     @classmethod
@@ -323,7 +333,13 @@ def _entry_dtype(dim: int) -> np.dtype:
 
 
 def save_index(index: IvfIndex, path: str | Path) -> None:
-    """Serialize an index; :func:`load_index` restores it bitwise."""
+    """Serialize an index; :func:`load_index` restores it bitwise.
+
+    The header and the document table go out as one write each, then the
+    centroid block, then each inverted list as its count and one record
+    block written from the block's own buffer. No buffer is larger than the
+    document table or one list block.
+    """
     store = index.store
     with open(path, "wb") as out:
         out.write(INDEX_MAGIC)
@@ -336,20 +352,23 @@ def save_index(index: IvfIndex, path: str | Path) -> None:
                 store.num_embeddings,
             )
         )
-        for doc_number, doc_id in enumerate(store.doc_ids):
-            name = doc_id.encode("utf-8")
-            start, length = store.doc_offsets[doc_number]
-            out.write(_U32.pack(len(name)))
-            out.write(name)
-            out.write(_DOC_TAIL.pack(int(start), int(length)))
-        out.write(np.ascontiguousarray(index.centroids.vectors, dtype="<f4").tobytes())
+        names = [doc_id.encode("utf-8") for doc_id in store.doc_ids]
+        out.write(
+            b"".join(
+                [
+                    _U32.pack(len(name)) + name + _DOC_TAIL.pack(start, length)
+                    for name, (start, length) in zip(names, store.doc_offsets.tolist())
+                ]
+            )
+        )
+        out.write(np.ascontiguousarray(index.centroids.vectors, dtype="<f4"))
         entry_dtype = _entry_dtype(store.dim)
         for ids in index.lists:
             out.write(_U64.pack(len(ids)))
             block = np.empty(len(ids), dtype=entry_dtype)
-            block["id"] = ids.astype(np.uint64)
+            block["id"] = ids
             block["vec"] = store.vectors[ids]
-            out.write(block.tobytes())
+            out.write(block)
 
 
 def _read_exact(handle: BinaryIO, count: int, section: str) -> bytes:
@@ -361,6 +380,11 @@ def _read_exact(handle: BinaryIO, count: int, section: str) -> bytes:
 
 def load_index(path: str | Path) -> IvfIndex:
     """Read an index file, validating every section before constructing.
+
+    The sizes the header fixes (at least 16 bytes per document, the centroid
+    block and a count per list, and one record per embedding) are checked
+    against the file's size before anything is allocated, so a damaged
+    count fails as corruption instead of as a huge allocation.
 
     Raises:
         CorruptIndexError: On a bad magic, unsupported version, truncation,
@@ -377,6 +401,20 @@ def load_index(path: str | Path) -> IvfIndex:
             raise CorruptIndexError(f"unsupported version {version}")
         if dim == 0 or n_list == 0 or num_docs == 0:
             raise CorruptIndexError("header declares an empty index")
+        file_size = os.fstat(handle.fileno()).st_size
+        least = (
+            len(INDEX_MAGIC)
+            + _HEADER.size
+            + num_docs * (_U32.size + _DOC_TAIL.size)
+            + n_list * (dim * 4 + _U64.size)
+            + num_embeddings * (_U64.size + dim * 4)
+        )
+        if least > file_size:
+            raise CorruptIndexError(
+                f"header declares {num_docs} documents, {n_list} lists and "
+                f"{num_embeddings} embeddings of dim {dim}, which need at least "
+                f"{least} bytes, but the file has {file_size}"
+            )
 
         doc_ids: list[str] = []
         offsets = np.empty((num_docs, 2), dtype=np.int64)

@@ -1,14 +1,16 @@
 """Bit-identity guards for the bulk build stages.
 
-``tokenize``, ``embed_corpus`` and ``train_centroids`` were rewritten to
-work over whole strings, tables and arrays instead of one character, token
-or centroid at a time. The ``reference_*`` functions below are verbatim
-copies of the per-item versions they replaced; the rewritten stages must
-return exactly what these return, bit for bit.
+``tokenize``, ``embed_corpus``, ``train_centroids``, the corpus tokenizer
+and the lexicon counter were rewritten to work over whole strings, tables
+and arrays instead of one character, token, centroid or document at a time.
+The ``reference_*`` functions below are verbatim copies of the per-item
+versions they replaced; the rewritten stages must return exactly what these
+return, bit for bit, and raise what these raise.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
 import unicodedata
@@ -19,20 +21,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mve.core import (
+    FIRST_WORDPIECE_ID,
+    OOV_ID_BASE,
     DocumentEntry,
+    Lexicon,
+    LexiconEntry,
     Token,
     TokenKind,
     Vocabulary,
+    count_lexicon,
     embed_corpus,
     embed_tokens,
     tokenize,
+    tokenize_flat,
 )
+from mve.engine import Engine, EngineConfig, build_engine
 from mve.errors import InvalidConfigError, InvalidInputError
 from mve.index import (
     Centroids,
     EmbeddingStore,
     _kmeans_pp_init,
     _normalize_rows,
+    build_ivf,
+    default_n_list,
     train_centroids,
 )
 
@@ -69,6 +80,37 @@ def reference_embed_corpus(pairs, seed, dim):
         ]
         entries.append(DocumentEntry(doc_id, embed_tokens(tokens, seed, dim), token_ids))
     return entries, vocab
+
+
+def reference_tokenize_corpus(pairs):
+    vocab = Vocabulary()
+    id_lists: list[tuple[str, tuple[int, ...]]] = []
+    for doc_id, text in pairs:
+        words = tokenize(text)
+        if not words:
+            raise InvalidInputError(f"document {doc_id!r} has no tokens")
+        id_lists.append((doc_id, tuple(map(vocab.add, words))))
+    return id_lists, vocab
+
+
+def reference_build_lexicon_from_ids(docs):
+    if not docs:
+        raise InvalidInputError("cannot build a lexicon from an empty corpus")
+    cf: dict[int, int] = {}
+    df: dict[int, int] = {}
+    num_tokens = 0
+    for doc_id, token_ids in docs:
+        num_tokens += len(token_ids)
+        for token_id in token_ids:
+            if token_id < FIRST_WORDPIECE_ID:
+                raise InvalidInputError(
+                    f"document {doc_id!r} contains reserved token id {token_id}"
+                )
+            cf[token_id] = cf.get(token_id, 0) + 1
+        for token_id in set(token_ids):
+            df[token_id] = df.get(token_id, 0) + 1
+    entries = {tid: LexiconEntry(cf=cf[tid], df=df[tid]) for tid in cf}
+    return Lexicon(entries=entries, num_docs=len(docs), num_tokens=num_tokens)
 
 
 def reference_train_centroids(store, sample_fraction, n_list, iterations, seed):
@@ -198,6 +240,167 @@ def test_embed_corpus_raises_what_the_reference_raises():
             reference_embed_corpus(pairs, seed=1, dim=4)
         assert str(got.value) == str(want.value)
     assert embed_corpus([], seed=1, dim=4)[0] == []
+
+
+# ---------------------------------------------------------------------------
+# tokenize_flat and count_lexicon
+# ---------------------------------------------------------------------------
+
+UNICODE_CORPUS = [
+    ("d1", "«Bonjour», dit-il… ÉCOLE — école!"),
+    ("d2", "Straße\u3000STRASSE ẞ İstanbul ǅungla"),
+    ("d3", "... don't\x1cstop\x85now ¿qué? 、。 cafe\u0301"),
+    ("d4", "ΣΟΦΙΑ σοφια, bonjour dit il"),
+]
+
+
+def outcome(call):
+    """``("ok", result)`` or ``("raised", exception type, message)``."""
+    try:
+        return ("ok", call())
+    except InvalidInputError as exc:
+        return ("raised", type(exc), str(exc))
+
+
+def split_flat(token_ids, lengths):
+    assert token_ids.dtype == lengths.dtype == np.int64
+    assert int(lengths.sum()) == token_ids.size
+    return [tuple(ids.tolist()) for ids in np.split(token_ids, np.cumsum(lengths)[:-1])]
+
+
+def assert_same_lexicon(got, want):
+    assert list(got.entries.items()) == list(want.entries.items())
+    assert all(type(t) is int for t in got.entries)
+    assert all(type(e.cf) is int and type(e.df) is int for e in got.entries.values())
+    assert (got.num_docs, got.num_tokens) == (want.num_docs, want.num_tokens)
+    assert type(got.num_tokens) is int
+
+
+def assert_same_tokens_and_lexicon(pairs):
+    got = outcome(lambda: tokenize_flat(pairs))
+    want = outcome(lambda: reference_tokenize_corpus(pairs))
+    if want[0] == "raised":
+        assert got == want
+        return
+    token_ids, lengths, vocab = got[1]
+    id_lists, want_vocab = want[1]
+    surfaces = list(vocab.surfaces())
+    assert surfaces == list(want_vocab.surfaces())
+    assert [vocab.id_of(w) for w in surfaces] == [want_vocab.id_of(w) for w in surfaces]
+    if not pairs:
+        assert token_ids.size == lengths.size == 0
+    else:
+        assert split_flat(token_ids, lengths) == [ids for _, ids in id_lists]
+    doc_ids = [doc_id for doc_id, _ in pairs]
+    got_lexicon = outcome(lambda: count_lexicon(token_ids, lengths, doc_ids))
+    want_lexicon = outcome(lambda: reference_build_lexicon_from_ids(id_lists))
+    if want_lexicon[0] == "raised":
+        assert got_lexicon == want_lexicon
+    else:
+        assert_same_lexicon(got_lexicon[1], want_lexicon[1])
+
+
+def test_flat_build_equals_the_per_document_reference_on_the_planted_fixture(small_planted):
+    assert_same_tokens_and_lexicon(small_planted.corpus)
+
+
+def test_flat_build_equals_the_per_document_reference_with_unicode_punctuation():
+    assert_same_tokens_and_lexicon(UNICODE_CORPUS)
+
+
+def test_flat_build_raises_what_the_reference_raises():
+    for pairs in (
+        [],
+        [("d1", "fine"), ("d2", "!!! ..."), ("d3", "\u3000…")],
+        [("d1", "\u3000…")],
+    ):
+        assert_same_tokens_and_lexicon(pairs)
+    assert outcome(lambda: tokenize_flat([("d1", "ok"), ("d2", "?")])) == (
+        "raised", InvalidInputError, "document 'd2' has no tokens"
+    )
+    for corpus in ([], [("d1", "ok"), ("d2", "?")]):
+        assert outcome(lambda: build_engine(corpus, EngineConfig())) == outcome(
+            lambda: reference_build(corpus, EngineConfig())
+        )
+
+
+WORDS = ["a", "B", "ab", "Ab!", "«ab»", "ß", "SS", "...", "—", "σ", "Σ", "x.y", "z"]
+
+
+@settings(max_examples=200)
+@given(st.lists(st.lists(st.sampled_from(WORDS), max_size=6).map(" ".join), max_size=12))
+def test_flat_build_equals_the_per_document_reference_on_generated_corpora(texts):
+    assert_same_tokens_and_lexicon([(f"d{i}", text) for i, text in enumerate(texts)])
+
+
+SPARSE_IDS = [0, 1, 2, 3, 4, 9, OOV_ID_BASE + 7, 2**62, 2**63 - 1]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.lists(st.sampled_from(SPARSE_IDS), min_size=1, max_size=8), max_size=10))
+def test_count_lexicon_equals_the_reference_on_generated_ids(id_lists):
+    # reserved ids 0 and 1 raise for the first document that holds one;
+    # sparse ids up to the int64 limit are counted like dense ones
+    docs = [(f"d{i}", tuple(ids)) for i, ids in enumerate(id_lists)]
+    token_ids = np.array([t for ids in id_lists for t in ids], dtype=np.int64)
+    lengths = np.array([len(ids) for ids in id_lists], dtype=np.int64)
+    got = outcome(lambda: count_lexicon(token_ids, lengths, [d for d, _ in docs]))
+    want = outcome(lambda: reference_build_lexicon_from_ids(docs))
+    if want[0] == "raised":
+        assert got == want
+    else:
+        assert_same_lexicon(got[1], want[1])
+
+
+def assert_same_engine(got, want):
+    assert got.config == want.config
+    assert list(got.vocab.surfaces()) == list(want.vocab.surfaces())
+    assert_same_lexicon(got.lexicon, want.lexicon)
+    a, b = got.index.store, want.index.store
+    assert a.doc_ids == b.doc_ids
+    assert a.doc_offsets.tobytes() == b.doc_offsets.tobytes()
+    assert a.vectors.tobytes() == b.vectors.tobytes()
+    assert got.index.centroids.vectors.tobytes() == want.index.centroids.vectors.tobytes()
+    assert [x.tobytes() for x in got.index.lists] == [x.tobytes() for x in want.index.lists]
+
+
+def reference_build(corpus, config, dump_docs=None):
+    """The per-document ``build_engine``: the store from per-document blocks
+    and the lexicon from per-document id lists."""
+    id_lists, vocab = reference_tokenize_corpus(corpus)
+    lexicon = reference_build_lexicon_from_ids(id_lists)
+    if dump_docs is None:
+        entries, _ = reference_embed_corpus(corpus, config.seed, config.dim)
+        dump_docs = [(doc.doc_id, doc.embeddings) for doc in entries]
+    store = EmbeddingStore.from_blocks(dump_docs)
+    config = dataclasses.replace(config, dim=store.dim)
+    if config.n_list is None:
+        sample_size = min(
+            store.num_embeddings, math.ceil(config.sample_fraction * store.num_embeddings)
+        )
+        config = dataclasses.replace(
+            config, n_list=min(default_n_list(store.num_embeddings), sample_size)
+        )
+    centroids = train_centroids(
+        store, config.sample_fraction, config.n_list, config.iterations, config.seed
+    )
+    return Engine(config, vocab, lexicon, build_ivf(store, centroids))
+
+
+@pytest.mark.parametrize("with_dump", [False, True])
+def test_build_engine_equals_the_per_document_reference(small_planted, with_dump):
+    corpus = small_planted.corpus
+    config = EngineConfig(dim=16, q_len=small_planted.q_len, n_list=None, seed=5)
+    dump_docs = None
+    if with_dump:
+        rng = np.random.default_rng(8)
+        dump_docs = [
+            (doc_id, rng.standard_normal((1 + i % 4, 24)).astype(np.float32))
+            for i, (doc_id, _) in enumerate(corpus)
+        ]
+    assert_same_engine(
+        build_engine(corpus, config, dump_docs), reference_build(corpus, config, dump_docs)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from mve import cli
 from mve.core import read_corpus
 from mve.engine import load_engine
 from mve.evaluation import load_qrels, load_queries
-from mve.index import write_embeddings_dump
+from mve.errors import CorruptIndexError
+from mve.index import load_index, write_embeddings_dump
 from mve.retrieval import Strategy
 
 from synthdata import write_corpus, write_qrels, write_queries
@@ -167,6 +168,26 @@ def test_corrupt_index_exits_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "magic" in captured.err
+
+
+@pytest.mark.parametrize("offset", [12, 16, 24])  # n_list (u32), num_docs, num_embeddings
+def test_header_count_with_a_flipped_high_bit_exits_two(tmp_path, capsys, offset):
+    # the damaged count is checked against the file's size before anything
+    # is allocated, instead of failing as a MemoryError traceback
+    out = build_tiny_engine_dir(tmp_path)
+    capsys.readouterr()
+    index_path = out / "index.mvix"
+    data = bytearray(index_path.read_bytes())
+    data[offset + 3] ^= 0x40  # bit 30 of the little-endian field
+    index_path.write_bytes(bytes(data))
+    with pytest.raises(CorruptIndexError, match="declares"):
+        load_index(index_path)
+    code = cli.run(["search", "--index", str(out), "--query", "zebra"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.endswith("\n") and captured.err.count("\n") == 1
+    assert "declares" in captured.err
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):

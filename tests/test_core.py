@@ -12,6 +12,7 @@ from mve.core import (
     MASK_ID,
     OOV_ID_BASE,
     DocumentEntry,
+    LexiconEntry,
     QueryEncoder,
     QueryRepresentation,
     Token,
@@ -203,6 +204,24 @@ def test_build_lexicon_rejects_empty_and_reserved():
     bad = DocumentEntry("d1", np.ones((1, 4), dtype=np.float32), (CLS_ID,))
     with pytest.raises(InvalidInputError):
         build_lexicon([bad])
+
+
+def test_build_lexicon_counts_sparse_ids_exactly():
+    # a counter that sized an array by the largest id would ask for 2**62
+    # slots here and fail at once, before touching any memory
+    dim = 4
+    docs = [
+        DocumentEntry("d1", np.ones((3, dim), dtype=np.float32), (2**62, 5, 2**62)),
+        DocumentEntry("d2", np.ones((2, dim), dtype=np.float32), (OOV_ID_BASE + 7, 2**62)),
+        DocumentEntry("d3", np.ones((1, dim), dtype=np.float32), (OOV_ID_BASE + 7,)),
+    ]
+    lexicon = build_lexicon(docs)
+    assert list(lexicon.entries.items()) == [
+        (2**62, LexiconEntry(cf=3, df=2)),
+        (5, LexiconEntry(cf=1, df=1)),
+        (OOV_ID_BASE + 7, LexiconEntry(cf=2, df=2)),
+    ]
+    assert (lexicon.num_docs, lexicon.num_tokens) == (3, 6)
 
 
 def test_lexicon_unseen_tokens_count_zero():
