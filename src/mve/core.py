@@ -506,30 +506,39 @@ def load_lexicon(path: str | Path, num_docs: int) -> tuple[Lexicon, Vocabulary]:
 
     ``num_docs`` is not stored in the file and must be supplied (the index
     header carries it); ``num_tokens`` is recovered as the sum of cf values.
+    The file is read in one call. Each row must hold three fields and
+    integer counts with ``1 <= df <= min(cf, num_docs)``, checked row by row;
+    the vocabulary is then built from all surfaces at once, and a token that
+    repeats is reported at its first repeat. Errors name ``file:line``.
     """
-    vocab = Vocabulary()
-    entries: dict[int, LexiconEntry] = {}
-    num_tokens = 0
     with open_text(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise InvalidInputError(f"{path}:{lineno}: expected token<TAB>cf<TAB>df")
-            surface, cf_text, df_text = parts
-            try:
-                cf, df = int(cf_text), int(df_text)
-            except ValueError as exc:
-                raise InvalidInputError(f"{path}:{lineno}: non-integer count") from exc
-            if not (1 <= df <= min(cf, num_docs)):
-                raise InvalidInputError(
-                    f"{path}:{lineno}: counts violate 1 <= df <= min(cf, num_docs)"
-                )
-            token_id = vocab.add(surface)
-            if token_id in entries:
-                raise InvalidInputError(f"{path}:{lineno}: duplicate token {surface!r}")
-            entries[token_id] = LexiconEntry(cf=cf, df=df)
-            num_tokens += cf
-    return Lexicon(entries=entries, num_docs=num_docs, num_tokens=num_tokens), vocab
+        lines = handle.read().split("\n")
+    rows = [line.split("\t") for line in lines if line]
+
+    def fail(row: int, problem: str) -> InvalidInputError:
+        lineno = [n for n, line in enumerate(lines, start=1) if line][row]
+        return InvalidInputError(f"{path}:{lineno}: {problem}")
+
+    cf: list[int] = []
+    df: list[int] = []
+    for row, parts in enumerate(rows):
+        if len(parts) != 3:
+            raise fail(row, "expected token<TAB>cf<TAB>df")
+        try:
+            row_cf, row_df = int(parts[1]), int(parts[2])
+        except ValueError as exc:
+            raise fail(row, "non-integer count") from exc
+        if not (1 <= row_df <= min(row_cf, num_docs)):
+            raise fail(row, "counts violate 1 <= df <= min(cf, num_docs)")
+        cf.append(row_cf)
+        df.append(row_df)
+    surfaces = [parts[0] for parts in rows]
+    vocab = Vocabulary(surfaces)
+    if len(vocab) != len(surfaces):
+        seen: set[str] = set()
+        for row, surface in enumerate(surfaces):
+            if surface in seen:
+                raise fail(row, f"duplicate token {surface!r}")
+            seen.add(surface)
+    entries = dict(zip(itertools.count(FIRST_WORDPIECE_ID), map(LexiconEntry, cf, df)))
+    return Lexicon(entries=entries, num_docs=num_docs, num_tokens=sum(cf)), vocab

@@ -27,7 +27,6 @@ from .core import Lexicon, QueryEncoder, is_single_field, open_text
 from .errors import InvalidConfigError, InvalidInputError
 from .index import IvfIndex
 from .retrieval import (
-    CandidateSet,
     RankedEntries,
     Ranking,
     Strategy,
@@ -215,11 +214,6 @@ def rr_at(ranking: Ranking, qrels: Qrels, query_id: str, cutoff: int = 10) -> fl
         if doc_id in relevant:
             return 1.0 / rank
     return 0.0
-
-
-def candidate_counts(candidates: CandidateSet, qrels: Qrels, query_id: str) -> tuple[int, int]:
-    """(documents retrieved, judged-relevant documents retrieved)."""
-    return len(candidates), len(candidates & qrels.relevant(query_id))
 
 
 # --------------------------------------------------------------------------

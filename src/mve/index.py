@@ -169,9 +169,13 @@ class IvfIndex:
         lists = tuple(np.ascontiguousarray(l, dtype=np.int64) for l in self.lists)
         object.__setattr__(self, "lists", lists)
         joined = np.concatenate(lists) if lists else np.empty(0, dtype=np.int64)
-        if joined.size != self.store.num_embeddings or (
-            np.sort(joined) != np.arange(self.store.num_embeddings)
-        ).any():
+        total = self.store.num_embeddings
+        # n ids in range that mark all n slots are a disjoint cover; a
+        # negative id would mark a slot from the end, so range comes first
+        covered = np.zeros(total, dtype=bool)
+        if joined.size == total and 0 <= joined.min() and joined.max() < total:
+            covered[joined] = True
+        if not covered.all():
             raise InvalidInputError("inverted lists are not a disjoint cover of the store")
 
     @property
@@ -241,7 +245,11 @@ def train_centroids(
         store: Embeddings to sample from.
         sample_fraction: Fraction in (0, 1] sampled without replacement.
         n_list: Number of centroids; at most the sample size.
-        iterations: Fixed number of assign/update rounds, at least 1.
+        iterations: Number of assign/update rounds, at least 1. Training
+            stops early once a round leaves the centroids bit for bit
+            unchanged: every later round would repeat it exactly, so the
+            result and ``objective_history`` (padded with that round's value
+            to ``iterations`` entries) are those of all ``iterations`` rounds.
         seed: Seeds both the sample draw and the k-means++ initialization.
     """
     if not (0.0 < sample_fraction <= 1.0):
@@ -265,6 +273,7 @@ def train_centroids(
     sample64 = sample.astype(np.float64).ravel()
     history: list[float] = []
     for _ in range(iterations):
+        previous = centroids.copy()
         sims = sample @ centroids.T
         assign = np.argmax(sims, axis=1)  # first maximum = lowest centroid index
         assigned_sim = sims[np.arange(sample_size), assign].astype(np.float64)
@@ -286,6 +295,12 @@ def train_centroids(
             victim = int(np.argmin(stealable))
             centroids[c] = sample[victim]
             stealable[victim] = np.inf
+        # A round is a function of the centroids alone, so once it returns
+        # its input bit for bit every later round repeats it exactly. Bytes,
+        # not np.array_equal, which takes -0.0 for 0.0.
+        if centroids.tobytes() == previous.tobytes():
+            history.extend([history[-1]] * (iterations - len(history)))
+            break
     return Centroids(vectors=centroids, objective_history=tuple(history))
 
 
@@ -378,13 +393,83 @@ def _read_exact(handle: BinaryIO, count: int, section: str) -> bytes:
     return data
 
 
+_DOC_FIELDS = np.dtype([("start", "<u8"), ("length", "<u4")])
+
+
+def _parse_doc_table(
+    table: bytes, num_docs: int, num_embeddings: int
+) -> tuple[tuple[str, ...], np.ndarray, int]:
+    """Parse the first ``num_docs`` entries of a document table.
+
+    Returns the doc ids, the ``(start, length)`` rows as int64 and the
+    table's size in bytes. One loop walks the name lengths; the names are
+    decoded in one call over their ``\n``-joined bytes, and the start and
+    length fields are read through one structured view of their gathered
+    bytes.
+    """
+    unpack_len = _U32.unpack_from
+    name_starts: list[int] = []
+    name_stops: list[int] = []
+    at = 0
+    try:
+        for _ in range(num_docs):
+            (name_len,) = unpack_len(table, at)
+            at += _U32.size
+            name_starts.append(at)
+            at += name_len
+            name_stops.append(at)
+            at += _DOC_TAIL.size
+    except struct.error:  # a length field runs past the end
+        at = len(table) + 1
+    if at > len(table):
+        raise CorruptIndexError("truncated index file: document table")
+
+    names = [table[a:b] for a, b in zip(name_starts, name_stops)]
+    try:
+        text = b"\n".join(names).decode("utf-8")
+    except UnicodeDecodeError:
+        text = ""
+    doc_ids = text.split("\n")
+    # str.split() drops empty names and splits at whitespace, so it equals
+    # the split at the separators only if every name is a single field
+    if len(doc_ids) != num_docs or text.split() != doc_ids:
+        for i, raw in enumerate(names):
+            try:
+                doc_id = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CorruptIndexError(f"document table: undecodable name at entry {i}") from exc
+            if not is_single_field(doc_id):
+                raise CorruptIndexError(
+                    f"document table: doc id {doc_id!r} at entry {i} is empty or "
+                    "contains whitespace"
+                )
+
+    fields = np.frombuffer(
+        b"".join([table[a : a + _DOC_TAIL.size] for a in name_stops]), dtype=_DOC_FIELDS
+    )
+    beyond = np.flatnonzero(fields["start"] >= num_embeddings)
+    if beyond.size:
+        i = int(beyond[0])
+        raise CorruptIndexError(
+            f"document table: entry {i} starts at embedding {int(fields['start'][i])}, "
+            f"past the {num_embeddings} the header declares"
+        )
+    offsets = np.stack([fields["start"], fields["length"]], axis=1).astype(np.int64)
+    return tuple(doc_ids), offsets, at
+
+
 def load_index(path: str | Path) -> IvfIndex:
     """Read an index file, validating every section before constructing.
 
     The sizes the header fixes (at least 16 bytes per document, the centroid
     block and a count per list, and one record per embedding) are checked
     against the file's size before anything is allocated, so a damaged
-    count fails as corruption instead of as a huge allocation.
+    count fails as corruption instead of as a huge allocation. Every section
+    after the document table has a size the header fixes, so the table is
+    read in one call and parsed in bulk. Doc ids must decode as UTF-8 and,
+    as :func:`mve.engine.build_engine` requires, be non-empty and free of
+    whitespace, so that a run file can carry them. Each inverted list is
+    then read as one block, and its ids are range-checked before use.
 
     Raises:
         CorruptIndexError: On a bad magic, unsupported version, truncation,
@@ -402,13 +487,8 @@ def load_index(path: str | Path) -> IvfIndex:
         if dim == 0 or n_list == 0 or num_docs == 0:
             raise CorruptIndexError("header declares an empty index")
         file_size = os.fstat(handle.fileno()).st_size
-        least = (
-            len(INDEX_MAGIC)
-            + _HEADER.size
-            + num_docs * (_U32.size + _DOC_TAIL.size)
-            + n_list * (dim * 4 + _U64.size)
-            + num_embeddings * (_U64.size + dim * 4)
-        )
+        rest = n_list * (dim * 4 + _U64.size) + num_embeddings * (_U64.size + dim * 4)
+        least = len(INDEX_MAGIC) + _HEADER.size + num_docs * (_U32.size + _DOC_TAIL.size) + rest
         if least > file_size:
             raise CorruptIndexError(
                 f"header declares {num_docs} documents, {n_list} lists and "
@@ -416,17 +496,13 @@ def load_index(path: str | Path) -> IvfIndex:
                 f"{least} bytes, but the file has {file_size}"
             )
 
-        doc_ids: list[str] = []
-        offsets = np.empty((num_docs, 2), dtype=np.int64)
-        for i in range(num_docs):
-            (name_len,) = _U32.unpack(_read_exact(handle, 4, "document table"))
-            raw = _read_exact(handle, name_len, "document table")
-            try:
-                doc_ids.append(raw.decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise CorruptIndexError(f"document table: undecodable name at entry {i}") from exc
-            start, length = _DOC_TAIL.unpack(_read_exact(handle, _DOC_TAIL.size, "document table"))
-            offsets[i] = (start, length)
+        table_at = handle.tell()
+        doc_ids, offsets, table_size = _parse_doc_table(
+            _read_exact(handle, file_size - table_at - rest, "document table"),
+            num_docs,
+            num_embeddings,
+        )
+        handle.seek(table_at + table_size)
 
         centroid_bytes = _read_exact(handle, n_list * dim * 4, "centroid block")
         centroid_vectors = np.frombuffer(centroid_bytes, dtype="<f4").reshape(n_list, dim).copy()
@@ -446,9 +522,10 @@ def load_index(path: str | Path) -> IvfIndex:
                 _read_exact(handle, count * entry_dtype.itemsize, f"inverted list {c}"),
                 dtype=entry_dtype,
             )
-            ids = block["id"].astype(np.int64)
-            if count and (ids >= num_embeddings).any():
+            # range-checked as u64: a cast first would wrap ids of 2**63 or more negative
+            if count and (block["id"] >= num_embeddings).any():
                 raise CorruptIndexError(f"inverted list {c}: embedding id out of range")
+            ids = block["id"].astype(np.int64)
             vectors[ids] = block["vec"]
             lists.append(ids)
         if seen != num_embeddings:
@@ -459,7 +536,7 @@ def load_index(path: str | Path) -> IvfIndex:
             raise CorruptIndexError("trailing data after the final inverted list")
 
     try:
-        store = EmbeddingStore(vectors=vectors, doc_offsets=offsets, doc_ids=tuple(doc_ids))
+        store = EmbeddingStore(vectors=vectors, doc_offsets=offsets, doc_ids=doc_ids)
         return IvfIndex(store=store, centroids=Centroids(centroid_vectors), lists=tuple(lists))
     except InvalidInputError as exc:
         raise CorruptIndexError(f"inconsistent index content: {exc}") from exc

@@ -107,3 +107,12 @@ def count_ann_calls(monkeypatch, module):
 
     monkeypatch.setattr(module, "ann_candidates", counted)
     return calls
+
+
+def build_sample_index(seed=16, num_docs=9):
+    """A small trained index over a random store, for persistence tests."""
+    from mve.index import build_ivf, train_centroids
+
+    store = random_store(num_docs, 8, seed=seed)
+    centroids = train_centroids(store, 1.0, 3, 5, seed=seed + 1)
+    return build_ivf(store, centroids)

@@ -482,3 +482,72 @@ def test_train_centroids_equals_the_reference_where_the_norm_decides_a_tie():
     assert (_normalize_rows(store.vectors) == store.vectors).all()
     for iterations in (1, 3):
         assert_same_centroids(store, 1.0, 1, iterations, 0)
+
+
+def computed_rounds(monkeypatch, store, sample_fraction, n_list, iterations, seed):
+    """``train_centroids`` with the cluster sizes of each round it computes,
+    taken from its one ``np.bincount`` without weights per round."""
+    sizes = []
+    real = np.bincount
+
+    def counted(x, weights=None, minlength=0):
+        result = real(x, weights=weights, minlength=minlength)
+        if weights is None:
+            sizes.append(result)
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "bincount", counted)
+        centroids = train_centroids(store, sample_fraction, n_list, iterations, seed)
+    return centroids, sizes
+
+
+def assert_stops_at_the_first_fixed_point(monkeypatch, store, sample_fraction, n_list, seed):
+    """Training for many rounds computes ``r`` rounds, fewer than asked:
+    round ``r`` returned its input, so ``r - 1`` reference rounds give the
+    final centroids and ``r - 2`` do not."""
+    iterations = 40
+    got, sizes = computed_rounds(monkeypatch, store, sample_fraction, n_list, iterations, seed)
+    rounds = len(sizes)
+    assert 2 <= rounds < iterations
+    final = reference_train_centroids(store, sample_fraction, n_list, iterations, seed)
+    assert got.vectors.tobytes() == final.vectors.tobytes()
+    assert got.objective_history == final.objective_history
+    last_moved = reference_train_centroids(store, sample_fraction, n_list, rounds - 1, seed)
+    assert last_moved.vectors.tobytes() == final.vectors.tobytes()
+    if rounds > 2:
+        before = reference_train_centroids(store, sample_fraction, n_list, rounds - 2, seed)
+        assert before.vectors.tobytes() != final.vectors.tobytes()
+    return sizes
+
+
+def test_train_centroids_stops_at_its_fixed_point_on_the_planted_store(
+    small_planted_engine, monkeypatch
+):
+    store = small_planted_engine.index.store
+    for iterations in (1, 3, 4, 5, 40):
+        assert_same_centroids(store, 0.5, 16, iterations, 11)
+    assert_stops_at_the_first_fixed_point(monkeypatch, store, 0.5, 16, 11)
+
+
+def test_train_centroids_stops_at_its_fixed_point_after_a_cluster_empties(monkeypatch):
+    # Unit vectors at these angles (degrees), seeded at -2.2, -1 and 3.2:
+    # the first round keeps {-1, 1} together, but the means it moves the
+    # outer centroids to (-1.87 and 1.78) take -1 and 1 away in the second
+    # round, whose empty cluster is re-seeded before training settles
+    angles = np.radians([-2.2, -1.7, -1.7, -1.0, 1.0, 1.2, 1.3, 1.4, 3.2])
+    store = single_vector_store(np.stack([np.cos(angles), np.sin(angles)], axis=1))
+    for iterations in (1, 2, 3, 4, 5, 40):
+        assert_same_centroids(store, 1.0, 3, iterations, 56)
+    sizes = assert_stops_at_the_first_fixed_point(monkeypatch, store, 1.0, 3, 56)
+    assert (sizes[0] > 0).all() and (sizes[1] == 0).any()
+
+
+def test_train_centroids_compares_the_centroids_after_the_re_seed():
+    # four lists over three distinct points: the update leaves every centroid
+    # as it was, and only the re-seed of the empty list (a copy of (1, 0))
+    # moves a centroid, to the first sample point
+    store = single_vector_store([[0, 1], [1, 0], [0, -1], [1, 0]])
+    for seed in range(4):
+        for iterations in (1, 2, 3, 5):
+            assert_same_centroids(store, 1.0, 4, iterations, seed)

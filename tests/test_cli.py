@@ -190,6 +190,42 @@ def test_header_count_with_a_flipped_high_bit_exits_two(tmp_path, capsys, offset
     assert "declares" in captured.err
 
 
+# the first document table entry starts after the magic, the 28-byte header
+# and the u32 length of its name "d00000"
+FIRST_NAME_AT = 4 + 28 + 4
+
+
+@pytest.mark.parametrize(
+    "offset, mask, named",
+    [
+        (FIRST_NAME_AT + 1, 0x10, "'d 0000' at entry 0 is empty or contains whitespace"),
+        (FIRST_NAME_AT + 6 + 7, 0x80, "document table: entry 0"),  # bit 63 of its start
+    ],
+)
+def test_damaged_document_table_exits_two(tmp_path, capsys, offset, mask, named):
+    # a doc id with whitespace would print a run line that read_run rejects,
+    # and a start of 2**63 or more overflowed int64 with a traceback
+    corpus_path = tmp_path / "corpus.tsv"
+    write_corpus([(f"d{i:05d}", text) for i, (_, text) in enumerate(CORPUS)], corpus_path)
+    out = tmp_path / "engine"
+    assert cli.run(
+        ["index", "--corpus", str(corpus_path), "--out", str(out), "--dim", "16",
+         "--q-len", "8", "--n-list", "2", "--sample-fraction", "1.0", "--seed", "7"]
+    ) == 0
+    capsys.readouterr()
+    index_path = out / "index.mvix"
+    data = bytearray(index_path.read_bytes())
+    data[offset] ^= mask
+    index_path.write_bytes(bytes(data))
+    with pytest.raises(CorruptIndexError, match=named):
+        load_index(index_path)
+    code = cli.run(["search", "--index", str(out), "--query", "zebra"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and named in captured.err
+
+
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     corpus_path = write_tiny_corpus(tmp_path)
     config_path = tmp_path / "config.json"

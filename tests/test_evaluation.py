@@ -14,7 +14,6 @@ from mve.evaluation import (
     CSV_HEADER,
     Qrels,
     average_precision,
-    candidate_counts,
     load_qrels,
     load_queries,
     ndcg_at,
@@ -26,7 +25,7 @@ from mve.evaluation import (
 )
 from mve.retrieval import Ranking, Strategy, ann_candidates, order_embeddings, pruned_union
 
-from conftest import candidate_set, count_ann_calls, named_store
+from conftest import count_ann_calls
 
 DATA = Path(__file__).parent / "data"
 
@@ -154,26 +153,6 @@ def test_metrics_keep_the_bits_of_the_entry_loop(scored, judged, extra_depth):
     for cutoff in range(1, k + 3):
         assert ndcg_at(ranking, qrels, "q", cutoff) == reference_ndcg(pairs, qrels, "q", cutoff)
         assert rr_at(ranking, qrels, "q", cutoff) == reference_rr(pairs, qrels, "q", cutoff)
-
-
-def test_candidate_counts():
-    store = named_store(["other", "good", "ok", "meh"])
-    assert candidate_counts(candidate_set(store, []), QRELS, "q1") == (0, 0)
-    candidates = candidate_set(store, ["good", "meh", "other"])
-    assert candidate_counts(candidates, QRELS, "q1") == (3, 1)
-
-
-def test_candidate_counts_against_independent_filter():
-    rng = np.random.default_rng(41)
-    docs = [f"d{i}" for i in range(40)]
-    judgments = {"q": {d: int(rng.integers(0, 3)) for d in docs[:25]}}
-    qrels = Qrels(judgments)
-    member = {d for d in docs if rng.random() < 0.5}
-    candidates = candidate_set(named_store(docs), member)
-    retrieved, relevant = candidate_counts(candidates, qrels, "q")
-    oracle_relevant = sum(1 for d in member if judgments["q"].get(d, 0) >= 1)
-    assert retrieved == len(member)
-    assert relevant == oracle_relevant
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +411,8 @@ def test_sweep_rows_match_individual_searches(
     relevant_counts = []
     for qid, text in small_planted.queries:
         _, candidates = engine.search(text, strategy=Strategy.ICF, p=p)
-        retrieved, relevant = candidate_counts(candidates, small_planted_qrels, qid)
-        sizes.append(retrieved)
-        relevant_counts.append(relevant)
+        sizes.append(len(candidates))
+        relevant_counts.append(len(candidates & small_planted_qrels.relevant(qid)))
     assert row.mean_docs == pytest.approx(sum(sizes) / len(sizes))
     assert row.mean_rel_docs == pytest.approx(sum(relevant_counts) / len(relevant_counts))
 

@@ -17,7 +17,7 @@ from mve.index import (
     write_embeddings_dump,
 )
 
-from conftest import random_store
+from conftest import build_sample_index, random_store
 
 
 def unit(vector):
@@ -186,12 +186,6 @@ def test_default_n_list():
 # ---------------------------------------------------------------------------
 # Persistence
 # ---------------------------------------------------------------------------
-
-
-def build_sample_index(seed=16, num_docs=9):
-    store = random_store(num_docs, 8, seed=seed)
-    centroids = train_centroids(store, 1.0, 3, 5, seed=seed + 1)
-    return build_ivf(store, centroids)
 
 
 def assert_indexes_identical(a: IvfIndex, b: IvfIndex):
