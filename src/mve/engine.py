@@ -25,7 +25,7 @@ from .core import (
     token_table,
     tokenize_flat,
 )
-from .errors import CorruptIndexError, InvalidConfigError, InvalidInputError
+from .errors import CorruptIndexError, EngineError, InvalidConfigError, InvalidInputError
 from .evaluation import Qrels, SweepTable, sweep
 from .index import (
     EmbeddingStore,
@@ -255,15 +255,21 @@ def save_engine(engine: Engine, directory: str | Path) -> None:
 
 
 def load_engine(directory: str | Path) -> Engine:
-    """Load an engine directory, cross-checking config against the index."""
+    """Load an engine directory, cross-checking config against the index.
+
+    A directory without ``config.json`` is not an engine directory
+    (:class:`InvalidInputError`). Content of ``config.json``,
+    ``lexicon.tsv`` or ``index.mvix`` that does not read back raises
+    :class:`CorruptIndexError`, with the reader's message.
+    """
     directory = Path(directory)
     config_path = directory / CONFIG_FILE
     if not config_path.exists():
         raise InvalidInputError(f"{directory} is not an engine directory (missing {CONFIG_FILE})")
     try:
         config = EngineConfig.from_mapping(json.loads(config_path.read_text(encoding="utf-8")))
-    except (UnicodeDecodeError, json.JSONDecodeError, TypeError) as exc:
-        raise InvalidConfigError(f"{config_path}: unreadable config: {exc}") from exc
+    except (ValueError, TypeError, InvalidConfigError) as exc:  # ValueError: decode, JSON
+        raise CorruptIndexError(f"{config_path}: unreadable config: {exc}") from exc
     index = load_index(directory / INDEX_FILE)
     if config.dim != index.dim:
         raise CorruptIndexError(
@@ -273,5 +279,8 @@ def load_engine(directory: str | Path) -> Engine:
         raise CorruptIndexError(
             f"config n_list {config.n_list} disagrees with index n_list {index.n_list}"
         )
-    lexicon, vocab = load_lexicon(directory / LEXICON_FILE, num_docs=index.store.num_docs)
+    try:
+        lexicon, vocab = load_lexicon(directory / LEXICON_FILE, num_docs=index.store.num_docs)
+    except EngineError as exc:
+        raise CorruptIndexError(str(exc)) from exc
     return Engine(config=config, vocab=vocab, lexicon=lexicon, index=index)

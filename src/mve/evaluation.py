@@ -366,7 +366,7 @@ def _evaluate_query(
     # the union comes in doc-id order, so a stable sort breaks ties by doc id
     order = np.argsort(-scores, kind="stable")
     ranked = union.numbers[order]
-    ranked_ids = np.array(store.doc_ids, dtype=object)[ranked]
+    ranked_ids = store.doc_id_array[ranked]
     ranked_scores = scores[order]
     relevant = np.zeros(store.num_docs, dtype=bool)
     for number in map(store.index_of, qrels.relevant(query_id)):

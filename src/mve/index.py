@@ -27,6 +27,8 @@ FORMAT_VERSION = 1
 
 _SEED_MASK = (1 << 64) - 1
 _ASSIGN_CHUNK = 8192
+# the first stage packs an embedding id into 32 bits
+_MAX_EMBEDDINGS = 2**32
 
 
 @dataclass(frozen=True)
@@ -35,6 +37,9 @@ class EmbeddingStore:
 
     ``doc_offsets[i] == (start, length)`` locates document ``i`` inside
     ``vectors``; the global row number of an embedding is its embedding id.
+    A store holds at most 2**32 embeddings, so every id fits in 32 bits.
+    ``doc_id_array`` holds the doc ids as a read-only object array, indexed
+    by doc number.
     """
 
     vectors: np.ndarray  # (num_embeddings, dim) float32
@@ -43,8 +48,13 @@ class EmbeddingStore:
     doc_of: np.ndarray = field(init=False, repr=False)  # embedding id -> doc number
     id_rank: np.ndarray = field(init=False, repr=False)  # doc number -> rank of its id
     id_order: np.ndarray = field(init=False, repr=False)  # ascending doc id -> doc number
+    doc_id_array: np.ndarray = field(init=False, repr=False)  # doc number -> doc id
 
     def __post_init__(self) -> None:
+        if np.ndim(self.vectors) and len(self.vectors) > _MAX_EMBEDDINGS:
+            raise InvalidInputError(
+                f"store holds {len(self.vectors)} embeddings, more than {_MAX_EMBEDDINGS}"
+            )
         vectors = np.ascontiguousarray(self.vectors, dtype=np.float32)
         offsets = np.ascontiguousarray(self.doc_offsets, dtype=np.int64)
         object.__setattr__(self, "vectors", vectors)
@@ -71,6 +81,9 @@ class EmbeddingStore:
         order = np.array(sorted(range(len(self.doc_ids)), key=self.doc_ids.__getitem__))
         object.__setattr__(self, "id_order", order)
         object.__setattr__(self, "id_rank", np.argsort(order))
+        doc_id_array = np.array(self.doc_ids, dtype=object)
+        doc_id_array.flags.writeable = False
+        object.__setattr__(self, "doc_id_array", doc_id_array)
 
     @classmethod
     def from_lengths(

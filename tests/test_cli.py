@@ -403,8 +403,8 @@ def test_index_search_and_eval_never_import_scipy(tmp_path):
     assert json.loads(done.stdout.splitlines()[-1]) == []
 
 
-def assert_one_line_error(code: int, captured, named: Path) -> None:
-    assert code == 1
+def assert_one_line_error(code: int, captured, named: Path, exit_code: int = 1) -> None:
+    assert code == exit_code
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and str(named) in lines[0], captured.err
@@ -425,6 +425,7 @@ def test_index_rejects_non_utf8_corpus_and_config(tmp_path, capsys):
 
 
 def test_search_rejects_non_utf8_engine_files(tmp_path, capsys):
+    # damage inside an engine directory exits 2, whichever file holds it
     out = build_tiny_engine_dir(tmp_path)
     capsys.readouterr()
     for name in ("config.json", "lexicon.tsv"):
@@ -433,7 +434,46 @@ def test_search_rejects_non_utf8_engine_files(tmp_path, capsys):
         with open(damaged / name, "ab") as handle:
             handle.write(b"\xff\xfe\n")
         code = cli.run(["search", "--index", str(damaged), "--query", "zebras"])
-        assert_one_line_error(code, capsys.readouterr(), damaged / name)
+        assert_one_line_error(code, capsys.readouterr(), damaged / name, exit_code=2)
+
+
+def test_search_rejects_a_malformed_lexicon_row_with_exit_two(tmp_path, capsys):
+    out = build_tiny_engine_dir(tmp_path)
+    capsys.readouterr()
+    lexicon = out / "lexicon.tsv"
+    lines = lexicon.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[1] = lines[1].replace("\t", " ", 1)
+    lexicon.write_text("".join(lines), encoding="utf-8")
+    code = cli.run(["search", "--index", str(out), "--query", "zebras"])
+    captured = capsys.readouterr()
+    assert_one_line_error(code, captured, lexicon, exit_code=2)
+    assert f"{lexicon}:2: expected token<TAB>cf<TAB>df" in captured.err
+    with pytest.raises(CorruptIndexError, match="expected token<TAB>cf<TAB>df"):
+        load_engine(out)
+
+
+def test_search_rejects_a_truncated_config_with_exit_two(tmp_path, capsys):
+    out = build_tiny_engine_dir(tmp_path)
+    capsys.readouterr()
+    config = out / "config.json"
+    text = config.read_bytes()
+    config.write_bytes(text[: len(text) // 2])
+    code = cli.run(["search", "--index", str(out), "--query", "zebras"])
+    captured = capsys.readouterr()
+    assert_one_line_error(code, captured, config, exit_code=2)
+    assert "unreadable config" in captured.err
+    with pytest.raises(CorruptIndexError, match="unreadable config"):
+        load_engine(out)
+
+
+def test_search_in_a_directory_without_config_exits_one(tmp_path, capsys):
+    out = build_tiny_engine_dir(tmp_path)
+    capsys.readouterr()
+    (out / "config.json").unlink()
+    code = cli.run(["search", "--index", str(out), "--query", "zebras"])
+    captured = capsys.readouterr()
+    assert_one_line_error(code, captured, out)
+    assert "not an engine directory" in captured.err
 
 
 def test_sweep_rejects_non_utf8_queries_and_qrels(tmp_path, capsys):

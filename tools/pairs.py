@@ -2,7 +2,8 @@
 """Compare two checkouts on the benchmark in alternating pairs of runs.
 
     python3 tools/pairs.py PARENT CHANGE --workload desk-pruned --pairs 10 --seed 500
-    python3 tools/pairs.py PARENT CHANGE --workload all --pairs 10 --seed 500 --seconds 30
+    python3 tools/pairs.py PARENT CHANGE --workload all --pairs 10 --seed 500 --seconds 30 \
+        --out BENCH_11.json
 
 PARENT and CHANGE are checkout directories. Pair ``i`` runs
 ``perfbench/run.py --trace 0`` once in each, both with seed ``S + i``; the
@@ -18,6 +19,10 @@ least 9 in 10 of the pairs and its median is better by more than the
 parent's interquartile distance, and ``regression`` when its median is worse
 than the parent's by more than the bound. Every run's output fingerprints
 (``run_sha256``, ``sweep_csv_sha256``) must equal its partner's.
+
+``--out FILE`` also writes the comparison as one JSON file, the trajectory
+record a performance claim commits: the settings, each pair's seed, order
+and both runs' metrics, every metric's summary and the fingerprints.
 
 Exit status: 0 when every run is correct and every fingerprint agrees, 1
 otherwise (a run that fails stops the comparison).
@@ -92,6 +97,64 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
     }
 
 
+def summaries(runs: dict[str, list[dict]], declared: dict) -> dict[str, dict]:
+    """:func:`summarize` of every declared end-to-end metric, keyed
+    ``workload/metric`` in the order the runs report them."""
+    metrics = {m["name"]: m for m in declared["end_to_end"]}
+    rows = {}
+    for key in runs["parent"][0]["metrics"]:
+        declared_metric = metrics.get(key.split("/", 1)[1])
+        if declared_metric is not None:
+            rows[key] = summarize(
+                [run["metrics"][key] for run in runs["parent"]],
+                [run["metrics"][key] for run in runs["change"]],
+                declared_metric["better"],
+                declared_metric["bound"],
+            )
+    return rows
+
+
+def _number(value: float) -> float | None:
+    """A float for JSON; NaN, which JSON cannot hold, becomes null."""
+    value = float(value)
+    return None if math.isnan(value) else value
+
+
+def trajectory(settings: dict, seeds: list[int], orders: list[tuple[str, str]],
+               runs: dict[str, list[dict]], rows: dict[str, dict], agree: bool) -> dict:
+    """The ``--out`` record of one comparison."""
+    quartiles = ("q1", "median", "q3")
+    return {
+        **settings,
+        "pairs": [
+            {
+                "seed": seed,
+                "order": list(order),
+                "parent": runs["parent"][i]["metrics"],
+                "change": runs["change"][i]["metrics"],
+            }
+            for i, (seed, order) in enumerate(zip(seeds, orders))
+        ],
+        "summary": {
+            key: {
+                "parent": dict(zip(quartiles, map(_number, row["parent"]))),
+                "change": dict(zip(quartiles, map(_number, row["change"]))),
+                "pct": _number(row["pct"]),
+                "wins": int(row["wins"]),
+                "verdict": row["verdict"],
+            }
+            for key, row in rows.items()
+        },
+        "fingerprints_agree": agree,
+        "fingerprints": runs["change"][-1]["fingerprints"],
+    }
+
+
+def write_trajectory(path: Path, record: dict) -> None:
+    path.write_text(json.dumps(record, indent=1, sort_keys=True, allow_nan=False) + "\n",
+                    encoding="utf-8")
+
+
 def parse_args(argv: list[str]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -100,6 +163,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, required=True, help="first pair's seed")
     parser.add_argument("--seconds", type=float, help="timed window of each run")
+    parser.add_argument("--out", type=Path, help="also write the comparison as JSON")
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.seed < 0:
         parser.error("--pairs must be >= 1 and --seed >= 0")
@@ -112,10 +176,11 @@ def main(argv: list[str]) -> int:
     seconds = args.seconds if args.seconds is not None else declared["run_seconds"]
     sides = {"parent": args.parent, "change": args.change}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    seeds = [args.seed + i for i in range(args.pairs)]
+    orders = [("parent", "change") if i % 2 == 0 else ("change", "parent")
+              for i in range(args.pairs)]
     agree = True
-    for i in range(args.pairs):
-        seed = args.seed + i
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+    for i, (seed, order) in enumerate(zip(seeds, orders)):
         for side in order:
             try:
                 run = run_benchmark(sides[side], args.workload, seed, seconds)
@@ -131,27 +196,21 @@ def main(argv: list[str]) -> int:
                   f"{runs['parent'][-1]['fingerprints']} change "
                   f"{runs['change'][-1]['fingerprints']}", flush=True)
 
-    metrics = {m["name"]: m for m in declared["end_to_end"]}
+    rows = summaries(runs, declared)
     print(f"\n{args.pairs} pairs, seeds {args.seed}..{args.seed + args.pairs - 1}, "
           f"{seconds:g} s windows; parent {args.parent}, change {args.change}")
     print(f"{'workload/metric':36s} {'parent q1 / median / q3':>32s} "
           f"{'change q1 / median / q3':>32s} {'change':>8s} {'wins':>6s}  verdict")
-    for key in runs["parent"][0]["metrics"]:
-        declared_metric = metrics.get(key.split("/", 1)[1])
-        if declared_metric is None:
-            continue
-        row = summarize(
-            [run["metrics"][key] for run in runs["parent"]],
-            [run["metrics"][key] for run in runs["change"]],
-            declared_metric["better"],
-            declared_metric["bound"],
-        )
+    for key, row in rows.items():
         quartiles = {side: " / ".join(f"{v:.4g}" for v in row[side]) for side in sides}
         print(f"{key:36s} {quartiles['parent']:>32s} {quartiles['change']:>32s} "
               f"{row['pct']:+7.1f}% {row['wins']:>3d}/{args.pairs:<2d}  {row['verdict']}")
     fingerprints = runs["change"][-1]["fingerprints"]
     print("fingerprints " + ("agree" if agree else "DIFFER") + ": "
           + json.dumps(fingerprints, sort_keys=True))
+    if args.out is not None:
+        settings = {"workload": args.workload, "seconds": seconds}
+        write_trajectory(args.out, trajectory(settings, seeds, orders, runs, rows, agree))
     return 0 if agree else 1
 
 
