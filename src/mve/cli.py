@@ -38,21 +38,6 @@ from .retrieval import Ranking, Strategy
 SEED_ENV_VAR = "MVE_SEED"
 _NO_EFFECT = "accepted but has no effect; only sweep uses threads"
 
-_CONFIG_FLAGS = (
-    "dim",
-    "q_len",
-    "k",
-    "k_prime",
-    "n_list",
-    "n_probe",
-    "sample_fraction",
-    "iterations",
-    "seed",
-    "strategy",
-    "p",
-)
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage errors through our exit-code contract."""
 
@@ -163,10 +148,10 @@ def _resolve_build_config(args: argparse.Namespace) -> EngineConfig:
         if not isinstance(file_values, dict):
             raise UsageError(f"--config {args.config}: expected a JSON object")
         values.update(file_values)
-    for name in _CONFIG_FLAGS:
-        flag = getattr(args, name, None)
+    for field in dataclasses.fields(EngineConfig):
+        flag = getattr(args, field.name, None)
         if flag is not None:
-            values[name] = flag
+            values[field.name] = flag
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
         try:

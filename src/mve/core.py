@@ -113,25 +113,10 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self._surfaces)
 
-    def __contains__(self, surface: str) -> bool:
-        return surface in self._ids
-
-    def add(self, surface: str) -> int:
-        """Return the id for ``surface``, assigning the next free id if new."""
-        token_id = self._ids.get(surface)
-        if token_id is None:
-            token_id = FIRST_WORDPIECE_ID + len(self._surfaces)
-            self._ids[surface] = token_id
-            self._surfaces.append(surface)
-        return token_id
-
     def id_of(self, surface: str) -> int:
         """Resolve a surface to its id; unseen surfaces get a stable OOV id."""
         token_id = self._ids.get(surface)
         return oov_id(surface) if token_id is None else token_id
-
-    def surface_of(self, token_id: int) -> str:
-        return self._surfaces[token_id - FIRST_WORDPIECE_ID]
 
     def surfaces(self) -> Iterator[str]:
         """Surfaces in id order (id = 2 + row number)."""

@@ -217,9 +217,9 @@ def build_engine(
     """
     _check_doc_ids(corpus)
     doc_ids = [doc_id for doc_id, _ in corpus]
+    token_ids, lengths, vocab = tokenize_flat(corpus)
+    lexicon = count_lexicon(token_ids, lengths, doc_ids)
     if dump_docs is None:
-        token_ids, lengths, vocab = tokenize_flat(corpus)
-        lexicon = count_lexicon(token_ids, lengths, doc_ids)
         vectors = token_table(len(vocab), config.seed, config.dim)[token_ids - FIRST_WORDPIECE_ID]
         store = EmbeddingStore.from_lengths(vectors, lengths, doc_ids)
     else:
@@ -228,8 +228,6 @@ def build_engine(
         if set(store.doc_ids) != set(doc_ids):
             raise InvalidInputError("embeddings dump does not cover exactly the corpus doc ids")
         config = dataclasses.replace(config, dim=store.dim)
-        token_ids, lengths, vocab = tokenize_flat(corpus)
-        lexicon = count_lexicon(token_ids, lengths, doc_ids)
 
     if config.n_list is None:
         sample_size = min(
@@ -258,9 +256,9 @@ def load_engine(directory: str | Path) -> Engine:
     """Load an engine directory, cross-checking config against the index.
 
     A directory without ``config.json`` is not an engine directory
-    (:class:`InvalidInputError`). Content of ``config.json``,
-    ``lexicon.tsv`` or ``index.mvix`` that does not read back raises
-    :class:`CorruptIndexError`, with the reader's message.
+    (:class:`InvalidInputError`). A missing ``lexicon.tsv`` or
+    ``index.mvix``, or content of any of the three files that does not read
+    back, raises :class:`CorruptIndexError`, with the reader's message.
     """
     directory = Path(directory)
     config_path = directory / CONFIG_FILE
@@ -270,6 +268,9 @@ def load_engine(directory: str | Path) -> Engine:
         config = EngineConfig.from_mapping(json.loads(config_path.read_text(encoding="utf-8")))
     except (ValueError, TypeError, InvalidConfigError) as exc:  # ValueError: decode, JSON
         raise CorruptIndexError(f"{config_path}: unreadable config: {exc}") from exc
+    for name in (INDEX_FILE, LEXICON_FILE):
+        if not (directory / name).exists():
+            raise CorruptIndexError(f"{directory / name}: missing engine file")
     index = load_index(directory / INDEX_FILE)
     if config.dim != index.dim:
         raise CorruptIndexError(

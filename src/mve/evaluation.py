@@ -119,14 +119,8 @@ def load_queries(path: str | Path) -> list[tuple[str, str]]:
     return queries
 
 
-def write_run(rankings: Sequence[tuple[str, Ranking]], path: str | Path, tag: str = "mve") -> None:
-    """Write rankings in TREC run format: ``qid Q0 doc_id rank score tag``."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for qid, ranking in rankings:
-            handle.write(format_run_lines(qid, ranking, tag))
-
-
 def format_run_lines(query_id: str, ranking: Ranking, tag: str = "mve") -> str:
+    """One query's ranking in TREC run format: ``qid Q0 doc_id rank score tag``."""
     return "".join(
         f"{query_id} Q0 {doc_id} {rank} {score:.6f} {tag}\n"
         for rank, (doc_id, score) in enumerate(ranking.entries, start=1)

@@ -331,11 +331,10 @@ def build_ivf(store: EmbeddingStore, centroids: Centroids) -> IvfIndex:
     for start in range(0, store.num_embeddings, _ASSIGN_CHUNK):
         block = store.vectors[start : start + _ASSIGN_CHUNK]
         assign[start : start + block.shape[0]] = np.argmax(block @ centroids.vectors.T, axis=1)
+    # a stable sort keeps each list's embedding ids ascending
     order = np.argsort(assign, kind="stable")
     boundaries = np.searchsorted(assign[order], np.arange(centroids.n_list + 1))
-    lists = tuple(
-        np.sort(order[boundaries[c] : boundaries[c + 1]]) for c in range(centroids.n_list)
-    )
+    lists = tuple(order[boundaries[c] : boundaries[c + 1]] for c in range(centroids.n_list))
     return IvfIndex(store=store, centroids=centroids, lists=lists)
 
 

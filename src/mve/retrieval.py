@@ -7,10 +7,10 @@ query embeddings run candidate generation; the reranker always scores with
 the complete query representation. Every tie anywhere (probe choice, top-k'
 cut, final ranking) breaks toward the lowest id, which makes runs bitwise
 reproducible regardless of thread interleaving. Candidates travel as a
-``CandidateSet``, a set of doc ids backed by the store's doc numbers. A
-``Ranking`` holds two columns, its doc ids and their float64 scores, and
-builds ``(doc_id, score)`` pairs only when they are read; it refers to no
-store, so a kept ranking keeps no engine alive.
+``CandidateSet``, the distinct doc numbers of one store; doc id strings are
+read from it only at the edges. A ``Ranking`` holds two columns, its doc ids
+and their float64 scores, and builds ``(doc_id, score)`` pairs only when they
+are read; it refers to no store, so a kept ranking keeps no engine alive.
 
 A probe gathers the rows of its probed lists with ``np.take``, which builds
 the same contiguous block as fancy indexing in about half the time, so the
@@ -22,7 +22,7 @@ through the store's doc-id column, ``EmbeddingStore.doc_id_array``.
 
 Candidate generation and MaxSim run once per distinct query embedding: the
 MASK padding and repeated words share one vector, so they share one ANN
-probe, one candidate set (the union takes each set once) and one column of
+probe, one candidate set (passed to the union once) and one column of
 the similarity matrix. ``p`` still counts query positions, as in the paper.
 MaxSim multiplies token-major (document tokens by distinct query rows), and
 its float64 sum of the maxima still runs over every position in query order,
@@ -81,12 +81,12 @@ class PruningConfig:
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class CandidateSet(collections.abc.Set):
-    """First-stage output: a set of doc ids backed by one store's doc numbers.
+class CandidateSet:
+    """First-stage output: distinct doc numbers of one store.
 
     ``numbers`` holds each candidate's doc number once, in ascending doc-id
     order, so a stable sort of the candidates by score alone breaks ties by
-    doc id. Set operators with other sets yield plain sets of doc ids.
+    doc id. ``docs`` gives the candidates' doc ids as a set of strings.
     """
 
     store: EmbeddingStore
@@ -105,26 +105,12 @@ class CandidateSet(collections.abc.Set):
         numbers.flags.writeable = False
         object.__setattr__(self, "numbers", numbers)
 
-    @classmethod
-    def _from_iterable(cls, iterable: Iterable[str]) -> set[str]:
-        return set(iterable)
-
     @property
     def docs(self) -> set[str]:
-        return set(self)
+        return set(self.store.doc_id_array[self.numbers].tolist())
 
     def __len__(self) -> int:
         return len(self.numbers)
-
-    def __iter__(self) -> Iterator[str]:
-        return map(self.store.doc_ids.__getitem__, self.numbers.tolist())
-
-    def __contains__(self, doc_id: object) -> bool:
-        number = self.store.index_of(doc_id)  # type: ignore[arg-type]
-        return number is not None and bool((self.numbers == number).any())
-
-    def __repr__(self) -> str:
-        return f"CandidateSet({list(self)!r})"
 
 
 class RankedEntries(collections.abc.Sequence):
@@ -305,9 +291,10 @@ def _top_ids(ids: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
 def pruned_union(per_embedding: Sequence[CandidateSet], p: int) -> CandidateSet:
     """Union of the first ``p`` per-embedding candidate sets, all over one store.
 
-    With ``p`` equal to the number of sets this is the unpruned union. A set
-    passed for several positions (one object) is unioned once, and a single
-    distinct set is returned as it is.
+    With ``p`` equal to the number of sets this is the unpruned union. With
+    ``p == 1`` the first set is returned as it is. A caller that holds one set
+    for several query positions passes it once: ``search`` and the sweep pass
+    one set per distinct query vector.
     """
     if p < 1:
         raise InvalidConfigError(f"p must be >= 1, got {p}")
@@ -318,10 +305,9 @@ def pruned_union(per_embedding: Sequence[CandidateSet], p: int) -> CandidateSet:
     store = per_embedding[0].store
     if any(docs.store is not store for docs in per_embedding[:p]):
         raise ConsistencyError("candidate sets from different stores")
-    distinct = list({id(docs): docs for docs in per_embedding[:p]}.values())
-    if len(distinct) == 1:
-        return distinct[0]
-    return CandidateSet(store, np.concatenate([docs.numbers for docs in distinct]))
+    if p == 1:
+        return per_embedding[0]
+    return CandidateSet(store, np.concatenate([docs.numbers for docs in per_embedding[:p]]))
 
 
 def _maxsim_scores(
@@ -420,12 +406,14 @@ def search(
         raise InvalidConfigError(f"p={config.p} exceeds q_len={query.q_len}")
     ordering = order_embeddings(query, lexicon, config.strategy)
     slots = query.distinct_rows[1].tolist()
-    by_slot: dict[int, CandidateSet] = {}
+    # each distinct vector among the first p positions, probed at the first
+    # position that holds it, in processing order
+    first_position: dict[int, int] = {}
     for position in ordering[: config.p]:
-        if slots[position] not in by_slot:
-            by_slot[slots[position]] = ann_candidates(
-                index, query.embeddings[position], config.k_prime, config.n_probe
-            )[1]
-    per_embedding = [by_slot[slots[position]] for position in ordering[: config.p]]
-    candidates = pruned_union(per_embedding, config.p)
+        first_position.setdefault(slots[position], position)
+    distinct = [
+        ann_candidates(index, query.embeddings[position], config.k_prime, config.n_probe)[1]
+        for position in first_position.values()
+    ]
+    candidates = pruned_union(distinct, len(distinct))
     return rerank(candidates, query, index.store, k), candidates

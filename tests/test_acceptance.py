@@ -101,7 +101,7 @@ def test_criterion_2_ann_exactness_limit():
         scores = store.vectors @ phi
         oracle = sorted(range(store.num_embeddings), key=lambda i: (-scores[i], i))[:k_prime]
         assert hits.tolist() == oracle
-        assert docs == {store.doc_ids[int(store.doc_of[i])] for i in oracle}
+        assert docs.docs == {store.doc_ids[int(store.doc_of[i])] for i in oracle}
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
     report(2, "ANN exactness limit", elapsed)
@@ -122,7 +122,9 @@ def test_criterion_3_union_consistency(small_planted_engine, small_planted):
         for strategy in (Strategy.FIRST, Strategy.ICF):
             ordering = order_embeddings(query, engine.lexicon, strategy)
             ordered_sets = [doc_sets[pos] for pos in ordering]
-            unpruned = functools.reduce(lambda acc, s: acc | frozenset(s), ordered_sets, frozenset())
+            unpruned = functools.reduce(
+                lambda acc, s: acc | frozenset(s.docs), ordered_sets, frozenset()
+            )
             previous: frozenset[str] = frozenset()
             for p in range(1, q_len + 1):
                 docs = frozenset(pruned_union(ordered_sets, p).docs)

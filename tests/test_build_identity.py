@@ -67,30 +67,32 @@ def reference_tokenize(text: str) -> list[str]:
 
 
 def reference_embed_corpus(pairs, seed, dim):
-    vocab = Vocabulary()
+    ids: dict[str, int] = {}
     entries: list[DocumentEntry] = []
     for doc_id, text in pairs:
         words = reference_tokenize(text)
         if not words:
             raise InvalidInputError(f"document {doc_id!r} has no tokens")
-        token_ids = tuple(vocab.add(w) for w in words)
+        token_ids = tuple(ids.setdefault(w, FIRST_WORDPIECE_ID + len(ids)) for w in words)
         tokens = [
             Token(tid, w, TokenKind.WORDPIECE, pos)
             for pos, (tid, w) in enumerate(zip(token_ids, words))
         ]
         entries.append(DocumentEntry(doc_id, embed_tokens(tokens, seed, dim), token_ids))
-    return entries, vocab
+    return entries, Vocabulary(ids)
 
 
 def reference_tokenize_corpus(pairs):
-    vocab = Vocabulary()
+    ids: dict[str, int] = {}
     id_lists: list[tuple[str, tuple[int, ...]]] = []
     for doc_id, text in pairs:
         words = tokenize(text)
         if not words:
             raise InvalidInputError(f"document {doc_id!r} has no tokens")
-        id_lists.append((doc_id, tuple(map(vocab.add, words))))
-    return id_lists, vocab
+        id_lists.append(
+            (doc_id, tuple(ids.setdefault(w, FIRST_WORDPIECE_ID + len(ids)) for w in words))
+        )
+    return id_lists, Vocabulary(ids)
 
 
 def reference_build_lexicon_from_ids(docs):

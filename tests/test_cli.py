@@ -476,6 +476,19 @@ def test_search_in_a_directory_without_config_exits_one(tmp_path, capsys):
     assert "not an engine directory" in captured.err
 
 
+@pytest.mark.parametrize("name", ["lexicon.tsv", "index.mvix"])
+def test_search_in_a_directory_missing_a_member_file_exits_two(tmp_path, capsys, name):
+    out = build_tiny_engine_dir(tmp_path)
+    capsys.readouterr()
+    (out / name).unlink()
+    code = cli.run(["search", "--index", str(out), "--query", "zebras"])
+    captured = capsys.readouterr()
+    assert_one_line_error(code, captured, out / name, exit_code=2)
+    assert "missing engine file" in captured.err
+    with pytest.raises(CorruptIndexError, match="missing engine file"):
+        load_engine(out)
+
+
 def test_sweep_rejects_non_utf8_queries_and_qrels(tmp_path, capsys):
     out = build_tiny_engine_dir(tmp_path)
     queries_path = tmp_path / "queries.tsv"

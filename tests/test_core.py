@@ -150,15 +150,20 @@ def test_oov_ids_are_stable_and_disjoint():
 # ---------------------------------------------------------------------------
 
 
-def doc_from_words(doc_id, words, vocab, seed=5, dim=8):
-    ids = tuple(vocab.add(w) for w in words)
+def doc_from_words(doc_id, words, surface_ids, seed=5, dim=8):
+    """A document of ``words``; ``surface_ids`` maps each surface to its id
+    and gives a new surface the next free id."""
+    ids = tuple(
+        surface_ids.setdefault(w, FIRST_WORDPIECE_ID + len(surface_ids)) for w in words
+    )
     tokens = [Token(t, w, TokenKind.WORDPIECE, i) for i, (t, w) in enumerate(zip(ids, words))]
     return DocumentEntry(doc_id, embed_tokens(tokens, seed, dim), ids)
 
 
 def test_build_lexicon_hand_counts():
-    vocab = Vocabulary()
-    corpus = [doc_from_words("d1", ["a", "b"], vocab), doc_from_words("d2", ["a"], vocab)]
+    ids = {}
+    corpus = [doc_from_words("d1", ["a", "b"], ids), doc_from_words("d2", ["a"], ids)]
+    vocab = Vocabulary(ids)
     lexicon = build_lexicon(corpus)
     a, b = vocab.id_of("a"), vocab.id_of("b")
     assert (lexicon.cf(a), lexicon.df(a)) == (2, 2)
@@ -167,21 +172,22 @@ def test_build_lexicon_hand_counts():
 
 
 def test_build_lexicon_single_doc_repeats():
-    vocab = Vocabulary()
-    lexicon = build_lexicon([doc_from_words("d1", ["x", "x", "x"], vocab)])
-    x = vocab.id_of("x")
+    ids = {}
+    lexicon = build_lexicon([doc_from_words("d1", ["x", "x", "x"], ids)])
+    x = Vocabulary(ids).id_of("x")
     assert (lexicon.cf(x), lexicon.df(x)) == (3, 1)
 
 
 def test_build_lexicon_matches_independent_counter():
     rng = np.random.default_rng(123)
-    vocab = Vocabulary()
+    ids = {}
     words = [f"w{i}" for i in range(40)]
     raw_docs = [
         [words[int(j)] for j in rng.integers(0, 40, size=int(rng.integers(1, 12)))]
         for _ in range(100)
     ]
-    corpus = [doc_from_words(f"d{i}", ws, vocab) for i, ws in enumerate(raw_docs)]
+    corpus = [doc_from_words(f"d{i}", ws, ids) for i, ws in enumerate(raw_docs)]
+    vocab = Vocabulary(ids)
     lexicon = build_lexicon(corpus)
 
     # second, independent counting pass over the raw token stream
@@ -225,8 +231,7 @@ def test_build_lexicon_counts_sparse_ids_exactly():
 
 
 def test_lexicon_unseen_tokens_count_zero():
-    vocab = Vocabulary()
-    lexicon = build_lexicon([doc_from_words("d1", ["a"], vocab)])
+    lexicon = build_lexicon([doc_from_words("d1", ["a"], {})])
     assert lexicon.cf(oov_id("missing")) == 0
     assert lexicon.df(oov_id("missing")) == 0
     assert lexicon.idf(oov_id("missing")) == pytest.approx(math.log(2.0 / 1.0))

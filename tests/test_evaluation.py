@@ -14,6 +14,7 @@ from mve.evaluation import (
     CSV_HEADER,
     Qrels,
     average_precision,
+    format_run_lines,
     load_qrels,
     load_queries,
     ndcg_at,
@@ -21,7 +22,6 @@ from mve.evaluation import (
     read_run,
     rr_at,
     sweep,
-    write_run,
 )
 from mve.retrieval import Ranking, Strategy, ann_candidates, order_embeddings, pruned_union
 
@@ -311,7 +311,10 @@ def test_run_file_round_trip(tmp_path):
         ("q2", ranking_of("x")),
     ]
     path = tmp_path / "run.txt"
-    write_run(rankings, path, tag="test")
+    path.write_text(
+        "".join(format_run_lines(qid, ranking, tag="test") for qid, ranking in rankings),
+        encoding="utf-8",
+    )
     lines = path.read_text().splitlines()
     assert lines[0] == "q1 Q0 a 1 10.000000 test"
     loaded = read_run(path)
@@ -412,7 +415,7 @@ def test_sweep_rows_match_individual_searches(
     for qid, text in small_planted.queries:
         _, candidates = engine.search(text, strategy=Strategy.ICF, p=p)
         sizes.append(len(candidates))
-        relevant_counts.append(len(candidates & small_planted_qrels.relevant(qid)))
+        relevant_counts.append(len(candidates.docs & small_planted_qrels.relevant(qid)))
     assert row.mean_docs == pytest.approx(sum(sizes) / len(sizes))
     assert row.mean_rel_docs == pytest.approx(sum(relevant_counts) / len(relevant_counts))
 

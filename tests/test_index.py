@@ -170,6 +170,8 @@ def test_lists_are_a_disjoint_cover():
     index = build_ivf(store, train_centroids(store, 1.0, 5, 5, seed=14))
     joined = np.concatenate(index.lists)
     assert sorted(joined.tolist()) == list(range(store.num_embeddings))
+    # and each list holds its embedding ids in strictly ascending order
+    assert all((np.diff(ids) > 0).all() for ids in index.lists)
 
 
 def test_build_ivf_rejects_dim_mismatch():

@@ -28,6 +28,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mve.core import (
+    FIRST_WORDPIECE_ID,
     Lexicon,
     LexiconEntry,
     Vocabulary,
@@ -161,7 +162,7 @@ def reference_load_lexicon(path: str | Path, num_docs: int) -> tuple[Lexicon, Vo
     ``num_docs`` is not stored in the file and must be supplied (the index
     header carries it); ``num_tokens`` is recovered as the sum of cf values.
     """
-    vocab = Vocabulary()
+    ids: dict[str, int] = {}
     entries: dict[int, LexiconEntry] = {}
     num_tokens = 0
     with open_text(path) as handle:
@@ -181,12 +182,12 @@ def reference_load_lexicon(path: str | Path, num_docs: int) -> tuple[Lexicon, Vo
                 raise InvalidInputError(
                     f"{path}:{lineno}: counts violate 1 <= df <= min(cf, num_docs)"
                 )
-            token_id = vocab.add(surface)
+            token_id = ids.setdefault(surface, FIRST_WORDPIECE_ID + len(ids))
             if token_id in entries:
                 raise InvalidInputError(f"{path}:{lineno}: duplicate token {surface!r}")
             entries[token_id] = LexiconEntry(cf=cf, df=df)
             num_tokens += cf
-    return Lexicon(entries=entries, num_docs=num_docs, num_tokens=num_tokens), vocab
+    return Lexicon(entries=entries, num_docs=num_docs, num_tokens=num_tokens), Vocabulary(ids)
 
 
 # ---------------------------------------------------------------------------
