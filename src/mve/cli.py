@@ -111,8 +111,9 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _parse_int_list(spec: str) -> list[int]:
-    values: list[int] = []
+def _parse_ranges(spec: str) -> list[tuple[int, int]]:
+    """``'1-8,32'`` as ``[(1, 8), (32, 32)]``; nothing is expanded yet."""
+    ranges: list[tuple[int, int]] = []
     try:
         for piece in spec.split(","):
             piece = piece.strip()
@@ -123,14 +124,24 @@ def _parse_int_list(spec: str) -> list[int]:
                 low, high = int(low_text), int(high_text)
                 if high < low:
                     raise UsageError(f"empty range {piece!r}")
-                values.extend(range(low, high + 1))
             else:
-                values.append(int(piece))
+                low = high = int(piece)
+            ranges.append((low, high))
     except ValueError as exc:
         raise UsageError(f"cannot parse {spec!r} as integers or ranges") from exc
-    if not values:
+    if not ranges:
         raise UsageError(f"no values in {spec!r}")
-    return values
+    return ranges
+
+
+def _expand_p_values(ranges: list[tuple[int, int]], q_len: int) -> list[int]:
+    """Every p the ranges name, once each is known to lie in ``[1, q_len]``,
+    so that no range is expanded past the engine's query length."""
+    for low, high in ranges:
+        if low < 1 or high > q_len:
+            span = str(low) if low == high else f"{low}-{high}"
+            raise UsageError(f"--p-values must lie in [1, q_len={q_len}], got {span}")
+    return [p for low, high in ranges for p in range(low, high + 1)]
 
 
 def _echo(message: str) -> None:
@@ -176,6 +187,11 @@ def _cmd_index(args: argparse.Namespace) -> int:
     _echo(
         f"indexed {store.num_docs} docs, {store.num_embeddings} embeddings, "
         f"n_list={engine.index.n_list} -> {args.out}"
+    )
+    sizes = [len(ids) for ids in engine.index.lists]
+    _echo(
+        f"k-means objective {engine.index.centroids.objective_history[-1]!r}; "
+        f"list sizes max {max(sizes)}, mean {sum(sizes) / len(sizes):.1f}"
     )
     return 0
 
@@ -223,11 +239,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError(
             f"--strategies must name {[s.value for s in Strategy]}, got {args.strategies!r}"
         ) from exc
-    requested_p = _parse_int_list(args.p_values) if args.p_values else None
+    ranges = _parse_ranges(args.p_values) if args.p_values else None
     engine = load_engine(args.index)
+    q_len = engine.config.q_len
+    p_values = _expand_p_values(ranges or [(1, q_len)], q_len)
     queries = load_queries(args.queries)
     qrels = load_qrels(args.qrels)
-    p_values = requested_p if requested_p is not None else list(range(1, engine.config.q_len + 1))
     _echo_config(engine.config)
     table = engine.sweep(
         queries, qrels, strategies, p_values, alpha=args.alpha, threads=args.threads

@@ -7,6 +7,13 @@ queries without judged-relevant documents score 0 for every metric and stay
 in the means; Bonferroni corrects over every (strategy, p, metric)
 comparison a sweep performs.
 
+The sweep computes only what its CSV reads. A vector that several of its
+queries hold (queries are embedded context-free, so CLS, MASK and repeated
+words are shared) is probed once per sweep call. Each cell's ranking ends
+where its metrics stop reading: at the later of rank ``CUTOFF`` and the
+cell's last relevant hit within depth ``k``, so every metric is that of the
+full ranking, while the document counts count every hit.
+
 Importing this module does not import scipy: the t-test's tail,
 ``scipy.special.stdtr`` (what ``scipy.stats.t.sf`` evaluates), is imported on
 the test's first call, so only the sweep pays for it. Queries, qrels and run
@@ -19,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,9 +34,11 @@ from .core import Lexicon, QueryEncoder, is_single_field, open_text
 from .errors import InvalidConfigError, InvalidInputError
 from .index import IvfIndex
 from .retrieval import (
+    CandidateSet,
     RankedEntries,
     Ranking,
     Strategy,
+    _best_first,
     ann_candidates,
     order_embeddings,
     pruned_union,
@@ -37,6 +46,7 @@ from .retrieval import (
 )
 
 METRIC_NAMES = ("ndcg10", "map", "mrr10")
+CUTOFF = 10  # the depth nDCG@10 and MRR@10 read, and the shallowest sweep cell
 
 
 @dataclass(frozen=True)
@@ -94,7 +104,8 @@ def load_qrels(path: str | Path) -> Qrels:
 def load_queries(path: str | Path) -> list[tuple[str, str]]:
     """Read a queries file: one ``qid<TAB>text`` line per query, UTF-8.
 
-    Query ids must be non-empty and free of whitespace.
+    Query ids must be non-empty and free of whitespace, and query text must
+    hold more than whitespace.
     """
     queries: list[tuple[str, str]] = []
     seen: set[str] = set()
@@ -112,6 +123,8 @@ def load_queries(path: str | Path) -> list[tuple[str, str]]:
                 )
             if qid in seen:
                 raise InvalidInputError(f"{path}:{lineno}: duplicate query id {qid!r}")
+            if not text.strip():
+                raise InvalidInputError(f"{path}:{lineno}: query {qid!r} has empty text")
             seen.add(qid)
             queries.append((qid, text))
     if not queries:
@@ -172,7 +185,7 @@ def _dcg(gains: Iterable[int]) -> float:
     return sum(g / math.log2(rank + 1) for rank, g in enumerate(gains, start=1))
 
 
-def ndcg_at(ranking: Ranking, qrels: Qrels, query_id: str, cutoff: int = 10) -> float:
+def ndcg_at(ranking: Ranking, qrels: Qrels, query_id: str, cutoff: int = CUTOFF) -> float:
     """Normalized DCG at a cutoff; 0 when the query has no relevant docs."""
     if cutoff < 1:
         raise InvalidConfigError(f"cutoff must be >= 1, got {cutoff}")
@@ -199,7 +212,7 @@ def average_precision(ranking: Ranking, qrels: Qrels, query_id: str) -> float:
     return precision_sum / len(relevant)
 
 
-def rr_at(ranking: Ranking, qrels: Qrels, query_id: str, cutoff: int = 10) -> float:
+def rr_at(ranking: Ranking, qrels: Qrels, query_id: str, cutoff: int = CUTOFF) -> float:
     """Reciprocal rank of the first relevant doc within the cutoff, else 0."""
     if cutoff < 1:
         raise InvalidConfigError(f"cutoff must be >= 1, got {cutoff}")
@@ -326,6 +339,37 @@ class _QueryOutcome(NamedTuple):
     baseline: tuple[float, float, float]
 
 
+def _shared_probes(
+    queries: Sequence[tuple[str, str]],
+    index: IvfIndex,
+    encoder: QueryEncoder,
+    k_prime: int,
+    n_probe: int,
+) -> dict[bytes, CandidateSet]:
+    """Candidate sets of the query vectors that two or more ``queries`` hold.
+
+    Queries are embedded context-free, so CLS, MASK and repeated words give
+    several queries one vector. Rows are keyed by their bytes, as
+    ``distinct_rows`` compares them, and each shared one is probed once, in
+    order of first appearance. Only shared vectors are kept.
+    """
+    holders: dict[bytes, int] = {}
+    rows: dict[bytes, np.ndarray] = {}
+    for _, text in queries:
+        query = encoder.encode(text)
+        for position in query.distinct_rows[0].tolist():
+            row = query.embeddings[position]
+            key = row.tobytes()
+            holders[key] = holders.get(key, 0) + 1
+            if holders[key] == 2:
+                rows[key] = row
+    return {
+        key: ann_candidates(index, rows[key], k_prime, n_probe)[1]
+        for key, count in holders.items()
+        if count > 1
+    }
+
+
 def _evaluate_query(
     query_id: str,
     text: str,
@@ -338,29 +382,38 @@ def _evaluate_query(
     k: int,
     k_prime: int,
     n_probe: int,
+    shared: Mapping[bytes, CandidateSet],
 ) -> _QueryOutcome:
     """Evaluate every (strategy, p) cell for one query in a single pass.
 
     Candidate generation runs once per distinct query vector and is shared
-    by every position holding it; each cell's candidate set is a prefix
-    union over the strategy's ordering of positions, and every ranking is
-    read off one shared scoring of the full union, so all cells are mutually
-    consistent by construction.
+    by every position holding it; a vector other queries hold too comes
+    probed already in ``shared``, keyed by its bytes. Each cell's candidate
+    set is a prefix union over the strategy's ordering of positions, and
+    every ranking is read off one shared scoring of the full union, so all
+    cells are mutually consistent by construction.
+
+    A cell's ranking holds only what its metrics read: its first ``k`` hits,
+    ending at the later of rank ``CUTOFF`` and its last relevant hit. nDCG@10
+    and MRR@10 read the first ``CUTOFF`` entries and MAP the ranks of the
+    relevant ones, so each metric is that of the full ranking, bit for bit.
+    The document counts count every hit.
     """
     query = encoder.encode(text)
     store = index.store
     firsts, slots = query.distinct_rows
-    distinct_sets = [
-        ann_candidates(index, query.embeddings[position], k_prime, n_probe)[1]
-        for position in firsts.tolist()
-    ]
+    distinct_sets = []
+    for position in firsts.tolist():
+        row = query.embeddings[position]
+        docs = shared.get(row.tobytes())
+        if docs is None:
+            docs = ann_candidates(index, row, k_prime, n_probe)[1]
+        distinct_sets.append(docs)
     doc_sets = [distinct_sets[slot] for slot in slots.tolist()]
     union = pruned_union(distinct_sets, len(distinct_sets))
     scores = score_documents(query, store, union.numbers)
-    # the union comes in doc-id order, so a stable sort breaks ties by doc id
-    order = np.argsort(-scores, kind="stable")
+    order = _best_first(scores)
     ranked = union.numbers[order]
-    ranked_ids = store.doc_id_array[ranked]
     ranked_scores = scores[order]
     relevant = np.zeros(store.num_docs, dtype=bool)
     for number in map(store.index_of, qrels.relevant(query_id)):
@@ -370,16 +423,19 @@ def _evaluate_query(
 
     def metrics_for(member: np.ndarray) -> tuple[float, float, float, int, int]:
         """Metrics and counts of the cell whose doc numbers ``member`` marks."""
-        hit = member[ranked]
-        top = np.flatnonzero(hit)[:k]
-        entries = RankedEntries(ranked_ids[top].tolist(), ranked_scores[top])
+        hits = np.flatnonzero(member[ranked])
+        hit_relevant = ranked_relevant[hits]
+        relevant_at = np.flatnonzero(hit_relevant[:k])
+        depth = max(CUTOFF, int(relevant_at[-1]) + 1) if relevant_at.size else CUTOFF
+        kept = hits[: min(k, depth)]
+        entries = RankedEntries(store.doc_id_array[ranked[kept]].tolist(), ranked_scores[kept])
         ranking = Ranking(entries=entries, k=k)
         return (
             ndcg_at(ranking, qrels, query_id),
             average_precision(ranking, qrels, query_id),
             rr_at(ranking, qrels, query_id),
-            int(hit.sum()),
-            int((hit & ranked_relevant).sum()),
+            int(hits.size),
+            int(np.count_nonzero(hit_relevant)),
         )
 
     baseline = metrics_for(np.ones(store.num_docs, dtype=bool))[:3]
@@ -440,11 +496,13 @@ def sweep(
     if len({qid for qid, _ in ordered_queries}) != len(ordered_queries):
         raise InvalidInputError("duplicate query ids")
 
+    shared = _shared_probes(ordered_queries, index, encoder, k_prime, n_probe)
+
     def work(pair: tuple[str, str]) -> _QueryOutcome:
         qid, text = pair
         return _evaluate_query(
             qid, text, index, lexicon, encoder, qrels,
-            strategies, p_values, k, k_prime, n_probe,
+            strategies, p_values, k, k_prime, n_probe, shared,
         )
 
     if threads == 1:

@@ -6,7 +6,9 @@ Pruning only limits the first stage. The ordering strategy decides which
 query embeddings run candidate generation; the reranker always scores with
 the complete query representation. Every tie anywhere (probe choice, top-k'
 cut, final ranking) breaks toward the lowest id, which makes runs bitwise
-reproducible regardless of thread interleaving. Candidates travel as a
+reproducible regardless of thread interleaving; ``rerank`` and the sweep
+order candidates best first with ``_best_first``, numpy's default sort with
+its ties put back in doc-id order. Candidates travel as a
 ``CandidateSet``, the distinct doc numbers of one store; doc id strings are
 read from it only at the edges. A ``Ranking`` holds two columns, its doc ids
 and their float64 scores, and builds ``(doc_id, score)`` pairs only when they
@@ -85,8 +87,9 @@ class CandidateSet:
     """First-stage output: distinct doc numbers of one store.
 
     ``numbers`` holds each candidate's doc number once, in ascending doc-id
-    order, so a stable sort of the candidates by score alone breaks ties by
-    doc id. ``docs`` gives the candidates' doc ids as a set of strings.
+    order, so ordering the candidates by score alone with ``_best_first``
+    breaks ties by doc id. ``docs`` gives the candidates' doc ids as a set of
+    strings.
     """
 
     store: EmbeddingStore
@@ -367,6 +370,37 @@ def score_documents(
     return _maxsim_scores(query, np.take(store.vectors, token_rows, axis=0), out_starts)
 
 
+def _best_first(scores: np.ndarray) -> np.ndarray:
+    """Positions of ``scores`` best first, equal scores in ascending position
+    order: exactly ``np.argsort(-scores, kind="stable")``, NaN last.
+
+    Candidates come in doc-id order, so ranking them by this order breaks
+    ties by doc id. numpy's default sort is several times faster than its
+    stable one; it may leave equal scores in any order, so each run of equal
+    scores (-0.0 equal to 0.0, NaN equal to NaN) is put back in position
+    order afterwards, by one sort of (run start, position) keys over the
+    tied entries only.
+    """
+    keys = -scores
+    order = np.argsort(keys)
+    ranked = keys[order]
+    tied = np.zeros(order.size + 1, dtype=bool)
+    np.equal(ranked[1:], ranked[:-1], out=tied[1:-1])
+    if order.size and np.isnan(ranked[-1]):  # NaN sorts last and equals no score
+        nan = np.isnan(ranked)
+        tied[1:-1] |= nan[1:] & nan[:-1]
+    if not tied.any():
+        return order
+    # tied[i] marks that entry i continues the run of entry i - 1
+    continues = tied[:-1]
+    in_run = continues | tied[1:]
+    run_start = np.maximum.accumulate(np.where(continues, 0, np.arange(order.size)))
+    packed = run_start[in_run] * order.size + order[in_run]
+    packed.sort()
+    order[in_run] = packed % order.size
+    return order
+
+
 def rerank(
     candidates: CandidateSet, query: QueryRepresentation, store: EmbeddingStore, k: int
 ) -> Ranking:
@@ -379,8 +413,7 @@ def rerank(
     if candidates.store is not store:
         raise ConsistencyError("candidate set was built on a different store")
     scores = score_documents(query, store, candidates.numbers)
-    # candidates come in doc-id order, so a stable sort breaks ties by doc id
-    order = np.argsort(-scores, kind="stable")[:k]
+    order = _best_first(scores)[:k]
     ids = store.doc_id_array[candidates.numbers[order]].tolist()
     return Ranking(entries=RankedEntries(ids, scores[order]), k=k)
 

@@ -10,7 +10,7 @@ import pytest
 
 from mve import cli
 from mve.core import read_corpus
-from mve.engine import load_engine
+from mve.engine import EngineConfig, build_engine, load_engine
 from mve.evaluation import load_qrels, load_queries
 from mve.errors import CorruptIndexError
 from mve.index import load_index, write_embeddings_dump
@@ -248,6 +248,31 @@ def test_env_seed_overrides_flag(tmp_path, monkeypatch, capsys):
     out = build_tiny_engine_dir(tmp_path, "--seed", "9")
     stored = json.loads((out / "config.json").read_text())
     assert stored["seed"] == 123
+
+
+def test_index_reports_the_kmeans_objective_and_list_balance(tmp_path, capsys, small_planted):
+    corpus_path = tmp_path / "corpus.tsv"
+    write_corpus(small_planted.corpus, corpus_path)
+    out = tmp_path / "engine"
+    assert cli.run(
+        ["index", "--corpus", str(corpus_path), "--out", str(out), "--dim", "32",
+         "--n-list", "16", "--sample-fraction", "0.5", "--iterations", "15", "--seed", "11"]
+    ) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = [line for line in captured.err.splitlines() if line.startswith("k-means")]
+    objective, balance = line[len("k-means objective "):].split("; list sizes max ")
+    largest, mean = balance.split(", mean ")
+
+    config = EngineConfig.from_mapping(json.loads((out / "config.json").read_text()))
+    index = build_engine(read_corpus(corpus_path), config).index
+    assert float(objective) == index.centroids.objective_history[-1]
+    sizes = [len(ids) for ids in index.lists]
+    assert int(largest) == max(sizes) > sum(sizes) / len(sizes)
+    assert mean == f"{sum(sizes) / len(sizes):.1f}"
+    assert [ids.tolist() for ids in load_engine(out).index.lists] == [
+        ids.tolist() for ids in index.lists
+    ]
 
 
 def test_engine_directory_round_trip(tmp_path, capsys):
@@ -502,6 +527,42 @@ def test_sweep_rejects_non_utf8_queries_and_qrels(tmp_path, capsys):
         code = cli.run(["sweep", "--index", str(out), "--queries", str(queries),
                         "--qrels", str(qrels), "--out", str(tmp_path / "sweep.csv")])
         assert_one_line_error(code, capsys.readouterr(), bad)
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_names_the_line_and_id_of_a_blank_query(tmp_path, capsys):
+    out = build_tiny_engine_dir(tmp_path)
+    queries_path = tmp_path / "queries.tsv"
+    queries_path.write_text("q1\tzebra stripes\nq2\t   \n", encoding="utf-8")
+    qrels_path = tmp_path / "qrels.txt"
+    write_qrels({"q1": {"d2": 1}, "q2": {"d1": 1}}, qrels_path)
+    capsys.readouterr()
+    code = cli.run(["sweep", "--index", str(out), "--queries", str(queries_path),
+                    "--qrels", str(qrels_path), "--out", str(tmp_path / "sweep.csv")])
+    captured = capsys.readouterr()
+    assert_one_line_error(code, captured, queries_path)
+    assert f"{queries_path}:2:" in captured.err and "'q2'" in captured.err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_checks_p_ranges_against_q_len_before_expanding_them(tmp_path, capsys):
+    out = build_tiny_engine_dir(tmp_path)  # q_len 8
+    queries_path = tmp_path / "queries.tsv"
+    write_queries([("q1", "zebra stripes"), ("q2", "quick fox")], queries_path)
+    qrels_path = tmp_path / "qrels.txt"
+    write_qrels({"q1": {"d2": 1}, "q2": {"d1": 1}}, qrels_path)
+    capsys.readouterr()
+    # the first range has more values than any host's memory could hold
+    for spec, named in (("1-1000000000000000000", "1-1000000000000000000"),
+                        ("2,0-3", "0-3"), ("1-2,9", "9")):
+        code = cli.run(["sweep", "--index", str(out), "--queries", str(queries_path),
+                        "--qrels", str(qrels_path), "--out", str(tmp_path / "sweep.csv"),
+                        "--p-values", spec])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "q_len=8" in lines[0], captured.err
+        assert lines[0].endswith(f"got {named}")
     assert not (tmp_path / "sweep.csv").exists()
 
 

@@ -23,7 +23,15 @@ from mve.evaluation import (
     rr_at,
     sweep,
 )
-from mve.retrieval import Ranking, Strategy, ann_candidates, order_embeddings, pruned_union
+from mve.retrieval import (
+    RankedEntries,
+    Ranking,
+    Strategy,
+    ann_candidates,
+    order_embeddings,
+    pruned_union,
+    score_documents,
+)
 
 from conftest import count_ann_calls
 
@@ -420,6 +428,86 @@ def test_sweep_rows_match_individual_searches(
     assert row.mean_rel_docs == pytest.approx(sum(relevant_counts) / len(relevant_counts))
 
 
+def full_depth_cells(query_id, text, index, lexicon, encoder, qrels, strategies, p_values,
+                     k, k_prime, n_probe):
+    """Per-cell metrics with every cell's ranking built to depth ``k``: the
+    sweep's own computation before it cut rankings where the metrics stop
+    reading, kept as the reference."""
+    query = encoder.encode(text)
+    store = index.store
+    firsts, slots = query.distinct_rows
+    distinct_sets = [
+        ann_candidates(index, query.embeddings[position], k_prime, n_probe)[1]
+        for position in firsts.tolist()
+    ]
+    doc_sets = [distinct_sets[slot] for slot in slots.tolist()]
+    union = pruned_union(distinct_sets, len(distinct_sets))
+    scores = score_documents(query, store, union.numbers)
+    # the union comes in doc-id order, so a stable sort breaks ties by doc id
+    order = np.argsort(-scores, kind="stable")
+    ranked = union.numbers[order]
+    ranked_ids = store.doc_id_array[ranked]
+    ranked_scores = scores[order]
+    relevant = np.zeros(store.num_docs, dtype=bool)
+    for number in map(store.index_of, qrels.relevant(query_id)):
+        if number is not None:  # judged docs the store lacks are never ranked
+            relevant[number] = True
+    ranked_relevant = relevant[ranked]
+
+    def metrics_for(member: np.ndarray) -> tuple[float, float, float, int, int]:
+        """Metrics and counts of the cell whose doc numbers ``member`` marks."""
+        hit = member[ranked]
+        top = np.flatnonzero(hit)[:k]
+        entries = RankedEntries(ranked_ids[top].tolist(), ranked_scores[top])
+        ranking = Ranking(entries=entries, k=k)
+        return (
+            ndcg_at(ranking, qrels, query_id),
+            average_precision(ranking, qrels, query_id),
+            rr_at(ranking, qrels, query_id),
+            int(hit.sum()),
+            int((hit & ranked_relevant).sum()),
+        )
+
+    baseline = metrics_for(np.ones(store.num_docs, dtype=bool))[:3]
+    per_config = {}
+    for strategy in strategies:
+        ordering = order_embeddings(query, lexicon, strategy)
+        member = np.zeros(store.num_docs, dtype=bool)
+        consumed = 0
+        for p in p_values:
+            while consumed < p:
+                member[doc_sets[ordering[consumed]].numbers] = True
+                consumed += 1
+            per_config[(strategy.value, p)] = metrics_for(member)
+    return per_config, baseline
+
+
+@pytest.mark.parametrize("engine_name", ["small_planted_engine", "padded_planted_engine"])
+def test_shallow_cells_equal_the_full_depth_cells(
+    engine_name, small_planted, small_planted_qrels, request
+):
+    engine = request.getfixturevalue(engine_name)
+    strategies = list(Strategy)
+    p_values = list(range(1, engine.config.q_len + 1))
+    k_prime, n_probe = engine.config.k_prime, engine.config.n_probe
+    args = (engine.index, engine.lexicon, engine.encoder, small_planted_qrels, strategies,
+            p_values)
+    shared = mve.evaluation._shared_probes(
+        small_planted.queries, engine.index, engine.encoder, k_prime, n_probe
+    )
+    deep = 0
+    for k in (1, 5, 1000):
+        for qid, text in small_planted.queries:
+            outcome = mve.evaluation._evaluate_query(
+                qid, text, *args, k, k_prime, n_probe, shared
+            )
+            expected, baseline = full_depth_cells(qid, text, *args, k, k_prime, n_probe)
+            assert outcome.baseline == baseline
+            assert outcome.per_config == expected
+            deep += sum(cell[1] != 0.0 for cell in expected.values())
+    assert deep  # some cells rank relevant docs
+
+
 def test_sweep_calls_ann_once_per_distinct_vector(
     padded_planted_engine, small_planted, small_planted_qrels, monkeypatch
 ):
@@ -427,9 +515,20 @@ def test_sweep_calls_ann_once_per_distinct_vector(
     q_len = engine.config.q_len
     p_values = [1, 9, 10, q_len]
     calls = count_ann_calls(monkeypatch, mve.evaluation)
-    table = engine.sweep(small_planted.queries, small_planted_qrels, p_values=p_values)
     queries = [engine.encoder.encode(text) for _, text in small_planted.queries]
-    assert len(calls) == sum(len(query.distinct_rows[0]) for query in queries)
+    vectors = {row.tobytes() for query in queries for row in query.embeddings}
+    # CLS and MASK are held by every query, so they are probed once per sweep
+    assert len(vectors) < sum(len(query.distinct_rows[0]) for query in queries)
+    tables = []
+    for threads in (1, 2):
+        calls.clear()
+        tables.append(engine.sweep(
+            small_planted.queries, small_planted_qrels, p_values=p_values, threads=threads
+        ))
+        assert len(calls) == len(set(calls)) == len(vectors)
+        assert set(calls) == vectors
+    table = tables[0]
+    assert tables[1].to_csv() == table.to_csv()
 
     # the counts a per-position first stage gives
     config = engine.pruning()

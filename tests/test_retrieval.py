@@ -27,6 +27,7 @@ from mve.errors import ConsistencyError, InvalidConfigError, InvalidInputError
 from mve.index import EmbeddingStore, build_ivf, train_centroids
 from mve.retrieval import (
     CandidateSet,
+    _best_first,
     Ranking,
     Strategy,
     ann_candidates,
@@ -460,6 +461,29 @@ def test_rerank_truncates_to_k_and_validates():
     ghost = candidate_set(named_store(["ghost"], dim=8), ["ghost"])
     with pytest.raises(ConsistencyError):
         rerank(ghost, query, store, k=4)
+
+
+# Scores that order in unusual ways: signed zeros, infinities, subnormals,
+# the float64 extremes and NaN.
+EDGE_SCORES = (0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, math.nan)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pool=st.lists(st.one_of(st.sampled_from(EDGE_SCORES), st.floats()), min_size=1, max_size=12),
+    size=st.integers(0, 3000),
+    distinct=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_best_first_is_the_stable_descending_argsort(pool, size, distinct, seed):
+    """Drawn from a small pool, most scores tie with many others."""
+    rng = np.random.default_rng(seed)
+    scores = np.array(pool, dtype=np.float64)[rng.integers(0, len(pool), size=size)]
+    if distinct:  # half the scores moved off the pool, so they rarely tie
+        moved = rng.random(size) < 0.5
+        scores[moved] += rng.standard_normal(int(moved.sum()))
+    assert np.array_equal(_best_first(scores), np.argsort(-scores, kind="stable"))
 
 
 def test_ranking_type_enforces_order():
