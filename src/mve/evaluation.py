@@ -264,8 +264,12 @@ def paired_t_test_bonferroni(
     if n < 2:
         raise InvalidInputError("need at least two paired observations")
     diffs = xs - ys
-    mean = float(diffs.mean())
-    sd = float(diffs.std(ddof=1))
+    # the operations diffs.mean() and diffs.std(ddof=1) run, in their order
+    # (pairwise np.add.reduce, true division, squared deviations, sqrt),
+    # without numpy's per-call overhead: the same bits in about half the time
+    mean = float(np.add.reduce(diffs)) / n
+    deviations = diffs - mean
+    sd = math.sqrt(float(np.add.reduce(deviations * deviations)) / (n - 1))
     if sd == 0.0:
         if mean == 0.0:
             return TTestResult(0.0, 1.0, False)

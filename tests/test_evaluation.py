@@ -268,6 +268,75 @@ def test_t_test_tail_is_bit_identical_to_scipy_stats_t_sf():
     assert checked == 7 * 23 * 2
 
 
+def numpy_route_t_test(a, b, num_comparisons, alpha=0.05):
+    """The t-test as it computed its statistic through ``mean()`` and
+    ``std(ddof=1)``, kept verbatim as the bit-for-bit reference."""
+    xs = np.asarray(a, dtype=np.float64)
+    ys = np.asarray(b, dtype=np.float64)
+    n = xs.size
+    diffs = xs - ys
+    mean = float(diffs.mean())
+    sd = float(diffs.std(ddof=1))
+    if sd == 0.0:
+        if mean == 0.0:
+            return (0.0, 1.0, False)
+        t = math.inf if mean > 0 else -math.inf
+        p_value = 0.0
+    else:
+        from scipy.special import stdtr
+
+        t = mean / (sd / math.sqrt(n))
+        p_value = 2.0 * float(stdtr(n - 1, -abs(t)))
+    return (float(t), p_value, p_value < alpha / num_comparisons)
+
+
+def bits(result):
+    t, p_value, significant = result
+    return t.hex(), p_value.hex(), significant
+
+
+def drawn_samples(n, seed, kind):
+    """Two paired samples of size ``n``: metric-like values in [0, 1], a
+    grid of tenths (ties and zero spread), or values over twelve decades."""
+    rng = np.random.default_rng(seed)
+    if kind == "unit":
+        return rng.random(n).tolist(), rng.random(n).tolist()
+    if kind == "grid":
+        return (rng.integers(0, 11, n) / 10).tolist(), (rng.integers(0, 11, n) / 10).tolist()
+    scale = 10.0 ** rng.integers(-6, 7, (2, n))
+    return (rng.standard_normal(n) * scale[0]).tolist(), (rng.standard_normal(n) * scale[1]).tolist()
+
+
+small_samples = st.integers(2, 6).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n),
+        st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        small_samples,
+        st.builds(
+            drawn_samples,
+            st.integers(2, 300),
+            st.integers(0, 2**32 - 1),
+            st.sampled_from(["unit", "grid", "wide"]),
+        ),
+    ),
+    st.integers(1, 10**6),
+)
+@example(([0.5, 0.7], [0.4, 0.9]), 30)
+@example(([0.25, 0.25], [0.0, 0.0]), 1)
+@example(([0.1] * 37, [0.1] * 37), 3)
+def test_t_test_keeps_the_bits_of_the_numpy_route(samples, num_comparisons):
+    a, b = samples
+    result = paired_t_test_bonferroni(a, b, num_comparisons)
+    assert bits(result) == bits(numpy_route_t_test(a, b, num_comparisons))
+
+
 def test_t_test_antisymmetry():
     a, b = fixed_samples()
     forward = paired_t_test_bonferroni(a, b, num_comparisons=4)

@@ -815,3 +815,125 @@ def test_maxsim_adds_one_position_at_a_time_in_query_order():
         assert exact_score(query, doc) == expected
         assert score_documents(query, store, np.array([0, 1])).tolist() == [expected, expected]
         assert row_major_scores(query, store, [0, 1]).tolist() == [expected, expected]
+
+
+# ---------------------------------------------------------------------------
+# MaxSim routes: the store's own rows in place, or a gathered copy
+# ---------------------------------------------------------------------------
+
+
+def gathered_scores(query, store, doc_numbers):
+    """MaxSim over a gathered copy of the documents' rows: the route that
+    ``score_documents`` takes for sparse candidate sets."""
+    blocks = [store.doc_vectors(int(n)) for n in doc_numbers]
+    starts = np.concatenate([[0], np.cumsum([len(b) for b in blocks])[:-1]])
+    firsts, slots = query.distinct_rows
+    sims = np.concatenate(blocks) @ query.embeddings[firsts].T
+    maxima = np.maximum.reduceat(sims, starts, axis=0).astype(np.float64)
+    total = maxima[:, slots[0]].copy()
+    for slot in slots[1:].tolist():
+        total += maxima[:, slot]
+    return total
+
+
+def spy_routes(monkeypatch):
+    """Record, for each MaxSim pass, whether it ran on the store in place."""
+    routes = []
+    real = mve.retrieval._maxsim_scores
+
+    def spied(query, token_matrix, starts, pick=None):
+        routes.append(pick is not None)
+        return real(query, token_matrix, starts, pick)
+
+    monkeypatch.setattr(mve.retrieval, "_maxsim_scores", spied)
+    return routes
+
+
+@pytest.mark.parametrize("engine_name", ["small_planted_engine", "padded_planted_engine"])
+def test_maxsim_routes_agree_on_planted_engines(engine_name, small_planted, request, monkeypatch):
+    engine = request.getfixturevalue(engine_name)
+    store = engine.index.store
+    routes = spy_routes(monkeypatch)
+    for _, text in small_planted.queries:
+        query = engine.encoder.encode(text)
+        for strategy in Strategy:
+            scored = set()  # a p that adds no document repeats the last check
+            for p in range(1, engine.config.q_len + 1):
+                _, candidates = engine.search(text, strategy=strategy, p=p)
+                numbers = candidates.numbers
+                if numbers.tobytes() in scored:
+                    continue
+                scored.add(numbers.tobytes())
+                expected = gathered_scores(query, store, numbers)
+                assert np.array_equal(score_documents(query, store, numbers), expected)
+    assert any(routes) and not all(routes)
+
+
+@pytest.mark.parametrize("dim", [3, 16, 17, 64])
+def test_maxsim_routes_agree_on_random_stores(dim, monkeypatch):
+    store = random_store(900, dim, seed=dim, min_len=1, max_len=20)
+    offsets = store.doc_offsets
+    rng = np.random.default_rng(100 + dim)
+    routes = spy_routes(monkeypatch)
+    for distinct in (2, 3, 9, 17, 32):
+        rows = rng.standard_normal((distinct, dim))
+        # every distinct row once, then repeats up to 32 positions
+        query = query_from_rows(np.concatenate([rows, rows[rng.integers(0, distinct, 32 - distinct)]]))
+        assert len(query.distinct_rows[0]) == distinct
+        for share in (0.3, 0.55, 0.65, 0.9, 1.0):
+            for first, last in ((0, 899), (0, 650), (250, 899), (120, 780)):
+                inner = np.arange(first + 1, last)
+                kept = inner[rng.random(inner.size) < share]
+                numbers = rng.permutation(np.concatenate([[first, last], kept]))
+                before = len(routes)
+                scores = score_documents(query, store, numbers)
+                assert np.array_equal(scores, gathered_scores(query, store, numbers))
+                candidate_rows = int(offsets[numbers, 1].sum())
+                span_rows = int(offsets[last].sum() - offsets[first, 0])
+                in_place = (
+                    candidate_rows * distinct >= mve.retrieval._IN_PLACE_MIN_PRODUCT
+                    and candidate_rows >= mve.retrieval._IN_PLACE_MIN_SHARE * span_rows
+                )
+                assert routes[before:] == [in_place]
+    assert any(routes) and not all(routes)
+
+
+def test_maxsim_in_place_route_keeps_repeats_and_order():
+    store = random_store(700, 16, seed=5, min_len=8, max_len=16)
+    rng = np.random.default_rng(6)
+    query = query_from_rows(rng.standard_normal((12, 16)))
+    numbers = np.concatenate([np.arange(700), [699, 0, 350, 350]])[::-1]
+    assert np.array_equal(
+        score_documents(query, store, numbers), gathered_scores(query, store, numbers)
+    )
+
+
+def test_blas_premise_of_the_in_place_route():
+    # score_documents multiplies a span of the store in place only because
+    # each entry of a gemm above the floor has the same bits at any row
+    # offset and in a product of any height; a BLAS that breaks this would
+    # otherwise show up as a pinned-output mismatch far from its cause
+    rng = np.random.default_rng(77)
+    for dim in (3, 16, 17, 64):
+        matrix = rng.standard_normal((30000, dim)).astype(np.float32)
+        for distinct in (2, 9, 32):
+            rows = rng.standard_normal((distinct, dim)).astype(np.float32)
+            whole = matrix @ rows.T
+            height = -(-mve.retrieval._IN_PLACE_MIN_PRODUCT // distinct)
+            for offset in (1, 3, 17, 1001, 30000 - height - 7):
+                for extra in (0, 5, 2 * height):
+                    part = slice(offset, min(offset + height + extra, 30000))
+                    assert np.array_equal(matrix[part] @ rows.T, whole[part]), (
+                        "BLAS premise of the in-place MaxSim route broken: a slice's "
+                        f"product differs from the product's slice (dim {dim}, "
+                        f"{distinct} rows, rows {part.start}:{part.stop})"
+                    )
+
+
+@pytest.mark.parametrize("bad", [[-1], [3], [0, 7], [1.7], [1.0], [True], [[0, 1]]])
+def test_score_documents_rejects_bad_doc_numbers(bad):
+    store = random_store(3, 8, seed=3)
+    query = query_from_rows(np.random.default_rng(4).standard_normal((3, 8)))
+    with pytest.raises(InvalidInputError, match="doc number"):
+        score_documents(query, store, np.array(bad))
+    assert score_documents(query, store, np.array([], dtype=np.int64)).shape == (0,)
