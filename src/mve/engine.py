@@ -1,5 +1,6 @@
 """Engine assembly: configuration, corpus-to-index building, and the on-disk
-engine directory (config.json + lexicon.tsv + index.mvix)."""
+engine directory (config.json + lexicon.tsv + index.mvix, and codes.bin for
+an engine whose embeddings come from the built-in token table)."""
 
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ from .index import (
     build_ivf,
     default_n_list,
     load_index,
+    save_codes,
     save_index,
     train_centroids,
 )
@@ -41,6 +43,7 @@ from .retrieval import CandidateSet, PruningConfig, Ranking, Strategy, search
 CONFIG_FILE = "config.json"
 LEXICON_FILE = "lexicon.tsv"
 INDEX_FILE = "index.mvix"
+CODES_FILE = "codes.bin"
 
 
 @dataclass(frozen=True)
@@ -213,15 +216,17 @@ def build_engine(
 
     The corpus is tokenized into one flat token-id array; the lexicon is
     counted from it, and the built-in store is that array's rows of the token
-    table, with no per-document arrays in between.
+    table, with no per-document arrays in between. The built-in store keeps
+    each embedding's row number in that table as its code.
     """
     _check_doc_ids(corpus)
     doc_ids = [doc_id for doc_id, _ in corpus]
     token_ids, lengths, vocab = tokenize_flat(corpus)
     lexicon = count_lexicon(token_ids, lengths, doc_ids)
     if dump_docs is None:
-        vectors = token_table(len(vocab), config.seed, config.dim)[token_ids - FIRST_WORDPIECE_ID]
-        store = EmbeddingStore.from_lengths(vectors, lengths, doc_ids)
+        codes = token_ids - FIRST_WORDPIECE_ID
+        vectors = token_table(len(vocab), config.seed, config.dim)[codes]
+        store = EmbeddingStore.from_lengths(vectors, lengths, doc_ids, codes)
     else:
         _check_doc_ids(dump_docs)
         store = EmbeddingStore.from_blocks(dump_docs)
@@ -245,11 +250,20 @@ def build_engine(
 
 
 def save_engine(engine: Engine, directory: str | Path) -> None:
+    """Write an engine directory; ``codes.bin`` only for a store with codes.
+
+    An older ``codes.bin`` is deleted first, so a directory never pairs this
+    engine's index with another engine's codes, even if the save stops
+    part way.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    (directory / CODES_FILE).unlink(missing_ok=True)
     (directory / CONFIG_FILE).write_text(engine.config.to_json(), encoding="utf-8")
     save_lexicon(engine.lexicon, engine.vocab, directory / LEXICON_FILE)
     save_index(engine.index, directory / INDEX_FILE)
+    if engine.index.store.codes is not None:
+        save_codes(engine.index.store, directory / CODES_FILE)
 
 
 def load_engine(directory: str | Path) -> Engine:
@@ -259,6 +273,13 @@ def load_engine(directory: str | Path) -> Engine:
     (:class:`InvalidInputError`). A missing ``lexicon.tsv`` or
     ``index.mvix``, or content of any of the three files that does not read
     back, raises :class:`CorruptIndexError`, with the reader's message.
+
+    ``codes.bin`` is read when it exists; a directory without it loads a
+    store without codes. The codes are always checked against the stored
+    embeddings (see :class:`mve.index.EmbeddingStore`): MaxSim scores from
+    the rows the codes name, so codes that a torn write, a save that
+    stopped between files or a mix of two saves' files left out of step
+    with ``index.mvix`` must fail the load, not score from the wrong rows.
     """
     directory = Path(directory)
     config_path = directory / CONFIG_FILE
@@ -271,7 +292,8 @@ def load_engine(directory: str | Path) -> Engine:
     for name in (INDEX_FILE, LEXICON_FILE):
         if not (directory / name).exists():
             raise CorruptIndexError(f"{directory / name}: missing engine file")
-    index = load_index(directory / INDEX_FILE)
+    codes_path = directory / CODES_FILE
+    index = load_index(directory / INDEX_FILE, codes_path if codes_path.exists() else None)
     if config.dim != index.dim:
         raise CorruptIndexError(
             f"config dim {config.dim} disagrees with index dim {index.dim}"

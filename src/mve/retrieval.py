@@ -33,15 +33,26 @@ product as long as BLAS computes each entry of a product independently of
 how many query rows it holds; small products (few document tokens, or one
 distinct row) may take another kernel and differ in the last bits.
 
-``score_documents`` has two routes to the same bits. A dense candidate set
-(candidate rows at least ``_IN_PLACE_MIN_SHARE`` of the rows from its first
-document to its last) multiplies that span of the store in place, as a view,
-and picks the candidates' maxima from those of every document in the span;
-a sparse one gathers its rows into one block first. The in-place route is
-taken only when the gathered product would hold at least
-``_IN_PLACE_MIN_PRODUCT`` entries and there are two or more distinct query
-rows: above that floor BLAS gives every entry the same bits at any row
-offset, while small products and gemv (one distinct row) do not.
+``score_documents`` has three routes to the same bits, and
+``_maxsim_route`` picks one:
+
+- *table*: a store with codes (every embedding a row of ``store.distinct``)
+  multiplies its distinct rows once per query and gathers each candidate
+  token's row of that table by its code. Taken when the gathered product
+  (candidate rows x distinct query rows) and the table's product both hold
+  at least ``_IN_PLACE_MIN_PRODUCT`` entries, there are two or more distinct
+  query rows, and the table has fewer rows than the candidates.
+- *span*: otherwise, a dense candidate set (candidate rows at least
+  ``_IN_PLACE_MIN_SHARE`` of the rows from its first document to its last)
+  multiplies that span of the store in place, as a view, and picks the
+  candidates' maxima from those of every document in the span. Taken under
+  the same floor and with two or more distinct query rows.
+- *gather*: every other set gathers its rows into one block first.
+
+Above the floor BLAS gives a row's entries the same bits in any product and
+at any row offset, while small products and gemv (one distinct row) do not,
+so the table and span routes run only where the gathered product's bits are
+already independent of where its rows sit.
 """
 
 from __future__ import annotations
@@ -325,23 +336,23 @@ def pruned_union(per_embedding: Sequence[CandidateSet], p: int) -> CandidateSet:
 
 def _maxsim_scores(
     query: QueryRepresentation,
-    token_matrix: np.ndarray,
+    sims: np.ndarray,
     starts: np.ndarray,
     pick: np.ndarray | None = None,
 ) -> np.ndarray:
-    """MaxSim scores for documents packed back to back in ``token_matrix``.
+    """MaxSim scores for documents whose token similarities lie back to back
+    in ``sims``.
 
-    ``starts`` marks where each document's token block begins. The product
-    is token-major, one row per document token and one column per distinct
-    query embedding, so each distinct embedding's maximum over a document's
-    tokens is taken once. ``pick``, when given, selects (and orders) the
-    documents whose scores are returned. The float64 maxima are then summed
-    position by position in query order (one addition per position, a column
-    repeated for every position sharing it), so equal inputs always reproduce
-    the same score bit for bit.
+    ``sims`` is token-major, one row per document token and one column per
+    distinct query embedding (``query.distinct_rows[0]``), so each distinct
+    embedding's maximum over a document's tokens is taken once. ``starts``
+    marks where each document's rows begin. ``pick``, when given, selects
+    (and orders) the documents whose scores are returned. The float64 maxima
+    are then summed position by position in query order (one addition per
+    position, a column repeated for every position sharing it), so equal
+    inputs always reproduce the same score bit for bit.
     """
-    firsts, slots = query.distinct_rows
-    sims = token_matrix @ query.embeddings[firsts].T
+    slots = query.distinct_rows[1]
     maxima = np.maximum.reduceat(sims, starts, axis=0)
     if pick is not None:
         maxima = maxima[pick]
@@ -367,18 +378,22 @@ def exact_score(query: QueryRepresentation, doc_embeddings: np.ndarray) -> float
         raise InvalidInputError(
             f"dimension mismatch: query {query.dim}, document {doc.shape[1]}"
         )
-    return float(_maxsim_scores(query, doc, np.array([0]))[0])
+    sims = doc @ query.embeddings[query.distinct_rows[0]].T
+    return float(_maxsim_scores(query, sims, np.array([0]))[0])
 
 
-# The in-place MaxSim route rests on a property of OpenBLAS 0.3.31 (numpy's
-# wheel) sgemm, measured at dims 3 to 768 and 2 to 32 distinct query rows:
-# once rows x distinct rows exceeds about 1,200 (the largest differing
-# product seen was 1,179), every entry of ``X[a:b] @ Q.T`` has the bits of
-# ``(X @ Q.T)[a:b]`` at any offset ``a``; below that a small-matrix kernel
-# gives other bits, and one distinct row runs gemv, whose bits depend on the
-# row's position. The floor keeps the gathered product, and so the span's,
-# well above that boundary.
-_IN_PLACE_MIN_PRODUCT = 8192  # candidate rows x distinct query rows
+# The table and in-place MaxSim routes rest on a property of OpenBLAS 0.3.31
+# (numpy's wheel) sgemm. Measured at dims 3 to 768 and 2 to 32 distinct
+# query rows: once rows x distinct rows exceeds about 1,200 (the largest
+# differing product seen was 1,179), every entry of ``X[a:b] @ Q.T`` has the
+# bits of ``(X @ Q.T)[a:b]`` at any offset ``a``; and, checked at dims 3 to
+# 64 by test_retrieval.py's test_blas_premise_of_the_in_place_route, a
+# row's entries have the same bits in any other product above that size
+# that holds the row. Below that a small-matrix kernel gives other bits,
+# and one distinct row runs gemv, whose bits depend on the row's position.
+# The floor keeps every product a route takes, and the gathered product it
+# stands for, well above that boundary.
+_IN_PLACE_MIN_PRODUCT = 8192  # rows x distinct query rows
 # On the desk store (60,000 rows, dim 64, 9 distinct rows, one BLAS thread)
 # the in-place route cost about 0.11 us a span row and the gathered one about
 # 0.17 us a candidate row. Over the whole store, gathering took 6.4 ms and
@@ -386,13 +401,34 @@ _IN_PLACE_MIN_PRODUCT = 8192  # candidate rows x distinct query rows
 _IN_PLACE_MIN_SHARE = 0.6  # candidate rows / rows of the candidates' span
 
 
+def _maxsim_route(store: EmbeddingStore, distinct: int, rows: int, span_rows: int) -> str:
+    """The product ``score_documents`` takes for ``rows`` candidate rows
+    spanning ``span_rows`` store rows, with ``distinct`` distinct query rows:
+    ``"table"``, ``"span"`` or ``"gather"``.
+
+    Only ``"gather"`` runs for one distinct row or a gathered product under
+    the floor, whose bits depend on their rows' positions. Above it a store
+    with codes scores from its table when the table is large enough for the
+    floor too and smaller than the candidate rows; otherwise a dense set is
+    scored on its span in place.
+    """
+    if distinct < 2 or rows * distinct < _IN_PLACE_MIN_PRODUCT:
+        return "gather"
+    if store.distinct is not None:
+        table_rows = len(store.distinct)
+        if table_rows * distinct >= _IN_PLACE_MIN_PRODUCT and table_rows < rows:
+            return "table"
+    return "span" if rows >= _IN_PLACE_MIN_SHARE * span_rows else "gather"
+
+
 def score_documents(
     query: QueryRepresentation, store: EmbeddingStore, doc_numbers: np.ndarray
 ) -> np.ndarray:
     """Exact MaxSim scores for many stored documents in one pass.
 
-    Dense candidate sets are scored on the store's own rows, sparse ones on
-    a gathered copy; both routes give the same bits (see the module
+    The candidates' token rows are scored from a per-query table of the
+    store's distinct rows, on the store's own rows in place, or on a
+    gathered copy; every route gives the same bits (see the module
     docstring). ``doc_numbers`` must be integer doc numbers of ``store``.
     """
     numbers = np.asarray(doc_numbers)
@@ -409,18 +445,24 @@ def score_documents(
     starts = store.doc_offsets[doc_numbers, 0]
     lengths = store.doc_offsets[doc_numbers, 1]
     rows = int(lengths.sum())
-    distinct = len(query.distinct_rows[0])
-    if distinct >= 2 and rows * distinct >= _IN_PLACE_MIN_PRODUCT:
-        # documents lie in the store in doc-number order
-        lo = int(store.doc_offsets[first, 0])
-        hi = int(store.doc_offsets[last].sum())
-        if rows >= _IN_PLACE_MIN_SHARE * (hi - lo):
-            span_starts = store.doc_offsets[first : last + 1, 0] - lo
-            return _maxsim_scores(query, store.vectors[lo:hi], span_starts, doc_numbers - first)
+    q_rows = query.embeddings[query.distinct_rows[0]]
+    # documents lie in the store in doc-number order
+    lo = int(store.doc_offsets[first, 0])
+    hi = int(store.doc_offsets[last].sum())
+    route = _maxsim_route(store, len(q_rows), rows, hi - lo)
+    if route == "span":
+        span_starts = store.doc_offsets[first : last + 1, 0] - lo
+        sims = store.vectors[lo:hi] @ q_rows.T
+        return _maxsim_scores(query, sims, span_starts, doc_numbers - first)
     out_starts = np.zeros(len(doc_numbers), dtype=np.int64)
     out_starts[1:] = np.cumsum(lengths)[:-1]
     token_rows = np.arange(rows) - np.repeat(out_starts, lengths) + np.repeat(starts, lengths)
-    return _maxsim_scores(query, np.take(store.vectors, token_rows, axis=0), out_starts)
+    if route == "table":
+        table = store.distinct @ q_rows.T
+        sims = np.take(table, store.codes[token_rows], axis=0)
+    else:
+        sims = np.take(store.vectors, token_rows, axis=0) @ q_rows.T
+    return _maxsim_scores(query, sims, out_starts)
 
 
 def _best_first(scores: np.ndarray) -> np.ndarray:

@@ -63,6 +63,36 @@ def padded_planted_engine(small_planted_engine):
 
 
 @pytest.fixture(scope="session")
+def wide_planted():
+    """A planted corpus whose 1,382 distinct embeddings make a table large
+    enough for MaxSim's table route at 9 distinct query rows."""
+    return planted_fixture(
+        num_docs=2000,
+        num_queries=8,
+        doc_len=10,
+        vocab_size=1500,
+        common_band=(15, 80),
+        seed=99,
+    )
+
+
+@pytest.fixture(scope="session")
+def wide_planted_engine(wide_planted):
+    config = EngineConfig(
+        dim=32,
+        q_len=wide_planted.q_len,
+        k=100,
+        k_prime=200,
+        n_list=24,
+        n_probe=4,
+        sample_fraction=0.5,
+        iterations=15,
+        seed=11,
+    )
+    return build_engine(wide_planted.corpus, config)
+
+
+@pytest.fixture(scope="session")
 def small_planted_qrels(small_planted):
     return Qrels(small_planted.judgments)
 

@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -512,6 +513,110 @@ def test_search_in_a_directory_missing_a_member_file_exits_two(tmp_path, capsys,
     assert "missing engine file" in captured.err
     with pytest.raises(CorruptIndexError, match="missing engine file"):
         load_engine(out)
+
+
+# codes.bin: magic, u32 version, u64 count, then one u32 code per embedding.
+# In the tiny corpus "the" is embeddings 0, 11 and 15 (code 0) and "quick"
+# embedding 1 (code 1), the only one of its code.
+CODES_AT = 16
+
+
+def flip_code_bit(data):
+    data[CODES_AT + 4 * 11] ^= 1  # embedding 11: "the" (0) becomes "quick" (1)
+
+
+def swap_two_codes(data):
+    first, second = CODES_AT, CODES_AT + 4  # embeddings 0 and 1
+    data[first : first + 4], data[second : second + 4] = (
+        data[second : second + 4], data[first : first + 4]
+    )
+
+
+def change_count(data):
+    data[8] += 1
+
+
+@pytest.mark.parametrize(
+    "damage, named",
+    [
+        (flip_code_bit, "differs from another embedding of its code"),
+        (lambda data: data.__delitem__(slice(-1, None)), "bytes, but 17 codes take"),
+        (lambda data: data.append(0), "bytes, but 17 codes take"),
+        (change_count, "holds codes for 18 embeddings, the index 17"),
+        (swap_two_codes, "differs from another embedding of its code"),
+        (lambda data: data.__delitem__(slice(10, None)), "truncated header"),
+        (lambda data: data.__setitem__(0, ord("X")), "bad magic"),
+    ],
+    ids=["flipped bit", "truncated", "trailing byte", "wrong count", "swapped codes",
+         "cut header", "bad magic"],
+)
+def test_damaged_codes_file_exits_two(tmp_path, capsys, damage, named):
+    out = build_tiny_engine_dir(tmp_path)
+    capsys.readouterr()
+    codes_path = out / "codes.bin"
+    data = bytearray(codes_path.read_bytes())
+    assert len(data) == CODES_AT + 4 * 17
+    damage(data)
+    codes_path.write_bytes(bytes(data))
+    code = cli.run(["search", "--index", str(out), "--query", "zebras"])
+    captured = capsys.readouterr()
+    assert_one_line_error(code, captured, codes_path, exit_code=2)
+    assert named in captured.err
+
+
+def test_a_flipped_bit_in_a_vector_whose_code_is_shared_exits_two(tmp_path, capsys):
+    # without codes.bin the same damage loads silently: a row whose code no
+    # other embedding shares is not covered yet
+    out = build_tiny_engine_dir(tmp_path)
+    capsys.readouterr()
+    store = load_engine(out).index.store
+    assert store.codes[[0, 11, 15]].tolist() == [0, 0, 0]
+    index_path = out / "index.mvix"
+    data = bytearray(index_path.read_bytes())
+    record = struct.pack("<Q", 11) + store.vectors[11].tobytes()
+    at = data.find(record) + 8
+    assert at > 8 and data.find(record, at) == -1
+    data[at] ^= 1  # the last mantissa bit of embedding 11's first coordinate
+    index_path.write_bytes(bytes(data))
+    code = cli.run(["search", "--index", str(out), "--query", "zebras"])
+    captured = capsys.readouterr()
+    assert_one_line_error(code, captured, out / "codes.bin", exit_code=2)
+    assert "embedding 11 differs from another embedding of its code 0" in captured.err
+    (out / "codes.bin").unlink()
+    assert load_engine(out).index.store.vectors[11].tobytes() != store.vectors[11].tobytes()
+
+
+def test_a_directory_without_codes_searches_to_the_same_bytes(tmp_path, capsys):
+    out = build_tiny_engine_dir(tmp_path)
+    capsys.readouterr()
+    outputs = []
+    for _ in range(2):
+        assert cli.run(["search", "--index", str(out), "--query", "zebras stripes"]) == 0
+        outputs.append(capsys.readouterr().out)
+        (out / "codes.bin").unlink(missing_ok=True)
+    assert outputs[0] == outputs[1] != ""
+    assert load_engine(out).index.store.codes is None
+
+
+def test_saving_an_engine_without_codes_deletes_an_older_codes_file(tmp_path, capsys):
+    # an older engine's codes beside a dump-built index would not load
+    out = build_tiny_engine_dir(tmp_path)
+    assert (out / "codes.bin").exists()
+    store = load_engine(out).index.store
+    dump_path = tmp_path / "docs.mved"
+    rng = np.random.default_rng(3)
+    write_embeddings_dump(
+        [(doc_id, rng.standard_normal((2, 16)).astype(np.float32)) for doc_id in store.doc_ids],
+        dump_path,
+    )
+    assert cli.run(
+        ["index", "--corpus", str(tmp_path / "corpus.tsv"), "--out", str(out),
+         "--embeddings-dump", str(dump_path), "--n-list", "2", "--sample-fraction", "1.0"]
+    ) == 0
+    assert not (out / "codes.bin").exists()
+    capsys.readouterr()
+    assert cli.run(["search", "--index", str(out), "--query", "zebras"]) == 0
+    assert load_engine(out).index.store.num_embeddings == 6
 
 
 def test_sweep_rejects_non_utf8_queries_and_qrels(tmp_path, capsys):

@@ -12,6 +12,7 @@ from mve.index import (
     default_n_list,
     load_index,
     read_embeddings_dump,
+    save_codes,
     save_index,
     train_centroids,
     write_embeddings_dump,
@@ -41,6 +42,56 @@ def test_store_offsets_must_partition():
     store = EmbeddingStore(vectors, np.array([[0, 3], [3, 1]]), ("a", "b"))
     assert list(store.doc_of) == [0, 0, 0, 1]
     assert store.index_of("b") == 1 and store.index_of("zz") is None
+
+
+def coded_vectors(codes, dim=4, seed=0):
+    """Rows of a random table picked by ``codes``, and the table."""
+    table = np.random.default_rng(seed).standard_normal((max(codes) + 1, dim)).astype(np.float32)
+    return table[np.asarray(codes)], table
+
+
+def test_store_codes_name_each_embedding_row_of_the_distinct_table():
+    codes = [2, 0, 1, 2, 2, 0]
+    vectors, table = coded_vectors(codes)
+    store = EmbeddingStore.from_lengths(vectors, [2, 3, 1], ["a", "b", "c"], codes)
+    assert store.distinct.tobytes() == table.tobytes()
+    assert store.codes.tolist() == codes
+    assert not store.codes.flags.writeable and not store.distinct.flags.writeable
+    assert EmbeddingStore.from_lengths(vectors, [2, 3, 1], ["a", "b", "c"]).distinct is None
+
+
+@pytest.mark.parametrize(
+    "codes, message",
+    [
+        ([0, 1, 2], "one integer per embedding"),
+        ([0.0, 1.0, 2.0, 0.0], "one integer per embedding"),
+        ([0, 1, 4, 0], r"lie in \[0, 4\)"),
+        ([0, -1, 1, 0], r"lie in \[0, 4\)"),
+        ([0, 2, 2, 0], "code 1 has no embedding"),
+    ],
+)
+def test_store_rejects_codes_that_are_not_a_dense_row_per_embedding(codes, message):
+    vectors, _ = coded_vectors([0, 1, 2, 0])
+    with pytest.raises(InvalidInputError, match=message):
+        EmbeddingStore.from_lengths(vectors, [4], ["a"], codes)
+
+
+def test_store_rejects_codes_whose_embeddings_differ_in_any_bit():
+    codes = [0, 1, 0, 1]
+    vectors, _ = coded_vectors(codes)
+    flipped = vectors.copy()
+    flipped.view(np.uint32)[3, 2] ^= 1  # the last mantissa bit of a shared code's row
+    with pytest.raises(InvalidInputError, match="differs from another embedding of its code 1"):
+        EmbeddingStore.from_lengths(flipped, [4], ["a"], codes)
+    signed = np.zeros((2, 3), dtype=np.float32)
+    signed[1, 0] = -0.0
+    with pytest.raises(InvalidInputError, match="differs from another embedding of its code 0"):
+        EmbeddingStore.from_lengths(signed, [2], ["a"], [0, 0])
+    # a non-finite value is caught on the distinct rows
+    infinite = vectors.copy()
+    infinite[[1, 3], 0] = np.inf
+    with pytest.raises(InvalidInputError, match="NaN or Inf"):
+        EmbeddingStore.from_lengths(infinite, [4], ["a"], codes)
 
 
 def test_store_from_documents_concatenates_in_corpus_order():
@@ -209,6 +260,28 @@ def test_save_load_round_trip_is_bitwise(tmp_path):
     second = tmp_path / "again.mvix"
     save_index(load_index(path), second)
     assert path.read_bytes() == second.read_bytes()
+
+
+def test_codes_round_trip_beside_the_index(tmp_path):
+    index = build_sample_index()
+    store = index.store
+    # the sample store's first five rows, repeated
+    codes = np.arange(store.num_embeddings) % 5
+    coded = IvfIndex(
+        store=EmbeddingStore(store.vectors[codes], store.doc_offsets, store.doc_ids, codes),
+        centroids=index.centroids,
+        lists=index.lists,
+    )
+    path, codes_path = tmp_path / "index.mvix", tmp_path / "codes.bin"
+    save_index(coded, path)
+    save_codes(coded.store, codes_path)
+    loaded = load_index(path, codes_path)
+    assert_indexes_identical(coded, loaded)
+    assert loaded.store.codes.tolist() == codes.tolist()
+    assert loaded.store.distinct.tobytes() == coded.store.distinct.tobytes()
+    assert load_index(path).store.codes is None
+    with pytest.raises(InvalidInputError, match="no codes"):
+        save_codes(index.store, codes_path)
 
 
 def test_load_rejects_wrong_magic(tmp_path):

@@ -24,6 +24,7 @@ from mve.core import (
 )
 from mve.engine import EngineConfig, build_engine
 from mve.errors import ConsistencyError, InvalidConfigError, InvalidInputError
+from mve.evaluation import Qrels
 from mve.index import EmbeddingStore, build_ivf, train_centroids
 from mve.retrieval import (
     CandidateSet,
@@ -818,7 +819,8 @@ def test_maxsim_adds_one_position_at_a_time_in_query_order():
 
 
 # ---------------------------------------------------------------------------
-# MaxSim routes: the store's own rows in place, or a gathered copy
+# MaxSim routes: a table of the store's distinct rows, the store's own rows in
+# place, or a gathered copy
 # ---------------------------------------------------------------------------
 
 
@@ -837,36 +839,78 @@ def gathered_scores(query, store, doc_numbers):
 
 
 def spy_routes(monkeypatch):
-    """Record, for each MaxSim pass, whether it ran on the store in place."""
+    """Record the route of each MaxSim pass: "table", "span" or "gather"."""
     routes = []
-    real = mve.retrieval._maxsim_scores
+    real = mve.retrieval._maxsim_route
 
-    def spied(query, token_matrix, starts, pick=None):
-        routes.append(pick is not None)
-        return real(query, token_matrix, starts, pick)
+    def spied(*args):
+        routes.append(real(*args))
+        return routes[-1]
 
-    monkeypatch.setattr(mve.retrieval, "_maxsim_scores", spied)
+    monkeypatch.setattr(mve.retrieval, "_maxsim_route", spied)
     return routes
 
 
-@pytest.mark.parametrize("engine_name", ["small_planted_engine", "padded_planted_engine"])
-def test_maxsim_routes_agree_on_planted_engines(engine_name, small_planted, request, monkeypatch):
+def without_codes(store):
+    """The same rows and documents, scored by the multiply routes only."""
+    return EmbeddingStore(store.vectors, store.doc_offsets, store.doc_ids)
+
+
+def coded_store(num_docs, dim, num_codes, seed, max_len=20):
+    """A store of ``num_docs`` documents whose rows repeat ``num_codes``
+    random distinct rows, and its codes."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, max_len + 1, size=num_docs)
+    table = rng.standard_normal((num_codes, dim)).astype(np.float32)
+    codes = rng.permutation(np.resize(np.arange(num_codes), int(lengths.sum())))
+    names = [f"d{i:04d}" for i in range(num_docs)]
+    return EmbeddingStore.from_lengths(table[codes], lengths, names, codes)
+
+
+PLANTED_FIXTURE_OF = {
+    "small_planted_engine": "small_planted",
+    "padded_planted_engine": "small_planted",
+    "wide_planted_engine": "wide_planted",
+}
+
+
+@pytest.mark.parametrize("engine_name", list(PLANTED_FIXTURE_OF))
+def test_maxsim_routes_agree_on_planted_engines(engine_name, request, monkeypatch):
     engine = request.getfixturevalue(engine_name)
+    fixture = request.getfixturevalue(PLANTED_FIXTURE_OF[engine_name])
     store = engine.index.store
+    assert store.codes is not None
+    plain = dataclasses.replace(
+        engine, index=dataclasses.replace(engine.index, store=without_codes(store))
+    )
     routes = spy_routes(monkeypatch)
-    for _, text in small_planted.queries:
+    for _, text in fixture.queries:
         query = engine.encoder.encode(text)
         for strategy in Strategy:
             scored = set()  # a p that adds no document repeats the last check
             for p in range(1, engine.config.q_len + 1):
-                _, candidates = engine.search(text, strategy=strategy, p=p)
+                ranking, candidates = engine.search(text, strategy=strategy, p=p)
+                plain_ranking, plain_candidates = plain.search(text, strategy=strategy, p=p)
+                assert ranking.entries == plain_ranking.entries
+                assert np.array_equal(candidates.numbers, plain_candidates.numbers)
                 numbers = candidates.numbers
                 if numbers.tobytes() in scored:
                     continue
                 scored.add(numbers.tobytes())
                 expected = gathered_scores(query, store, numbers)
-                assert np.array_equal(score_documents(query, store, numbers), expected)
-    assert any(routes) and not all(routes)
+                assert score_documents(query, store, numbers).tobytes() == expected.tobytes()
+                assert (
+                    score_documents(query, plain.index.store, numbers).tobytes()
+                    == expected.tobytes()
+                )
+    # only the wide engine's table is large enough for the floor
+    wide = engine_name == "wide_planted_engine"
+    assert ("table" in routes) == wide and "gather" in routes
+    routes.clear()
+    qrels = Qrels(fixture.judgments)
+    csv = engine.sweep(fixture.queries, qrels).to_csv()
+    assert ("table" in routes) == wide
+    assert csv == plain.sweep(fixture.queries, qrels).to_csv()
 
 
 @pytest.mark.parametrize("dim", [3, 16, 17, 64])
@@ -894,8 +938,66 @@ def test_maxsim_routes_agree_on_random_stores(dim, monkeypatch):
                     candidate_rows * distinct >= mve.retrieval._IN_PLACE_MIN_PRODUCT
                     and candidate_rows >= mve.retrieval._IN_PLACE_MIN_SHARE * span_rows
                 )
-                assert routes[before:] == [in_place]
-    assert any(routes) and not all(routes)
+                assert routes[before:] == ["span" if in_place else "gather"]
+    assert set(routes) == {"span", "gather"}
+
+
+@pytest.mark.parametrize("dim", [3, 17, 64])
+def test_maxsim_table_route_agrees_on_random_coded_stores(dim, monkeypatch):
+    rng = np.random.default_rng(300 + dim)
+    routes = spy_routes(monkeypatch)
+    for num_codes in (300, 1200):
+        store = coded_store(900, dim, num_codes, seed=num_codes + dim)
+        assert store.distinct.shape == (num_codes, dim)
+        assert store.vectors.tobytes() == store.distinct[store.codes].tobytes()
+        plain = without_codes(store)
+        for distinct in (2, 3, 9, 17, 32):
+            rows = rng.standard_normal((distinct, dim))
+            query = query_from_rows(
+                np.concatenate([rows, rows[rng.integers(0, distinct, 32 - distinct)]])
+            )
+            for share in (0.02, 0.1, 0.3, 0.7, 1.0):
+                kept = np.flatnonzero(rng.random(900) < share)
+                numbers = rng.permutation(np.concatenate([[0, 899], kept]))
+                before = len(routes)
+                scores = score_documents(query, store, numbers)
+                assert scores.tobytes() == score_documents(query, plain, numbers).tobytes()
+                assert scores.tobytes() == gathered_scores(query, store, numbers).tobytes()
+                candidate_rows = int(store.doc_offsets[numbers, 1].sum())
+                floor = mve.retrieval._IN_PLACE_MIN_PRODUCT
+                table = (
+                    candidate_rows * distinct >= floor
+                    and num_codes * distinct >= floor
+                    and num_codes < candidate_rows
+                )
+                assert (routes[before] == "table") == table
+    assert "table" in routes and set(routes) - {"table"}
+
+
+def test_maxsim_table_route_needs_two_rows_a_large_product_and_a_saving(monkeypatch):
+    floor = mve.retrieval._IN_PLACE_MIN_PRODUCT
+    store = coded_store(2000, 16, 600, seed=8)
+    rng = np.random.default_rng(9)
+    routes = spy_routes(monkeypatch)
+    everything = np.arange(store.num_docs)
+    rows = store.num_embeddings
+    assert rows * 2 >= floor and 600 * 16 >= floor
+    # one distinct row: gemv, whatever the sizes
+    one = query_from_rows(np.repeat(rng.standard_normal((1, 16)), 5, axis=0))
+    score_documents(one, store, everything)
+    # 9 distinct rows: the table's product (600 x 9) is under the floor
+    nine = query_from_rows(rng.standard_normal((9, 16)))
+    score_documents(nine, store, everything)
+    # 16 distinct rows: the table's product is above it, but the candidates
+    # hold fewer rows than the table, or too few rows for the floor
+    sixteen = query_from_rows(rng.standard_normal((16, 16)))
+    lengths = store.doc_offsets[:, 1]
+    upto = np.flatnonzero(np.cumsum(lengths) >= 600)[0]
+    score_documents(sixteen, store, np.arange(upto))
+    score_documents(sixteen, store, np.arange(3))
+    assert "table" not in routes
+    score_documents(sixteen, store, everything)
+    assert routes[-1] == "table"
 
 
 def test_maxsim_in_place_route_keeps_repeats_and_order():
@@ -906,13 +1008,20 @@ def test_maxsim_in_place_route_keeps_repeats_and_order():
     assert np.array_equal(
         score_documents(query, store, numbers), gathered_scores(query, store, numbers)
     )
+    # the table route too, on a store whose rows repeat 300 distinct ones
+    coded = coded_store(700, 16, 300, seed=7, max_len=16)
+    assert np.array_equal(
+        score_documents(query, coded, numbers), gathered_scores(query, coded, numbers)
+    )
 
 
 def test_blas_premise_of_the_in_place_route():
-    # score_documents multiplies a span of the store in place only because
-    # each entry of a gemm above the floor has the same bits at any row
-    # offset and in a product of any height; a BLAS that breaks this would
-    # otherwise show up as a pinned-output mismatch far from its cause
+    # score_documents multiplies a span of the store in place, or scores
+    # from a table of the store's distinct rows, only because each entry of
+    # a gemm above the floor has the same bits at any row offset, in a
+    # product of any height and whichever matrix holds the row; a BLAS that
+    # breaks this would otherwise show up as a pinned-output mismatch far
+    # from its cause
     rng = np.random.default_rng(77)
     for dim in (3, 16, 17, 64):
         matrix = rng.standard_normal((30000, dim)).astype(np.float32)
@@ -927,6 +1036,20 @@ def test_blas_premise_of_the_in_place_route():
                         "BLAS premise of the in-place MaxSim route broken: a slice's "
                         f"product differs from the product's slice (dim {dim}, "
                         f"{distinct} rows, rows {part.start}:{part.stop})"
+                    )
+            # the table route: the rows of a table just above the floor, and
+            # of the desk store's 1,751, repeated at odd offsets of a larger
+            # matrix just above the floor and of the whole 30,000 rows
+            for table_rows in (height, height + 13, 1751):
+                table = matrix[:table_rows]
+                products = table @ rows.T
+                for total in (max(height, table_rows + 1) + 1, 30000):
+                    codes = rng.integers(0, table_rows, size=total)
+                    codes[1::2] = np.arange(total // 2) % table_rows
+                    assert np.array_equal(table[codes] @ rows.T, products[codes]), (
+                        "BLAS premise of the table MaxSim route broken: a row's "
+                        f"product differs in another matrix (dim {dim}, {distinct} "
+                        f"rows, table of {table_rows}, {total} rows)"
                     )
 
 
