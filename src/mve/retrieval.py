@@ -386,10 +386,10 @@ def exact_score(query: QueryRepresentation, doc_embeddings: np.ndarray) -> float
 # (numpy's wheel) sgemm. Measured at dims 3 to 768 and 2 to 32 distinct
 # query rows: once rows x distinct rows exceeds about 1,200 (the largest
 # differing product seen was 1,179), every entry of ``X[a:b] @ Q.T`` has the
-# bits of ``(X @ Q.T)[a:b]`` at any offset ``a``; and, checked at dims 3 to
-# 64 by test_retrieval.py's test_blas_premise_of_the_in_place_route, a
-# row's entries have the same bits in any other product above that size
-# that holds the row. Below that a small-matrix kernel gives other bits,
+# bits of ``(X @ Q.T)[a:b]`` at any offset ``a``; and, measured at dims 3
+# to 768 and checked at dims 3, 16, 17, 64, 128 and 768 by test_retrieval.py's
+# test_blas_premise_of_the_in_place_route, a row's entries have the same
+# bits in any other product above that size that holds the row. Below that a small-matrix kernel gives other bits,
 # and one distinct row runs gemv, whose bits depend on the row's position.
 # The floor keeps every product a route takes, and the gathered product it
 # stands for, well above that boundary.

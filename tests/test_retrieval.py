@@ -906,6 +906,8 @@ def test_maxsim_routes_agree_on_planted_engines(engine_name, request, monkeypatc
     # only the wide engine's table is large enough for the floor
     wide = engine_name == "wide_planted_engine"
     assert ("table" in routes) == wide and "gather" in routes
+    if not wide:
+        assert "span" in routes
     routes.clear()
     qrels = Qrels(fixture.judgments)
     csv = engine.sweep(fixture.queries, qrels).to_csv()
@@ -1023,27 +1025,30 @@ def test_blas_premise_of_the_in_place_route():
     # breaks this would otherwise show up as a pinned-output mismatch far
     # from its cause
     rng = np.random.default_rng(77)
-    for dim in (3, 16, 17, 64):
-        matrix = rng.standard_normal((30000, dim)).astype(np.float32)
+    # wide dims get a shorter matrix, so the test stays small in memory
+    for dim in (3, 16, 17, 64, 128, 768):
+        total_rows = 30000 if dim <= 64 else 6000
+        matrix = rng.standard_normal((total_rows, dim)).astype(np.float32)
         for distinct in (2, 9, 32):
             rows = rng.standard_normal((distinct, dim)).astype(np.float32)
-            whole = matrix @ rows.T
             height = -(-mve.retrieval._IN_PLACE_MIN_PRODUCT // distinct)
-            for offset in (1, 3, 17, 1001, 30000 - height - 7):
-                for extra in (0, 5, 2 * height):
-                    part = slice(offset, min(offset + height + extra, 30000))
-                    assert np.array_equal(matrix[part] @ rows.T, whole[part]), (
-                        "BLAS premise of the in-place MaxSim route broken: a slice's "
-                        f"product differs from the product's slice (dim {dim}, "
-                        f"{distinct} rows, rows {part.start}:{part.stop})"
-                    )
+            if total_rows == 30000:
+                whole = matrix @ rows.T
+                for offset in (1, 3, 17, 1001, 30000 - height - 7):
+                    for extra in (0, 5, 2 * height):
+                        part = slice(offset, min(offset + height + extra, 30000))
+                        assert np.array_equal(matrix[part] @ rows.T, whole[part]), (
+                            "BLAS premise of the in-place MaxSim route broken: a slice's "
+                            f"product differs from the product's slice (dim {dim}, "
+                            f"{distinct} rows, rows {part.start}:{part.stop})"
+                        )
             # the table route: the rows of a table just above the floor, and
             # of the desk store's 1,751, repeated at odd offsets of a larger
-            # matrix just above the floor and of the whole 30,000 rows
+            # matrix just above the floor and of every row of the matrix
             for table_rows in (height, height + 13, 1751):
                 table = matrix[:table_rows]
                 products = table @ rows.T
-                for total in (max(height, table_rows + 1) + 1, 30000):
+                for total in (max(height, table_rows + 1) + 1, total_rows):
                     codes = rng.integers(0, table_rows, size=total)
                     codes[1::2] = np.arange(total // 2) % table_rows
                     assert np.array_equal(table[codes] @ rows.T, products[codes]), (
