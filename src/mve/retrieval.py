@@ -37,8 +37,9 @@ distinct row) may take another kernel and differ in the last bits.
 ``_maxsim_route`` picks one:
 
 - *table*: a store with codes (every embedding a row of ``store.distinct``)
-  multiplies its distinct rows once per query and gathers each candidate
-  token's row of that table by its code. Taken when the gathered product
+  multiplies its distinct rows once per query and takes each candidate's
+  maxima over the rows of that table its tokens' codes name, one token
+  position at a time (``_table_maxima``). Taken when the gathered product
   (candidate rows x distinct query rows) and the table's product both hold
   at least ``_IN_PLACE_MIN_PRODUCT`` entries, there are two or more distinct
   query rows, and the table has fewer rows than the candidates.
@@ -347,17 +348,51 @@ def _maxsim_scores(
     distinct query embedding (``query.distinct_rows[0]``), so each distinct
     embedding's maximum over a document's tokens is taken once. ``starts``
     marks where each document's rows begin. ``pick``, when given, selects
-    (and orders) the documents whose scores are returned. The float64 maxima
-    are then summed position by position in query order (one addition per
-    position, a column repeated for every position sharing it), so equal
-    inputs always reproduce the same score bit for bit.
+    (and orders) the documents whose scores are returned.
     """
-    slots = query.distinct_rows[1]
     maxima = np.maximum.reduceat(sims, starts, axis=0)
     if pick is not None:
         maxima = maxima[pick]
+    return _position_sums(query, maxima)
+
+
+def _table_maxima(
+    table: np.ndarray, codes: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
+    """Each document's column maxima over the rows of ``table`` its tokens'
+    codes name; document ``i`` owns ``codes[starts[i] : starts[i] + lengths[i]]``.
+
+    The documents are taken longest first and their tokens one position at
+    a time, so every step gathers and compares whole contiguous rows of the
+    documents still that long; ``np.maximum.reduceat`` over the gathered
+    rows walks each column with a stride instead. On a desk-sweep union
+    (4,202 documents, 50,424 rows, 9 columns; one core of a shared Xeon)
+    this took 0.48–0.81 ms against 1.34–2.58 ms (10th–90th percentile of
+    30 s of repeats), and the benchmark's desk-sweep requests_per_s spread
+    less than half as far from run to run. Each maximum sees its document's
+    rows in token order, as ``np.maximum.reduceat`` does, and keeps its
+    bits: both keep the later of two equal values, so even -0.0 against 0.0
+    ends the same.
+    """
+    order = np.argsort(-lengths, kind="stable")
+    rows = starts[order]
+    # documents longer than 1, 2, ...: a prefix of ``order``
+    longer = np.searchsorted(-lengths[order], -np.arange(1, int(lengths.max())), side="left")
+    maxima = np.take(table, codes[rows], axis=0)
+    for offset, count in enumerate(longer.tolist(), 1):
+        head = maxima[:count]
+        np.maximum(head, np.take(table, codes[rows[:count] + offset], axis=0), out=head)
+    out = np.empty_like(maxima)
+    out[order] = maxima
+    return out
+
+
+def _position_sums(query: QueryRepresentation, maxima: np.ndarray) -> np.ndarray:
+    """Sum each document's float64 maxima position by position in query
+    order (one addition per position, a column repeated for every position
+    sharing it), so equal inputs always reproduce the same score bit for bit."""
     maxima = maxima.astype(np.float64)
-    first, *rest = slots.tolist()
+    first, *rest = query.distinct_rows[1].tolist()
     total = maxima[:, first].copy()
     for slot in rest:
         total += maxima[:, slot]
@@ -454,14 +489,13 @@ def score_documents(
         span_starts = store.doc_offsets[first : last + 1, 0] - lo
         sims = store.vectors[lo:hi] @ q_rows.T
         return _maxsim_scores(query, sims, span_starts, doc_numbers - first)
+    if route == "table":
+        table = store.distinct @ q_rows.T
+        return _position_sums(query, _table_maxima(table, store.codes, starts, lengths))
     out_starts = np.zeros(len(doc_numbers), dtype=np.int64)
     out_starts[1:] = np.cumsum(lengths)[:-1]
     token_rows = np.arange(rows) - np.repeat(out_starts, lengths) + np.repeat(starts, lengths)
-    if route == "table":
-        table = store.distinct @ q_rows.T
-        sims = np.take(table, store.codes[token_rows], axis=0)
-    else:
-        sims = np.take(store.vectors, token_rows, axis=0) @ q_rows.T
+    sims = np.take(store.vectors, token_rows, axis=0) @ q_rows.T
     return _maxsim_scores(query, sims, out_starts)
 
 

@@ -1002,6 +1002,23 @@ def test_maxsim_table_route_needs_two_rows_a_large_product_and_a_saving(monkeypa
     assert routes[-1] == "table"
 
 
+def test_table_maxima_keep_the_bits_of_reduceat():
+    # few values, so most maxima are ties, -0.0 against 0.0 among them
+    rng = np.random.default_rng(12)
+    values = np.array([-1.0, -0.0, 0.0, 0.5, 1.0], dtype=np.float32)
+    table = rng.choice(values, size=(40, 5))
+    lengths = rng.integers(1, 9, size=60)
+    starts = np.cumsum(lengths) - lengths
+    codes = rng.integers(0, 40, size=int(lengths.sum()))
+    picks = rng.integers(0, 60, size=80)  # repeats, in no order
+    sims = np.concatenate([table[codes[starts[i] : starts[i] + lengths[i]]] for i in picks])
+    expected = np.maximum.reduceat(sims, np.cumsum(lengths[picks]) - lengths[picks], axis=0)
+    zeros = expected[expected == 0]
+    assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+    got = mve.retrieval._table_maxima(table, codes, starts[picks], lengths[picks])
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_maxsim_in_place_route_keeps_repeats_and_order():
     store = random_store(700, 16, seed=5, min_len=8, max_len=16)
     rng = np.random.default_rng(6)
