@@ -141,7 +141,8 @@ class Engine:
         on indexes with few partitions.
         """
         resolved_probe = n_probe if n_probe is not None else self.config.n_probe
-        if resolved_probe >= 1:
+        # anything but a number is left for PruningConfig to reject
+        if isinstance(resolved_probe, numbers.Real) and resolved_probe >= 1:
             resolved_probe = min(resolved_probe, self.index.n_list)
         return PruningConfig(
             strategy=Strategy(strategy) if strategy is not None else Strategy(self.config.strategy),

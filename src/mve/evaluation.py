@@ -39,6 +39,7 @@ from .retrieval import (
     Ranking,
     Strategy,
     _best_first,
+    _check_int,
     ann_candidates,
     order_embeddings,
     pruned_union,
@@ -486,6 +487,11 @@ def sweep(
     strategies = [Strategy(s) for s in strategies]
     if not strategies or len(set(strategies)) != len(strategies):
         raise InvalidConfigError("strategies must be non-empty and unique")
+    p_values = list(p_values)
+    for p in p_values:
+        _check_int("every p in p_values", p)
+    for name, value in (("k", k), ("k_prime", k_prime), ("n_probe", n_probe), ("threads", threads)):
+        _check_int(name, value)
     p_values = sorted(set(int(p) for p in p_values))
     if not p_values:
         raise InvalidConfigError("p_values must be non-empty")

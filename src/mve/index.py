@@ -224,11 +224,18 @@ class IvfIndex:
     ``lists[c]`` holds the embedding ids assigned to centroid ``c`` in
     ascending id order; vectors are resolved through the store, so the lists
     are a disjoint cover of it.
+
+    ``list_rows[c]`` names the rows of ``probe_table`` that hold those
+    embeddings, one for one: ``store.codes[lists[c]]``, rows of
+    ``store.distinct``, for a store with codes, and ``lists[c]`` itself,
+    rows of ``store.vectors``, for one without. Either way the rows are bit
+    for bit the embeddings'.
     """
 
     store: EmbeddingStore
     centroids: Centroids
     lists: tuple[np.ndarray, ...]
+    list_rows: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.centroids.dim != self.store.dim:
@@ -246,6 +253,21 @@ class IvfIndex:
             covered[joined] = True
         if not covered.all():
             raise InvalidInputError("inverted lists are not a disjoint cover of the store")
+        list_rows = lists
+        if self.store.codes is not None:
+            # one gather over the joined lists, cut into read-only views
+            rows = self.store.codes[joined]
+            rows.flags.writeable = False
+            ends = np.cumsum([len(ids) for ids in lists]).tolist()
+            list_rows = tuple(rows[end - len(ids) : end] for ids, end in zip(lists, ends))
+        object.__setattr__(self, "list_rows", list_rows)
+
+    @property
+    def probe_table(self) -> np.ndarray:
+        """The rows ``list_rows`` name: the store's distinct rows if it has
+        codes, else its vectors."""
+        store = self.store
+        return store.vectors if store.distinct is None else store.distinct
 
     @property
     def n_list(self) -> int:

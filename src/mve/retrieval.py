@@ -14,18 +14,25 @@ read from it only at the edges. A ``Ranking`` holds two columns, its doc ids
 and their float64 scores, and builds ``(doc_id, score)`` pairs only when they
 are read; it refers to no store, so a kept ranking keeps no engine alive.
 
-A probe gathers the rows of its probed lists with ``np.take``, which builds
-the same contiguous block as fancy indexing in about half the time, so the
-gemv sees the same bytes. Its top k' comes from one sort of uint64 keys that
-pack a 32-bit score key over the embedding id: the cut and its tie rule are
-exactly those of ``np.lexsort`` on (score descending, id ascending), which
-is why a store holds at most 2**32 embeddings. Doc ids leave the pipeline
-through the store's doc-id column, ``EmbeddingStore.doc_id_array``.
+A probe gathers the rows of its probed lists with ``np.take`` from
+``IvfIndex.probe_table``, through ``IvfIndex.list_rows``: for a store with
+codes that is ``store.distinct`` (on desk, 1,751 rows and 448 kB against
+15 MB of vectors), for one without, ``store.vectors``. The store checks when
+it is built that every embedding is bit for bit its code's row, so the
+gathered block holds the same bytes either way and the gemv gives the same
+scores.
+Its top k' comes from one sort of uint64 keys that pack a 32-bit score key
+over the embedding id: the cut and its tie rule are exactly those of
+``np.lexsort`` on (score descending, id ascending), which is why a store
+holds at most 2**32 embeddings. Doc ids leave the pipeline through the
+store's doc-id column, ``EmbeddingStore.doc_id_array``.
 
 Candidate generation and MaxSim run once per distinct query embedding: the
 MASK padding and repeated words share one vector, so they share one ANN
-probe, one candidate set (passed to the union once) and one column of
-the similarity matrix. ``p`` still counts query positions, as in the paper.
+probe and one column of the similarity matrix. ``search`` builds one
+candidate set from the documents of all its probes' hits; the sweep keeps
+one set per distinct vector, since its cells union different prefixes of
+them. ``p`` still counts query positions, as in the paper.
 MaxSim multiplies token-major (document tokens by distinct query rows), and
 its float64 sum of the maxima still runs over every position in query order,
 one addition per position. A score keeps the bits of the all-positions
@@ -79,6 +86,13 @@ class Strategy(str, enum.Enum):
     IDF = "idf"  # descending inverse document frequency, specials last
 
 
+def _check_int(name: str, value: object) -> None:
+    """Reject a count that is not an integer: a bool or a float would
+    otherwise pass the range checks and be truncated or fail later."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PruningConfig:
     """First-stage knobs: ordering strategy, embeddings processed, ANN cut,
@@ -96,6 +110,8 @@ class PruningConfig:
             raise InvalidConfigError(
                 f"strategy must be one of {[s.value for s in Strategy]}, got {self.strategy!r}"
             ) from exc
+        for name in ("p", "k_prime", "n_probe"):
+            _check_int(name, getattr(self, name))
         if self.p < 1:
             raise InvalidConfigError(f"p must be >= 1, got {self.p}")
         if self.k_prime < 1:
@@ -110,7 +126,9 @@ class CandidateSet:
 
     ``numbers`` holds each candidate's doc number once, in ascending doc-id
     order, so ordering the candidates by score alone with ``_best_first``
-    breaks ties by doc id. ``docs`` gives the candidates' doc ids as a set of
+    breaks ties by doc id. It is built from a 1-d array of integer doc
+    numbers, repeats allowed; floats, bools and other shapes are rejected
+    rather than converted. ``docs`` gives the candidates' doc ids as a set of
     strings.
     """
 
@@ -118,7 +136,14 @@ class CandidateSet:
     numbers: np.ndarray  # distinct doc numbers, ascending by doc id
 
     def __post_init__(self) -> None:
-        numbers = np.asarray(self.numbers, dtype=np.int64)
+        numbers = np.asarray(self.numbers)
+        if numbers.ndim != 1:
+            raise InvalidInputError("candidate doc numbers must form a 1-d array")
+        if numbers.size and numbers.dtype.kind not in "iu":
+            raise InvalidInputError(
+                f"candidate doc numbers must be integers, got dtype {numbers.dtype}"
+            )
+        numbers = numbers.astype(np.int64, copy=False)
         if numbers.size and not (0 <= numbers.min() and numbers.max() < self.store.num_docs):
             raise InvalidInputError("candidate doc number outside the store")
         ranks = np.sort(self.store.id_rank[numbers])
@@ -272,11 +297,25 @@ def ann_candidates(
     with the candidate set of their documents. Probe scores only select the
     hits; they are never surfaced as ranking scores.
     """
+    hits = _probe(index, phi, k_prime, n_probe)
+    return hits, CandidateSet(index.store, index.store.doc_of[hits])
+
+
+def _probe(index: IvfIndex, phi: np.ndarray, k_prime: int, n_probe: int) -> np.ndarray:
+    """The hits of :func:`ann_candidates`, without their candidate set.
+
+    The probed rows are gathered from ``index.probe_table`` through
+    ``index.list_rows``: the store's distinct rows for a store with codes,
+    its vectors for one without. Both blocks hold the probed embeddings'
+    exact bytes in list order, so the scores, and the hits, are the same.
+    """
     phi = np.asarray(phi, dtype=np.float32)
     if phi.shape != (index.dim,):
         raise InvalidInputError(f"query embedding has shape {phi.shape}, expected ({index.dim},)")
     if not np.isfinite(phi).all():
         raise InvalidInputError("query embedding contains NaN or Inf")
+    _check_int("k_prime", k_prime)
+    _check_int("n_probe", n_probe)
     if k_prime < 1:
         raise InvalidConfigError(f"k_prime must be >= 1, got {k_prime}")
     if not (1 <= n_probe <= index.n_list):
@@ -286,9 +325,8 @@ def ann_candidates(
     centroid_sims = index.centroids.vectors @ phi
     probed = np.argsort(-centroid_sims, kind="stable")[:n_probe]
     ids = np.concatenate([index.lists[c] for c in probed])
-    scores = np.take(index.store.vectors, ids, axis=0) @ phi
-    hits = _top_ids(ids, scores, k_prime)
-    return hits, CandidateSet(index.store, index.store.doc_of[hits])
+    rows = np.concatenate([index.list_rows[c] for c in probed])
+    return _top_ids(ids, np.take(index.probe_table, rows, axis=0) @ phi, k_prime)
 
 
 def _top_ids(ids: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
@@ -318,8 +356,8 @@ def pruned_union(per_embedding: Sequence[CandidateSet], p: int) -> CandidateSet:
 
     With ``p`` equal to the number of sets this is the unpruned union. With
     ``p == 1`` the first set is returned as it is. A caller that holds one set
-    for several query positions passes it once: ``search`` and the sweep pass
-    one set per distinct query vector.
+    for several query positions passes it once: the sweep passes one set per
+    distinct query vector.
     """
     if p < 1:
         raise InvalidConfigError(f"p must be >= 1, got {p}")
@@ -559,9 +597,9 @@ def search(
 
     Encodes and orders the query embeddings, runs candidate generation for
     the first ``config.p`` of them (once per distinct vector among them),
-    unions the per-embedding document sets, and reranks the union with the
-    full query representation. Returns the ranking and the candidate set
-    (the latter feeds the retrieved-count metrics).
+    takes the documents of all their hits as one candidate set, and reranks
+    it with the full query representation. Returns the ranking and the
+    candidate set (the latter feeds the retrieved-count metrics).
     """
     query = encoder.encode(query_text)
     if config.p > query.q_len:
@@ -573,9 +611,9 @@ def search(
     first_position: dict[int, int] = {}
     for position in ordering[: config.p]:
         first_position.setdefault(slots[position], position)
-    distinct = [
-        ann_candidates(index, query.embeddings[position], config.k_prime, config.n_probe)[1]
+    hits = [
+        _probe(index, query.embeddings[position], config.k_prime, config.n_probe)
         for position in first_position.values()
     ]
-    candidates = pruned_union(distinct, len(distinct))
+    candidates = CandidateSet(index.store, index.store.doc_of[np.concatenate(hits)])
     return rerank(candidates, query, index.store, k), candidates

@@ -126,16 +126,22 @@ def candidate_set(store, doc_ids):
     return CandidateSet(store, [store.index_of(doc_id) for doc_id in doc_ids])
 
 
-def count_ann_calls(monkeypatch, module):
-    """Record the bytes of every query vector ``module`` sends to ANN."""
+def count_ann_calls(monkeypatch):
+    """Record the bytes of every query vector sent to ANN.
+
+    Every probe, whether from ``search`` or through ``ann_candidates``,
+    runs ``mve.retrieval._probe``, so that is the name wrapped.
+    """
+    import mve.retrieval
+
     calls = []
-    real = module.ann_candidates
+    real = mve.retrieval._probe
 
     def counted(index, phi, k_prime, n_probe):
         calls.append(np.asarray(phi).tobytes())
         return real(index, phi, k_prime, n_probe)
 
-    monkeypatch.setattr(module, "ann_candidates", counted)
+    monkeypatch.setattr(mve.retrieval, "_probe", counted)
     return calls
 
 

@@ -583,7 +583,7 @@ def test_sweep_calls_ann_once_per_distinct_vector(
     engine = padded_planted_engine
     q_len = engine.config.q_len
     p_values = [1, 9, 10, q_len]
-    calls = count_ann_calls(monkeypatch, mve.evaluation)
+    calls = count_ann_calls(monkeypatch)
     queries = [engine.encoder.encode(text) for _, text in small_planted.queries]
     vectors = {row.tobytes() for query in queries for row in query.embeddings}
     # CLS and MASK are held by every query, so they are probed once per sweep
@@ -705,3 +705,23 @@ def test_sweep_validates_inputs(small_planted_engine, small_planted, small_plant
             [], small_planted_qrels, engine.index, engine.lexicon, engine.encoder,
             [Strategy.FIRST], [1],
         )
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, "1"])
+def test_sweep_rejects_counts_that_are_not_integers(
+    small_planted_engine, small_planted, small_planted_qrels, bad
+):
+    engine = small_planted_engine
+    queries = small_planted.queries[:2]
+    # p = 1.5 was truncated to a p = 1 row, and p = True ran as p = 1
+    with pytest.raises(InvalidConfigError, match="every p in p_values must be an integer"):
+        engine.sweep(queries, small_planted_qrels, p_values=[bad, 3])
+    for name in ("k", "k_prime", "n_probe", "threads"):
+        with pytest.raises(InvalidConfigError, match=f"{name} must be an integer"):
+            sweep(
+                queries, small_planted_qrels, engine.index, engine.lexicon, engine.encoder,
+                [Strategy.FIRST], [1], **{name: bad},
+            )
+    want = engine.sweep(queries, small_planted_qrels, p_values=[1, 3]).to_csv()
+    got = engine.sweep(queries, small_planted_qrels, p_values=[np.int64(1), np.uint8(3)])
+    assert got.to_csv() == want

@@ -1,12 +1,14 @@
 """Identity guards for the first-stage probe.
 
-``ann_candidates`` gathers the probed rows with ``np.take`` and selects its
-top k' with one sort of packed (score key, id) uint64 keys, and
+``ann_candidates`` gathers the probed rows with ``np.take``, from the
+store's distinct rows through the codes when the store has codes, selects
+its top k' with one sort of packed (score key, id) uint64 keys, and
 ``CandidateSet`` drops repeated ranks through one preallocated mask. The
 ``reference_*`` functions below are verbatim copies of the probe and the
-dedup they replaced, which selected with ``np.lexsort`` and marked repeats
-with ``np.diff``. Every probe must return the same hit bytes and the same
-candidate numbers as the reference.
+dedup they replaced, which gathered from ``store.vectors``, selected with
+``np.lexsort`` and marked repeats with ``np.diff``. Every probe must return
+the same hit bytes and the same candidate numbers as the reference, and a
+store with codes the same hit bytes as its twin without.
 """
 
 from __future__ import annotations
@@ -171,28 +173,62 @@ def distinct_query_vectors(engine, queries) -> list[np.ndarray]:
     return list(vectors.values())
 
 
-@pytest.mark.parametrize("engine_name", ["small_planted_engine", "padded_planted_engine"])
-def test_probe_matches_the_reference_on_the_planted_engine(engine_name, small_planted, request):
+def codeless_twin(index: IvfIndex) -> IvfIndex:
+    """The same index over the same rows, without the store's codes."""
+    store = index.store
+    twin = EmbeddingStore(store.vectors, store.doc_offsets, store.doc_ids)
+    return IvfIndex(store=twin, centroids=index.centroids, lists=index.lists)
+
+
+def assert_same_as_codeless_twin(
+    index: IvfIndex, twin: IvfIndex, phi: np.ndarray, k_prime: int, n_probe: int
+) -> None:
+    hits, candidates = ann_candidates(index, phi, k_prime, n_probe)
+    twin_hits, twin_candidates = ann_candidates(twin, phi, k_prime, n_probe)
+    assert hits.dtype == twin_hits.dtype and hits.tobytes() == twin_hits.tobytes()
+    assert candidates.numbers.tobytes() == twin_candidates.numbers.tobytes()
+
+
+@pytest.mark.parametrize(
+    "engine_name", ["small_planted_engine", "padded_planted_engine", "wide_planted_engine"]
+)
+def test_probe_matches_the_reference_on_the_planted_engine(engine_name, request):
     engine = request.getfixturevalue(engine_name)
+    fixture = request.getfixturevalue(
+        "wide_planted" if engine_name == "wide_planted_engine" else "small_planted"
+    )
     index = engine.index
-    vectors = distinct_query_vectors(engine, small_planted.queries)
+    # a built engine's store has codes, so its probes gather the distinct rows
+    store = index.store
+    assert store.codes is not None and len(store.distinct) < store.num_embeddings
+    assert all(
+        rows.tobytes() == store.codes[ids].tobytes() and not rows.flags.writeable
+        for ids, rows in zip(index.lists, index.list_rows)
+    )
+    twin = codeless_twin(index)
+    assert twin.list_rows is twin.lists
+    vectors = distinct_query_vectors(engine, fixture.queries)
     assert len(vectors) > 20
-    beyond = index.store.num_embeddings + 1  # more than any probe scans
+    beyond = store.num_embeddings + 1  # more than any probe scans
     for phi in vectors:
         for n_probe in (1, 10, index.n_list):
             for k_prime in (1, 7, 1000, beyond):
                 assert_same_probe(index, phi, k_prime, n_probe)
+            assert_same_as_codeless_twin(index, twin, phi, beyond, n_probe)
 
 
-def store_with_duplicates(dim: int, seed: int) -> EmbeddingStore:
+def store_with_duplicates(dim: int, seed: int, coded: bool = False) -> EmbeddingStore:
     """A store whose 600 rows repeat 40 distinct vectors, so probes tie
-    across lists and across the k' cut."""
+    across lists and across the k' cut; ``coded`` gives it the codes of
+    those vectors."""
     rng = np.random.default_rng(seed)
     pool = rng.standard_normal((40, dim)).astype(np.float32)
-    vectors = pool[rng.integers(0, len(pool), size=600)]
+    picks = rng.integers(0, len(pool), size=600)
+    vectors = pool[picks]
     lengths = np.full(100, 6)
     doc_ids = [f"d{i:03d}" for i in rng.permutation(100)]  # doc-id order differs from doc order
-    return EmbeddingStore.from_lengths(vectors, lengths, doc_ids)
+    codes = np.unique(picks, return_inverse=True)[1] if coded else None
+    return EmbeddingStore.from_lengths(vectors, lengths, doc_ids, codes)
 
 
 @pytest.mark.parametrize("dim", [3, 17])
@@ -207,6 +243,38 @@ def test_probe_matches_the_reference_on_stores_with_duplicated_rows(dim):
         for n_probe in (1, 3, index.n_list):
             for k_prime in (1, 7, 50, 599, 601):
                 assert_same_probe(index, phi, k_prime, n_probe)
+
+
+@pytest.mark.parametrize("dim", [3, 17, 64])
+def test_probe_matches_the_reference_on_coded_stores_with_duplicated_rows(dim):
+    store = store_with_duplicates(dim, seed=dim + 30, coded=True)
+    assert len(store.distinct) <= 40
+    index = build_ivf(store, train_centroids(store, 1.0, 8, 10, seed=dim + 31))
+    twin = codeless_twin(index)
+    rng = np.random.default_rng(dim + 32)
+    queries = list(rng.standard_normal((10, dim)).astype(np.float32)) + [
+        store.vectors[i].copy() for i in rng.integers(0, store.num_embeddings, size=10)
+    ]
+    offsets_seen: set[int] = set()  # offsets mod 4 of rows equal to another row of the block
+    tail_seen = cut_in_run_seen = False
+    for phi in queries:
+        order = np.argsort(-(index.centroids.vectors @ phi), kind="stable")
+        for n_probe in (1, 3, index.n_list):
+            ids = np.concatenate([index.lists[c] for c in order[:n_probe]])
+            codes = store.codes[ids]
+            repeated = np.bincount(codes)[codes] > 1
+            offsets_seen.update((np.flatnonzero(repeated) % 4).tolist())
+            tail = len(ids) - len(ids) % 4
+            tail_seen |= bool(repeated[tail:].any())
+            # the reference order; a cut between two copies of one vector
+            ranked = ids[np.lexsort((ids, -(store.vectors[ids] @ phi)))]
+            same = np.flatnonzero(store.codes[ranked[1:]] == store.codes[ranked[:-1]]) + 1
+            cuts = [int(same[0]), int(same[len(same) // 2])] if same.size else []
+            cut_in_run_seen |= bool(cuts)
+            for k_prime in [1, 7, 50, 599, 601, *cuts]:
+                assert_same_probe(index, phi, k_prime, n_probe)
+                assert_same_as_codeless_twin(index, twin, phi, k_prime, n_probe)
+    assert offsets_seen == {0, 1, 2, 3} and tail_seen and cut_in_run_seen
 
 
 @settings(max_examples=200, deadline=None)

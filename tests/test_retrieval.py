@@ -29,6 +29,7 @@ from mve.index import EmbeddingStore, build_ivf, train_centroids
 from mve.retrieval import (
     CandidateSet,
     _best_first,
+    PruningConfig,
     Ranking,
     Strategy,
     ann_candidates,
@@ -234,6 +235,30 @@ def test_ann_validates_inputs(ann_index):
         ann_candidates(ann_index, np.ones(8, dtype=np.float32), 0, 1)
 
 
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, "2", None])
+def test_ann_rejects_counts_that_are_not_integers(ann_index, bad):
+    phi = np.ones(8, dtype=np.float32)
+    with pytest.raises(InvalidConfigError, match="k_prime must be an integer"):
+        ann_candidates(ann_index, phi, bad, 1)
+    with pytest.raises(InvalidConfigError, match="n_probe must be an integer"):
+        ann_candidates(ann_index, phi, 5, bad)
+    # numpy integers are integers
+    hits, _ = ann_candidates(ann_index, phi, np.int32(5), np.uint8(1))
+    assert hits.tobytes() == ann_candidates(ann_index, phi, 5, 1)[0].tobytes()
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, True, False, "1"])
+def test_pruning_knobs_must_be_integers(tiny_engine, bad):
+    for name in ("p", "k_prime", "n_probe"):
+        knobs = {"strategy": "icf", "p": 1, "k_prime": 5, "n_probe": 1, name: bad}
+        with pytest.raises(InvalidConfigError, match=f"{name} must be an integer"):
+            PruningConfig(**knobs)
+        # p = 1.5 used to fail in slicing, and p = True ran as p = 1
+        with pytest.raises(InvalidConfigError, match=f"{name} must be an integer"):
+            tiny_engine.search("zebras", **{name: bad})
+    assert PruningConfig("icf", np.int64(2), np.int32(5), np.uint8(1)).p == 2
+
+
 def test_ann_rejects_a_non_finite_query_vector(ann_index):
     # an all-NaN vector makes every centroid similarity NaN, and the stable
     # probe order would then fall back to list order
@@ -262,6 +287,36 @@ def test_candidate_set_reads_as_doc_id_set_in_id_order():
         candidates.numbers[0] = 2
     with pytest.raises(InvalidInputError):
         CandidateSet(store, [3])
+
+
+@pytest.mark.parametrize(
+    "numbers",
+    [
+        [0.7, 2.9],  # floats were truncated to doc numbers 0 and 2
+        np.array([1.0, 2.0]),  # even whole floats
+        [True, False],  # bools were read as doc numbers 1 and 0
+        np.array([[0, 1], [2, 0]]),  # 2-d raised a bare numpy error
+        np.int64(1),  # 0-d
+        ["aa"],
+        [None],  # what ``index_of`` returns for an unknown doc id
+    ],
+)
+def test_candidate_set_rejects_numbers_that_are_not_a_1d_integer_array(numbers):
+    store = named_store(["zz", "aa", "mm"])
+    with pytest.raises(InvalidInputError, match="candidate doc numbers must"):
+        CandidateSet(store, numbers)
+
+
+def test_candidate_set_takes_any_integer_dtype_and_an_empty_input():
+    store = named_store(["zz", "aa", "mm"])
+    want = CandidateSet(store, np.array([2, 0, 2], dtype=np.int64)).numbers
+    for dtype in (np.int8, np.int32, np.uint16, np.uint64):
+        got = CandidateSet(store, np.array([2, 0, 2], dtype=dtype)).numbers
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert CandidateSet(store, [2, 0]).numbers.tolist() == want.tolist()
+    for empty in ([], np.empty(0, dtype=np.int32)):
+        got = CandidateSet(store, empty).numbers
+        assert got.dtype == np.int64 and got.size == 0 and not got.flags.writeable
 
 
 def test_pruned_union_full_depth_is_plain_union():
@@ -756,7 +811,7 @@ def test_search_once_per_distinct_vector_keeps_every_bit(padded_planted_engine, 
 
 def test_search_calls_ann_once_per_distinct_vector(padded_planted_engine, small_planted, monkeypatch):
     engine = padded_planted_engine
-    calls = count_ann_calls(monkeypatch, mve.retrieval)
+    calls = count_ann_calls(monkeypatch)
     text = small_planted.queries[0][1]
     query = engine.encoder.encode(text)
     engine.search(text, strategy=Strategy.ICF, p=engine.config.q_len)
