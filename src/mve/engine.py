@@ -226,8 +226,8 @@ def build_engine(
     lexicon = count_lexicon(token_ids, lengths, doc_ids)
     if dump_docs is None:
         codes = token_ids - FIRST_WORDPIECE_ID
-        vectors = token_table(len(vocab), config.seed, config.dim)[codes]
-        store = EmbeddingStore.from_lengths(vectors, lengths, doc_ids, codes)
+        table = token_table(len(vocab), config.seed, config.dim)
+        store = EmbeddingStore.from_table(table, codes, lengths, doc_ids)
     else:
         _check_doc_ids(dump_docs)
         store = EmbeddingStore.from_blocks(dump_docs)

@@ -188,6 +188,7 @@ def _dcg(gains: Iterable[int]) -> float:
 
 def ndcg_at(ranking: Ranking, qrels: Qrels, query_id: str, cutoff: int = CUTOFF) -> float:
     """Normalized DCG at a cutoff; 0 when the query has no relevant docs."""
+    _check_int("cutoff", cutoff)
     if cutoff < 1:
         raise InvalidConfigError(f"cutoff must be >= 1, got {cutoff}")
     judged = qrels.judged(query_id)
@@ -215,6 +216,7 @@ def average_precision(ranking: Ranking, qrels: Qrels, query_id: str) -> float:
 
 def rr_at(ranking: Ranking, qrels: Qrels, query_id: str, cutoff: int = CUTOFF) -> float:
     """Reciprocal rank of the first relevant doc within the cutoff, else 0."""
+    _check_int("cutoff", cutoff)
     if cutoff < 1:
         raise InvalidConfigError(f"cutoff must be >= 1, got {cutoff}")
     relevant = qrels.relevant(query_id)

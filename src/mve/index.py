@@ -10,6 +10,7 @@ it exact, which the tests rely on.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import struct
 from dataclasses import dataclass, field
@@ -35,107 +36,185 @@ _CODE_CHECK_CHUNK = 2048
 _MAX_EMBEDDINGS = 2**32
 
 
-def _code_rows(vectors: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Check a store's ``codes`` against its ``vectors``; return the codes as
-    a read-only intp array and the row of each code."""
+def _check_codes(
+    codes: object, count: int | None, bound: int, bound_name: str, used: int = 0
+) -> np.ndarray:
+    """``codes`` as a read-only intp array, once they are integers, ``count``
+    of them if given, that lie in ``[0, bound)`` and use every value up to
+    their maximum and below ``used``."""
     codes = np.asarray(codes)
-    if codes.shape != (len(vectors),) or codes.dtype.kind not in "iu":
+    if codes.ndim != 1 or codes.dtype.kind not in "iu" or count not in (None, len(codes)):
         raise InvalidInputError("store codes must be one integer per embedding")
-    if codes.size and not (0 <= codes.min() and codes.max() < len(vectors)):
-        raise InvalidInputError(
-            f"store codes must lie in [0, {len(vectors)}), the number of embeddings"
-        )
+    if codes.size and not (0 <= codes.min() and codes.max() < bound):
+        raise InvalidInputError(f"store codes must lie in [0, {bound}), {bound_name}")
     codes = codes.astype(np.intp)
     codes.flags.writeable = False
-    unused = np.flatnonzero(np.bincount(codes) == 0)
+    unused = np.flatnonzero(np.bincount(codes, minlength=used) == 0)
     if unused.size:
         raise InvalidInputError(f"store code {int(unused[0])} has no embedding")
-    picked = np.empty(int(codes.max()) + 1, dtype=np.intp)
-    picked[codes] = np.arange(len(codes))  # any embedding of each code; all are compared next
-    distinct = vectors[picked]
+    return codes
+
+
+def _check_code_rows(
+    distinct: np.ndarray, codes: np.ndarray, rows: np.ndarray, ids: np.ndarray | None = None
+) -> None:
+    """Raise unless every one of ``rows`` is bit for bit the row of
+    ``distinct`` its code names; ``ids`` numbers the rows' embeddings, by
+    default from 0."""
     # bits, not values: -0.0 == 0.0, and NaN equals nothing
-    bits, distinct_bits = vectors.view(np.uint32), distinct.view(np.uint32)
+    distinct_bits, bits = distinct.view(np.uint32), rows.view(np.uint32)
     for start in range(0, len(codes), _CODE_CHECK_CHUNK):
         block = codes[start : start + _CODE_CHECK_CHUNK]
         same = np.take(distinct_bits, block, axis=0) == bits[start : start + len(block)]
         if not same.all():
-            i = start + int(np.argmin(same.all(axis=1)))
+            at = start + int(np.argmin(same.all(axis=1)))
+            i = at if ids is None else int(ids[at])
             raise InvalidInputError(
-                f"embedding {i} differs from another embedding of its code {int(codes[i])}"
+                f"embedding {i} differs from another embedding of its code {int(codes[at])}"
             )
+
+
+def _code_rows(vectors: np.ndarray, codes: object) -> tuple[np.ndarray, np.ndarray]:
+    """Check a store's ``codes`` against its ``vectors``; return the codes as
+    a read-only intp array and the row of each code."""
+    codes = _check_codes(codes, len(vectors), len(vectors), "the number of embeddings")
+    picked = np.empty(int(codes.max()) + 1, dtype=np.intp)
+    picked[codes] = np.arange(len(codes))  # any embedding of each code; all are compared next
+    distinct = vectors[picked]
+    _check_code_rows(distinct, codes, vectors)
     distinct.flags.writeable = False
     return codes, distinct
 
 
-@dataclass(frozen=True)
+def _offsets(lengths: object) -> np.ndarray:
+    """``(start, length)`` rows of documents that own ``lengths`` rows in turn."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    return np.stack([np.cumsum(lengths) - lengths, lengths], axis=1)
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class EmbeddingStore:
     """All document embeddings concatenated in corpus order.
 
-    ``doc_offsets[i] == (start, length)`` locates document ``i`` inside
-    ``vectors``; the global row number of an embedding is its embedding id.
+    ``doc_offsets[i] == (start, length)`` locates document ``i`` among the
+    embeddings; the global row number of an embedding is its embedding id.
     A store holds at most 2**32 embeddings, so every id fits in 32 bits.
     ``doc_id_array`` holds the doc ids as a read-only object array, indexed
     by doc number.
 
-    ``codes``, when given, names each embedding's row of ``distinct``: every
-    embedding is bit for bit ``distinct[codes[i]]``, so a product with the
-    store's rows can be taken once per distinct row. The codes must use
-    every value from 0 to their maximum, which must lie below the number of
-    embeddings; ``distinct`` is built from the embeddings themselves, and a
-    code whose embeddings differ in any bit (-0.0 is not 0.0) is rejected.
-    Without codes ``distinct`` is None.
+    A store holds its embeddings as ``table``, and reads them with
+    :meth:`rows`. Without codes the table is the ``(num_embeddings, dim)``
+    block of embeddings itself and ``distinct`` is None. With ``codes``,
+    embedding ``i`` is bit for bit ``distinct[codes[i]]`` and the table is
+    ``distinct``, one row per code: the desk store's 60,000 embeddings take
+    1,751 rows, 448 kB instead of 15 MB. A product with the store's rows can
+    then also be taken once per distinct row.
+
+    ``EmbeddingStore(vectors, doc_offsets, doc_ids, codes=None)`` builds a
+    store from its embeddings. The codes must use every value from 0 to
+    their maximum, which must lie below the number of embeddings;
+    ``distinct`` is built from the embeddings themselves, and a code whose
+    embeddings differ in any bit (-0.0 is not 0.0) is rejected.
+    :meth:`from_table` builds a store with codes from its table instead,
+    whose rows are the embeddings by construction.
+
+    ``vectors`` reads every embedding in id order. For a store with codes
+    that is a full gather, ``num_embeddings * dim * 4`` bytes made on each
+    read and never kept; the engine's own request path never reads it.
     """
 
-    vectors: np.ndarray  # (num_embeddings, dim) float32
     doc_offsets: np.ndarray  # (num_docs, 2) int64 rows of (start, length)
     doc_ids: tuple[str, ...]
-    codes: np.ndarray | None = None  # embedding id -> row of ``distinct``
-    distinct: np.ndarray | None = field(init=False, repr=False)  # (num_codes, dim) float32
-    doc_of: np.ndarray = field(init=False, repr=False)  # embedding id -> doc number
-    id_rank: np.ndarray = field(init=False, repr=False)  # doc number -> rank of its id
-    id_order: np.ndarray = field(init=False, repr=False)  # ascending doc id -> doc number
-    doc_id_array: np.ndarray = field(init=False, repr=False)  # doc number -> doc id
+    codes: np.ndarray | None  # embedding id -> row of ``distinct``
+    distinct: np.ndarray | None = field(repr=False)  # (num_codes, dim) float32
+    table: np.ndarray = field(repr=False)  # the rows ``rows`` reads
+    num_embeddings: int
+    doc_of: np.ndarray = field(repr=False)  # embedding id -> doc number
+    id_rank: np.ndarray = field(repr=False)  # doc number -> rank of its id
+    id_order: np.ndarray = field(repr=False)  # ascending doc id -> doc number
+    doc_id_array: np.ndarray = field(repr=False)  # doc number -> doc id
 
-    def __post_init__(self) -> None:
-        if np.ndim(self.vectors) and len(self.vectors) > _MAX_EMBEDDINGS:
+    def __init__(
+        self,
+        vectors: np.ndarray,
+        doc_offsets: np.ndarray,
+        doc_ids: Sequence[str],
+        codes: np.ndarray | None = None,
+    ) -> None:
+        if np.ndim(vectors) and len(vectors) > _MAX_EMBEDDINGS:
             raise InvalidInputError(
-                f"store holds {len(self.vectors)} embeddings, more than {_MAX_EMBEDDINGS}"
+                f"store holds {len(vectors)} embeddings, more than {_MAX_EMBEDDINGS}"
             )
-        vectors = np.ascontiguousarray(self.vectors, dtype=np.float32)
-        offsets = np.ascontiguousarray(self.doc_offsets, dtype=np.int64)
-        object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "doc_offsets", offsets)
+        vectors = np.ascontiguousarray(vectors, dtype=np.float32)
         if vectors.ndim != 2 or vectors.shape[1] == 0:
             raise InvalidInputError("store vectors must be a (n, dim) array")
-        distinct = None
-        if self.codes is not None:
-            codes, distinct = _code_rows(vectors, self.codes)
-            object.__setattr__(self, "codes", codes)
-        object.__setattr__(self, "distinct", distinct)
-        # with codes every embedding is a row of ``distinct``
-        if not np.isfinite(vectors if distinct is None else distinct).all():
+        if codes is None:
+            self._init(vectors, None, len(vectors), doc_offsets, doc_ids)
+        else:
+            codes, distinct = _code_rows(vectors, codes)
+            self._init(distinct, codes, len(vectors), doc_offsets, doc_ids)
+
+    @classmethod
+    def _coded(
+        cls, table: np.ndarray, codes: object, doc_offsets: np.ndarray, doc_ids: Sequence[str]
+    ) -> "EmbeddingStore":
+        """A store with codes over ``table``; see :meth:`from_table`."""
+        table = np.array(table, dtype=np.float32, order="C")
+        if table.ndim != 2 or table.shape[1] == 0:
+            raise InvalidInputError("store table must be a (n, dim) array")
+        table.flags.writeable = False
+        codes = _check_codes(codes, None, len(table), "the rows of the table", len(table))
+        store = cls.__new__(cls)
+        store._init(table, codes, len(codes), doc_offsets, doc_ids)
+        return store
+
+    def _init(
+        self,
+        table: np.ndarray,
+        codes: np.ndarray | None,
+        num_embeddings: int,
+        doc_offsets: np.ndarray,
+        doc_ids: Sequence[str],
+    ) -> None:
+        def set_(name: str, value: object) -> None:
+            object.__setattr__(self, name, value)
+
+        if num_embeddings > _MAX_EMBEDDINGS:
+            raise InvalidInputError(
+                f"store holds {num_embeddings} embeddings, more than {_MAX_EMBEDDINGS}"
+            )
+        offsets = np.ascontiguousarray(doc_offsets, dtype=np.int64)
+        doc_ids = tuple(doc_ids)
+        set_("doc_offsets", offsets)
+        set_("doc_ids", doc_ids)
+        set_("codes", codes)
+        set_("distinct", None if codes is None else table)
+        set_("table", table)
+        set_("num_embeddings", int(num_embeddings))
+        # with codes every embedding is a row of the table
+        if not np.isfinite(table).all():
             raise InvalidInputError("store vectors contain NaN or Inf")
         if offsets.ndim != 2 or offsets.shape[1] != 2 or offsets.shape[0] == 0:
             raise InvalidInputError("doc_offsets must be a non-empty (n, 2) array")
-        if len(self.doc_ids) != offsets.shape[0]:
+        if len(doc_ids) != offsets.shape[0]:
             raise InvalidInputError("doc_ids and doc_offsets differ in length")
-        index_of = dict(zip(self.doc_ids, range(len(self.doc_ids))))
-        if len(index_of) != len(self.doc_ids):
+        index_of = dict(zip(doc_ids, range(len(doc_ids))))
+        if len(index_of) != len(doc_ids):
             raise InvalidInputError("duplicate doc ids in store")
         starts, lengths = offsets[:, 0], offsets[:, 1]
         if (lengths < 1).any():
             raise InvalidInputError("every document must own at least one embedding")
         expected = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-        if (starts != expected).any() or int(lengths.sum()) != vectors.shape[0]:
+        if (starts != expected).any() or int(lengths.sum()) != num_embeddings:
             raise InvalidInputError("doc offsets do not partition the vector block")
-        object.__setattr__(self, "doc_of", np.repeat(np.arange(len(self.doc_ids)), lengths))
-        object.__setattr__(self, "_index_of", index_of)
-        order = np.array(sorted(range(len(self.doc_ids)), key=self.doc_ids.__getitem__))
-        object.__setattr__(self, "id_order", order)
-        object.__setattr__(self, "id_rank", np.argsort(order))
-        doc_id_array = np.array(self.doc_ids, dtype=object)
+        set_("doc_of", np.repeat(np.arange(len(doc_ids)), lengths))
+        set_("_index_of", index_of)
+        order = np.array(sorted(range(len(doc_ids)), key=doc_ids.__getitem__))
+        set_("id_order", order)
+        set_("id_rank", np.argsort(order))
+        doc_id_array = np.array(doc_ids, dtype=object)
         doc_id_array.flags.writeable = False
-        object.__setattr__(self, "doc_id_array", doc_id_array)
+        set_("doc_id_array", doc_id_array)
 
     @classmethod
     def from_lengths(
@@ -147,9 +226,22 @@ class EmbeddingStore:
     ) -> "EmbeddingStore":
         """A store over one block of vectors in which document ``doc_ids[i]``
         owns the next ``lengths[i]`` rows."""
-        lengths = np.asarray(lengths, dtype=np.int64)
-        starts = np.cumsum(lengths) - lengths
-        return cls(vectors, np.stack([starts, lengths], axis=1), tuple(doc_ids), codes)
+        return cls(vectors, _offsets(lengths), tuple(doc_ids), codes)
+
+    @classmethod
+    def from_table(
+        cls, table: np.ndarray, codes: np.ndarray, lengths: np.ndarray, doc_ids: Sequence[str]
+    ) -> "EmbeddingStore":
+        """A store with codes in which embedding ``i`` is ``table[codes[i]]``
+        and document ``doc_ids[i]`` owns the next ``lengths[i]`` embeddings.
+
+        The embeddings are the table's rows by construction, so none is
+        compared with another. The codes must be integers that lie in
+        ``[0, len(table))`` and use every row, the table must be finite, and
+        there may be at most 2**32 embeddings. The store keeps a copy of the
+        table.
+        """
+        return cls._coded(table, codes, _offsets(lengths), doc_ids)
 
     @classmethod
     def from_blocks(cls, blocks: Sequence[tuple[str, np.ndarray]]) -> "EmbeddingStore":
@@ -170,8 +262,15 @@ class EmbeddingStore:
         return cls.from_blocks([(doc.doc_id, doc.embeddings) for doc in corpus])
 
     @property
-    def num_embeddings(self) -> int:
-        return int(self.vectors.shape[0])
+    def vectors(self) -> np.ndarray:
+        """Every embedding in id order, a ``(num_embeddings, dim)`` float32
+        array: the table itself for a store without codes, and for one with
+        codes a new read-only ``np.take(table, codes)`` on each read."""
+        if self.codes is None:
+            return self.table
+        vectors = np.take(self.table, self.codes, axis=0)
+        vectors.flags.writeable = False
+        return vectors
 
     @property
     def num_docs(self) -> int:
@@ -179,14 +278,31 @@ class EmbeddingStore:
 
     @property
     def dim(self) -> int:
-        return int(self.vectors.shape[1])
+        return int(self.table.shape[1])
+
+    def rows(self, ids: np.ndarray | slice) -> np.ndarray:
+        """The embeddings ``ids`` names, an array of embedding ids or a slice
+        of them, as the table's rows: ``table[codes[ids]]`` for a store with
+        codes, ``table[ids]`` (a view for a slice) for one without."""
+        if self.codes is not None:
+            return np.take(self.table, self.codes[ids], axis=0)
+        return self.table[ids] if isinstance(ids, slice) else np.take(self.table, ids, axis=0)
 
     def index_of(self, doc_id: str) -> int | None:
         return self._index_of.get(doc_id)  # type: ignore[attr-defined]
 
     def doc_vectors(self, doc_number: int) -> np.ndarray:
-        start, length = self.doc_offsets[doc_number]
-        return self.vectors[start : start + length]
+        """The embeddings of document ``doc_number``, in ``[0, num_docs)``."""
+        if (
+            isinstance(doc_number, bool)
+            or not isinstance(doc_number, numbers.Integral)
+            or not 0 <= doc_number < self.num_docs
+        ):
+            raise InvalidInputError(
+                f"doc number must be an integer in [0, {self.num_docs}), got {doc_number!r}"
+            )
+        start, length = self.doc_offsets[doc_number].tolist()
+        return self.rows(slice(start, start + length))
 
 
 @dataclass(frozen=True)
@@ -225,11 +341,11 @@ class IvfIndex:
     ascending id order; vectors are resolved through the store, so the lists
     are a disjoint cover of it.
 
-    ``list_rows[c]`` names the rows of ``probe_table`` that hold those
-    embeddings, one for one: ``store.codes[lists[c]]``, rows of
-    ``store.distinct``, for a store with codes, and ``lists[c]`` itself,
-    rows of ``store.vectors``, for one without. Either way the rows are bit
-    for bit the embeddings'.
+    ``list_rows[c]`` names the rows of ``store.table`` that hold those
+    embeddings, one for one: ``store.codes[lists[c]]``, rows of the store's
+    distinct rows, for a store with codes, and ``lists[c]`` itself for one
+    without, whose table is its embeddings. Either way the rows are bit for
+    bit the embeddings'.
     """
 
     store: EmbeddingStore
@@ -261,13 +377,6 @@ class IvfIndex:
             ends = np.cumsum([len(ids) for ids in lists]).tolist()
             list_rows = tuple(rows[end - len(ids) : end] for ids, end in zip(lists, ends))
         object.__setattr__(self, "list_rows", list_rows)
-
-    @property
-    def probe_table(self) -> np.ndarray:
-        """The rows ``list_rows`` name: the store's distinct rows if it has
-        codes, else its vectors."""
-        store = self.store
-        return store.vectors if store.distinct is None else store.distinct
 
     @property
     def n_list(self) -> int:
@@ -357,7 +466,7 @@ def train_centroids(
         )
     rng = np.random.default_rng(seed & _SEED_MASK)
     picked = np.sort(rng.choice(total, size=sample_size, replace=False))
-    sample = _normalize_rows(store.vectors[picked])
+    sample = _normalize_rows(store.rows(picked))
 
     centroids = _kmeans_pp_init(sample, n_list, rng)
     dim = sample.shape[1]
@@ -407,7 +516,7 @@ def build_ivf(store: EmbeddingStore, centroids: Centroids) -> IvfIndex:
         )
     assign = np.empty(store.num_embeddings, dtype=np.int64)
     for start in range(0, store.num_embeddings, _ASSIGN_CHUNK):
-        block = store.vectors[start : start + _ASSIGN_CHUNK]
+        block = store.rows(slice(start, start + _ASSIGN_CHUNK))
         assign[start : start + block.shape[0]] = np.argmax(block @ centroids.vectors.T, axis=1)
     # a stable sort keeps each list's embedding ids ascending
     order = np.argsort(assign, kind="stable")
@@ -472,7 +581,7 @@ def save_index(index: IvfIndex, path: str | Path) -> None:
             out.write(_U64.pack(len(ids)))
             block = np.empty(len(ids), dtype=entry_dtype)
             block["id"] = ids
-            block["vec"] = store.vectors[ids]
+            block["vec"] = store.rows(ids)
             out.write(block)
 
 
@@ -589,6 +698,21 @@ def _read_codes(path: Path, num_embeddings: int) -> np.ndarray:
     return np.frombuffer(data, dtype="<u4", offset=head)
 
 
+def _fill_code_rows(
+    table: np.ndarray, filled: np.ndarray, codes: np.ndarray, ids: np.ndarray, rows: np.ndarray
+) -> None:
+    """Check one inverted list's ``rows`` (embeddings ``ids``, of ``codes``)
+    against ``table``. A code not yet ``filled`` takes its first row in the
+    list as its table row; every row, that one too, must then be bit for bit
+    its code's row, so a code is checked across lists as well."""
+    new = ~filled[codes]
+    if new.any():
+        fresh, first = np.unique(codes[new], return_index=True)
+        table[fresh] = rows[np.flatnonzero(new)[first]]
+        filled[fresh] = True
+    _check_code_rows(table, codes, rows, ids)
+
+
 def load_index(path: str | Path, codes_path: str | Path | None = None) -> IvfIndex:
     """Read an index file, validating every section before constructing.
 
@@ -603,14 +727,26 @@ def load_index(path: str | Path, codes_path: str | Path | None = None) -> IvfInd
     then read as one block, and its ids are range-checked before use.
 
     With ``codes_path`` the store also takes the codes that file holds (see
-    :func:`save_codes`), and each embedding is checked bit for bit against
-    the other embeddings of its code.
+    :func:`save_codes`), read before the lists, and keeps only one row per
+    code, never the ``(num_embeddings, dim)`` block: the first embedding of
+    a code read becomes its row, and every embedding, in every list, is
+    checked bit for bit against its code's row as its list is read.
 
     Raises:
         CorruptIndexError: On a bad magic, unsupported version, truncation,
             or internally inconsistent content, in either file. Nothing
             partial is returned.
     """
+    try:
+        return _load_index(Path(path), None if codes_path is None else Path(codes_path))
+    except InvalidInputError as exc:
+        named = "" if codes_path is None else f" with {codes_path}"
+        raise CorruptIndexError(f"inconsistent index content{named}: {exc}") from exc
+
+
+def _load_index(path: Path, codes_path: Path | None) -> IvfIndex:
+    """:func:`load_index`, raising :class:`InvalidInputError` for content
+    that reads but does not form an index."""
     with open(path, "rb") as handle:
         magic = handle.read(4)
         if magic != INDEX_MAGIC:
@@ -644,7 +780,19 @@ def load_index(path: str | Path, codes_path: str | Path | None = None) -> IvfInd
         centroid_vectors = np.frombuffer(centroid_bytes, dtype="<f4").reshape(n_list, dim).copy()
 
         entry_dtype = _entry_dtype(dim)
-        vectors = np.empty((num_embeddings, dim), dtype=np.float32)
+        if codes_path is None:
+            vectors = np.empty((num_embeddings, dim), dtype=np.float32)
+        else:
+            codes = _check_codes(
+                _read_codes(codes_path, num_embeddings),
+                num_embeddings,
+                num_embeddings,
+                "the number of embeddings",
+            )
+            # zeros, not empty: a code that no list holds leaves its row
+            # finite, and the lists then fail as a cover of the store
+            table = np.zeros((int(codes.max()) + 1, dim), dtype=np.float32)
+            filled = np.zeros(len(table), dtype=bool)
         lists: list[np.ndarray] = []
         seen = 0
         for c in range(n_list):
@@ -662,7 +810,10 @@ def load_index(path: str | Path, codes_path: str | Path | None = None) -> IvfInd
             if count and (block["id"] >= num_embeddings).any():
                 raise CorruptIndexError(f"inverted list {c}: embedding id out of range")
             ids = block["id"].astype(np.int64)
-            vectors[ids] = block["vec"]
+            if codes_path is None:
+                vectors[ids] = block["vec"]
+            else:
+                _fill_code_rows(table, filled, codes[ids], ids, block["vec"])
             lists.append(ids)
         if seen != num_embeddings:
             raise CorruptIndexError(
@@ -671,13 +822,11 @@ def load_index(path: str | Path, codes_path: str | Path | None = None) -> IvfInd
         if handle.read(1):
             raise CorruptIndexError("trailing data after the final inverted list")
 
-    codes = None if codes_path is None else _read_codes(Path(codes_path), num_embeddings)
-    try:
-        store = EmbeddingStore(vectors, offsets, doc_ids, codes)
-        return IvfIndex(store=store, centroids=Centroids(centroid_vectors), lists=tuple(lists))
-    except InvalidInputError as exc:
-        named = "" if codes_path is None else f" with {codes_path}"
-        raise CorruptIndexError(f"inconsistent index content{named}: {exc}") from exc
+    if codes_path is None:
+        store = EmbeddingStore(vectors, offsets, doc_ids)
+    else:
+        store = EmbeddingStore._coded(table, codes, offsets, doc_ids)
+    return IvfIndex(store=store, centroids=Centroids(centroid_vectors), lists=tuple(lists))
 
 
 # --------------------------------------------------------------------------

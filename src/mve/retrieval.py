@@ -224,6 +224,7 @@ class Ranking:
     k: int
 
     def __post_init__(self) -> None:
+        _check_int("ranking depth k", self.k)
         if self.k < 1:
             raise InvalidConfigError(f"ranking depth must be >= 1, got {self.k}")
         entries = self.entries
@@ -326,7 +327,7 @@ def _probe(index: IvfIndex, phi: np.ndarray, k_prime: int, n_probe: int) -> np.n
     probed = np.argsort(-centroid_sims, kind="stable")[:n_probe]
     ids = np.concatenate([index.lists[c] for c in probed])
     rows = np.concatenate([index.list_rows[c] for c in probed])
-    return _top_ids(ids, np.take(index.probe_table, rows, axis=0) @ phi, k_prime)
+    return _top_ids(ids, np.take(index.store.table, rows, axis=0) @ phi, k_prime)
 
 
 def _top_ids(ids: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
@@ -359,6 +360,7 @@ def pruned_union(per_embedding: Sequence[CandidateSet], p: int) -> CandidateSet:
     for several query positions passes it once: the sweep passes one set per
     distinct query vector.
     """
+    _check_int("p", p)
     if p < 1:
         raise InvalidConfigError(f"p must be >= 1, got {p}")
     if p > len(per_embedding):
@@ -525,7 +527,7 @@ def score_documents(
     route = _maxsim_route(store, len(q_rows), rows, hi - lo)
     if route == "span":
         span_starts = store.doc_offsets[first : last + 1, 0] - lo
-        sims = store.vectors[lo:hi] @ q_rows.T
+        sims = store.rows(slice(lo, hi)) @ q_rows.T
         return _maxsim_scores(query, sims, span_starts, doc_numbers - first)
     if route == "table":
         table = store.distinct @ q_rows.T
@@ -533,7 +535,7 @@ def score_documents(
     out_starts = np.zeros(len(doc_numbers), dtype=np.int64)
     out_starts[1:] = np.cumsum(lengths)[:-1]
     token_rows = np.arange(rows) - np.repeat(out_starts, lengths) + np.repeat(starts, lengths)
-    sims = np.take(store.vectors, token_rows, axis=0) @ q_rows.T
+    sims = store.rows(token_rows) @ q_rows.T
     return _maxsim_scores(query, sims, out_starts)
 
 
@@ -575,6 +577,7 @@ def rerank(
 
     Descending score; ties break by ascending doc id.
     """
+    _check_int("k", k)
     if k < 1:
         raise InvalidConfigError(f"k must be >= 1, got {k}")
     if candidates.store is not store:
