@@ -216,9 +216,10 @@ def build_engine(
     carry them.
 
     The corpus is tokenized into one flat token-id array; the lexicon is
-    counted from it, and the built-in store is that array's rows of the token
-    table, with no per-document arrays in between. The built-in store keeps
-    each embedding's row number in that table as its code.
+    counted from it, and the built-in store is the token table with each
+    embedding's row number in it as its code
+    (:meth:`~mve.index.EmbeddingStore.from_table`): no per-document arrays
+    and no array of every embedding's vector are built.
     """
     _check_doc_ids(corpus)
     doc_ids = [doc_id for doc_id, _ in corpus]
@@ -277,7 +278,7 @@ def load_engine(directory: str | Path) -> Engine:
 
     ``codes.bin`` is read when it exists; a directory without it loads a
     store without codes. The codes are always checked against the stored
-    embeddings (see :class:`mve.index.EmbeddingStore`): MaxSim scores from
+    embeddings (see :func:`mve.index.load_index`): MaxSim scores from
     the rows the codes name, so codes that a torn write, a save that
     stopped between files or a mix of two saves' files left out of step
     with ``index.mvix`` must fail the load, not score from the wrong rows.

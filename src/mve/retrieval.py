@@ -14,13 +14,12 @@ read from it only at the edges. A ``Ranking`` holds two columns, its doc ids
 and their float64 scores, and builds ``(doc_id, score)`` pairs only when they
 are read; it refers to no store, so a kept ranking keeps no engine alive.
 
-A probe gathers the rows of its probed lists with ``np.take`` from
-``IvfIndex.probe_table``, through ``IvfIndex.list_rows``: for a store with
-codes that is ``store.distinct`` (on desk, 1,751 rows and 448 kB against
-15 MB of vectors), for one without, ``store.vectors``. The store checks when
-it is built that every embedding is bit for bit its code's row, so the
-gathered block holds the same bytes either way and the gemv gives the same
-scores.
+A probe gathers the rows of its probed lists with ``np.take`` from the
+store's table, ``store.table``, through ``IvfIndex.list_rows``: for a store
+with codes that is ``store.distinct`` (on desk, 1,751 rows and 448 kB), for
+one without, the block of every embedding. Every embedding of a store with
+codes is bit for bit its code's row, so the gathered block holds the same
+bytes either way and the gemv gives the same scores.
 Its top k' comes from one sort of uint64 keys that pack a 32-bit score key
 over the embedding id: the cut and its tie rule are exactly those of
 ``np.lexsort`` on (score descending, id ascending), which is why a store
@@ -52,9 +51,12 @@ distinct row) may take another kernel and differ in the last bits.
   query rows, and the table has fewer rows than the candidates.
 - *span*: otherwise, a dense candidate set (candidate rows at least
   ``_IN_PLACE_MIN_SHARE`` of the rows from its first document to its last)
-  multiplies that span of the store in place, as a view, and picks the
-  candidates' maxima from those of every document in the span. Taken under
-  the same floor and with two or more distinct query rows.
+  multiplies that span of the store, and picks the candidates' maxima from
+  those of every document in the span. A store without codes multiplies the
+  span in place, as a view; one with codes, which holds no row per
+  embedding, gathers the span's rows from its table first
+  (``EmbeddingStore.rows``). Taken under the same floor and with two or
+  more distinct query rows.
 - *gather*: every other set gathers its rows into one block first.
 
 Above the floor BLAS gives a row's entries the same bits in any product and
@@ -305,9 +307,9 @@ def ann_candidates(
 def _probe(index: IvfIndex, phi: np.ndarray, k_prime: int, n_probe: int) -> np.ndarray:
     """The hits of :func:`ann_candidates`, without their candidate set.
 
-    The probed rows are gathered from ``index.probe_table`` through
+    The probed rows are gathered from ``index.store.table`` through
     ``index.list_rows``: the store's distinct rows for a store with codes,
-    its vectors for one without. Both blocks hold the probed embeddings'
+    its embeddings for one without. Both blocks hold the probed embeddings'
     exact bytes in list order, so the scores, and the hits, are the same.
     """
     phi = np.asarray(phi, dtype=np.float32)
@@ -485,7 +487,7 @@ def _maxsim_route(store: EmbeddingStore, distinct: int, rows: int, span_rows: in
     the floor, whose bits depend on their rows' positions. Above it a store
     with codes scores from its table when the table is large enough for the
     floor too and smaller than the candidate rows; otherwise a dense set is
-    scored on its span in place.
+    scored on its whole span.
     """
     if distinct < 2 or rows * distinct < _IN_PLACE_MIN_PRODUCT:
         return "gather"
@@ -502,8 +504,8 @@ def score_documents(
     """Exact MaxSim scores for many stored documents in one pass.
 
     The candidates' token rows are scored from a per-query table of the
-    store's distinct rows, on the store's own rows in place, or on a
-    gathered copy; every route gives the same bits (see the module
+    store's distinct rows, on the rows of their whole span, or on a gathered
+    copy of their own rows; every route gives the same bits (see the module
     docstring). ``doc_numbers`` must be integer doc numbers of ``store``.
     """
     numbers = np.asarray(doc_numbers)

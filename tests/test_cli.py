@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mve.index
 from mve import cli
 from mve.core import read_corpus
 from mve.engine import EngineConfig, build_engine, load_engine
@@ -584,6 +585,91 @@ def test_a_flipped_bit_in_a_vector_whose_code_is_shared_exits_two(tmp_path, caps
     assert "embedding 11 differs from another embedding of its code 0" in captured.err
     (out / "codes.bin").unlink()
     assert load_engine(out).index.store.vectors[11].tobytes() != store.vectors[11].tobytes()
+
+
+def read_index_lists(data: bytes):
+    """Split an index file into the bytes before its inverted lists and each
+    list's records, as [embedding id, vector bytes] pairs."""
+    _, dim, n_list, num_docs, _ = struct.unpack_from("<IIIQQ", data, 4)
+    at = 4 + 28
+    for _ in range(num_docs):
+        (name_len,) = struct.unpack_from("<I", data, at)
+        at += 4 + name_len + 12
+    head, at, record = data[: at + n_list * dim * 4], at + n_list * dim * 4, 8 + dim * 4
+    lists = []
+    for _ in range(n_list):
+        (count,) = struct.unpack_from("<Q", data, at)
+        starts = range(at + 8, at + 8 + count * record, record)
+        lists.append(
+            [[struct.unpack_from("<Q", data, s)[0], bytearray(data[s + 8 : s + record])]
+             for s in starts]
+        )
+        at += 8 + count * record
+    assert at == len(data)
+    return head, lists
+
+
+def write_index_lists(path: Path, head: bytes, lists) -> None:
+    path.write_bytes(head + b"".join(
+        struct.pack("<Q", len(records))
+        + b"".join(struct.pack("<Q", i) + bytes(vector) for i, vector in records)
+        for records in lists
+    ))
+
+
+def assert_search_names_differing_embedding(out: Path, capsys, embedding: int) -> None:
+    named = f"embedding {embedding} differs from another embedding of its code 0"
+    with pytest.raises(CorruptIndexError, match=named):
+        load_engine(out)
+    code = cli.run(["search", "--index", str(out), "--query", "zebras"])
+    captured = capsys.readouterr()
+    assert_one_line_error(code, captured, out / "codes.bin", exit_code=2)
+    assert named in captured.err
+
+
+# The load takes the first embedding of a code it reads as the code's row and
+# checks every other one against it: embedding 0 is the first of code 0.
+@pytest.mark.parametrize("flipped, named", [(0, 11), (15, 15)], ids=["first row", "later row"])
+def test_a_flipped_bit_in_any_row_of_a_shared_code_exits_two(tmp_path, capsys, flipped, named):
+    out = build_tiny_engine_dir(tmp_path)
+    capsys.readouterr()
+    head, lists = read_index_lists((out / "index.mvix").read_bytes())
+    (records,) = [dict(records) for records in lists if 0 in dict(records)]
+    assert {0, 11, 15} <= set(records)  # equal vectors share a list
+    records[flipped][-1] ^= 0x80  # the sign of the last coordinate
+    write_index_lists(out / "index.mvix", head, lists)
+    assert_search_names_differing_embedding(out, capsys, named)
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["same bits", "flipped bit"])
+@pytest.mark.parametrize("one_list_at_a_time", [False, True])
+def test_a_code_split_across_lists_is_checked_across_them(
+    tmp_path, capsys, monkeypatch, flip, one_list_at_a_time
+):
+    # the load checks the lists in batches of rows, which can also end
+    # between the lists that hold one code
+    if one_list_at_a_time:
+        monkeypatch.setattr(mve.index, "_LOAD_CHECK_BATCH", 1)
+    out = build_tiny_engine_dir(tmp_path)
+    capsys.readouterr()
+    want = load_engine(out).index.store.vectors
+    head, lists = read_index_lists((out / "index.mvix").read_bytes())
+    (holder,) = [c for c, records in enumerate(lists) if 0 in dict(records)]
+    other = 1 - holder
+    # embedding 15 of code 0 moves to the other list, in id order
+    moved = next(record for record in lists[holder] if record[0] == 15)
+    lists[holder].remove(moved)
+    lists[other] = sorted(lists[other] + [moved])
+    if flip:
+        moved[1][0] ^= 1
+    write_index_lists(out / "index.mvix", head, lists)
+    if not flip:
+        index = load_engine(out).index
+        assert 15 in index.lists[other].tolist()
+        assert index.store.vectors.tobytes() == want.tobytes()
+        return
+    # the code's row comes from whichever list is read first
+    assert_search_names_differing_embedding(out, capsys, 15 if other > holder else 0)
 
 
 def test_a_directory_without_codes_searches_to_the_same_bytes(tmp_path, capsys):

@@ -107,6 +107,15 @@ def test_rr_examples():
         rr_at(ranking_of("good"), QRELS, "q1", cutoff=0)
 
 
+@pytest.mark.parametrize("bad", [1.5, 10.0, True, "10"])
+def test_metric_cutoffs_must_be_integers(bad):
+    # cutoff = 1.5 failed in slicing, and cutoff = True ran as 1
+    for metric in (ndcg_at, rr_at):
+        with pytest.raises(InvalidConfigError, match="cutoff must be an integer"):
+            metric(ranking_of("good"), QRELS, "q1", cutoff=bad)
+        assert metric(ranking_of("good"), QRELS, "q1", cutoff=np.int64(1)) == 1.0
+
+
 def reference_dcg(gains):
     return sum(g / math.log2(rank + 1) for rank, g in enumerate(gains, start=1))
 

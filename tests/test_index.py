@@ -3,6 +3,10 @@ import struct
 import numpy as np
 import pytest
 
+import mve.index
+
+from mve.core import FIRST_WORDPIECE_ID, token_table, tokenize_flat
+from mve.engine import load_engine, save_engine
 from mve.errors import CorruptIndexError, InvalidConfigError, InvalidInputError
 from mve.index import (
     Centroids,
@@ -92,6 +96,114 @@ def test_store_rejects_codes_whose_embeddings_differ_in_any_bit():
     infinite[[1, 3], 0] = np.inf
     with pytest.raises(InvalidInputError, match="NaN or Inf"):
         EmbeddingStore.from_lengths(infinite, [4], ["a"], codes)
+
+
+def test_store_from_table_equals_the_store_built_from_its_rows():
+    codes = [2, 0, 1, 2, 2, 0]
+    vectors, table = coded_vectors(codes)
+    built = EmbeddingStore.from_lengths(vectors, [2, 3, 1], ["a", "b", "c"], codes)
+    store = EmbeddingStore.from_table(table, codes, [2, 3, 1], ["a", "b", "c"])
+    for name in ("distinct", "table", "codes", "doc_offsets", "doc_of", "id_order"):
+        assert getattr(store, name).tobytes() == getattr(built, name).tobytes(), name
+    assert store.table is store.distinct and not store.table.flags.writeable
+    assert store.doc_ids == built.doc_ids and store.num_embeddings == 6 and store.dim == 4
+    # the store keeps its own copy of the table
+    table[0] = 0.0
+    assert store.distinct.tobytes() == built.distinct.tobytes()
+
+
+@pytest.mark.parametrize(
+    "codes, message",
+    [
+        ([[0, 1], [2, 0]], "one integer per embedding"),
+        ([0.0, 1.0, 2.0, 0.0], "one integer per embedding"),
+        ([0, 1, 3, 0], r"lie in \[0, 3\)"),
+        ([0, -1, 1, 0], r"lie in \[0, 3\)"),
+        ([0, 1, 1, 0], "code 2 has no embedding"),
+    ],
+)
+def test_store_from_table_rejects_codes_that_do_not_use_each_row(codes, message):
+    _, table = coded_vectors([0, 1, 2])
+    with pytest.raises(InvalidInputError, match=message):
+        EmbeddingStore.from_table(table, codes, [len(np.ravel(codes))], ["a"])
+
+
+def test_store_from_table_checks_the_table_and_the_embedding_limit(monkeypatch):
+    _, table = coded_vectors([0, 1, 2])
+    infinite = table.copy()
+    infinite[1, 0] = np.nan
+    with pytest.raises(InvalidInputError, match="NaN or Inf"):
+        EmbeddingStore.from_table(infinite, [0, 1, 2], [3], ["a"])
+    with pytest.raises(InvalidInputError, match=r"\(n, dim\) array"):
+        EmbeddingStore.from_table(table[:, :0], [0, 1, 2], [3], ["a"])
+    with pytest.raises(InvalidInputError, match="do not partition"):
+        EmbeddingStore.from_table(table, [0, 1, 2], [2], ["a"])
+    monkeypatch.setattr(mve.index, "_MAX_EMBEDDINGS", 5)
+    EmbeddingStore.from_table(table, [0, 1, 2, 0, 1], [5], ["a"])
+    with pytest.raises(InvalidInputError, match="store holds 6 embeddings, more than 5"):
+        EmbeddingStore.from_table(table, [0, 1, 2, 0, 1, 2], [6], ["a"])
+
+
+def test_coded_store_vectors_are_a_new_read_only_gather_on_each_read():
+    codes = [2, 0, 1, 2, 2, 0]
+    vectors, table = coded_vectors(codes)
+    for store in (
+        EmbeddingStore(vectors, [[0, 2], [2, 4]], ("a", "b"), codes),
+        EmbeddingStore(
+            vectors=vectors, doc_offsets=[[0, 2], [2, 4]], doc_ids=("a", "b"), codes=codes
+        ),
+        EmbeddingStore.from_table(table, codes, [2, 4], ["a", "b"]),
+    ):
+        first, second = store.vectors, store.vectors
+        assert first.tobytes() == vectors.tobytes() and first.shape == (6, 4)
+        assert first is not second and not first.flags.writeable
+        assert store.rows(np.array([3, 1])).tobytes() == vectors[[3, 1]].tobytes()
+        assert store.rows(slice(2, 5)).tobytes() == vectors[2:5].tobytes()
+        assert store.doc_vectors(1).tobytes() == vectors[2:].tobytes()
+    plain = EmbeddingStore(vectors, [[0, 2], [2, 4]], ("a", "b"))
+    assert plain.distinct is None and plain.vectors is plain.table
+    assert np.shares_memory(plain.rows(slice(2, 5)), plain.table)
+
+
+@pytest.mark.parametrize("doc_number", [-1, -3, 3, 10**6, 1.0, True, "0"])
+def test_doc_vectors_rejects_doc_numbers_outside_the_store(doc_number):
+    store = random_store(3, 4, seed=2)
+    with pytest.raises(InvalidInputError, match=r"doc number must be an integer in \[0, 3\)"):
+        store.doc_vectors(doc_number)
+    last = store.vectors[-store.doc_offsets[2, 1] :]
+    assert store.doc_vectors(np.int64(2)).tobytes() == last.tobytes()
+
+
+def array_bytes(*holders) -> tuple[int, int]:
+    """The bytes of the distinct arrays the attributes of ``holders`` hold,
+    directly or in a tuple, and the element count of the largest."""
+    arrays = {}
+    for holder in holders:
+        for value in vars(holder).values():
+            for item in value if isinstance(value, tuple) else (value,):
+                if isinstance(item, np.ndarray):
+                    arrays[id(item)] = item
+    return sum(a.nbytes for a in arrays.values()), max(a.size for a in arrays.values())
+
+
+@pytest.mark.parametrize("engine_name", ["small_planted_engine", "wide_planted_engine"])
+def test_coded_engines_hold_no_block_of_every_embedding(engine_name, request, tmp_path):
+    built = request.getfixturevalue(engine_name)
+    save_engine(built, tmp_path)
+    loaded = load_engine(tmp_path)
+    # the bytes the store held when it was built from its embeddings
+    token_ids, lengths, vocab = tokenize_flat(
+        request.getfixturevalue(engine_name.replace("_engine", "")).corpus
+    )
+    config = built.config
+    vectors = token_table(len(vocab), config.seed, config.dim)[token_ids - FIRST_WORDPIECE_ID]
+    for engine in (built, loaded):
+        index, store = engine.index, engine.index.store
+        assert store.codes is not None and store.num_embeddings == len(vectors)
+        full = store.num_embeddings * store.dim
+        total, largest = array_bytes(store, index, index.centroids)
+        assert largest < full and total < full * 4 / 2, (total, full * 4)
+        assert store.vectors.tobytes() == vectors.tobytes()
 
 
 def test_store_from_documents_concatenates_in_corpus_order():

@@ -259,6 +259,23 @@ def test_pruning_knobs_must_be_integers(tiny_engine, bad):
     assert PruningConfig("icf", np.int64(2), np.int32(5), np.uint8(1)).p == 2
 
 
+@pytest.mark.parametrize("bad", [1.5, 1.0, True, False, "1"])
+def test_depths_and_union_widths_must_be_integers(tiny_engine, bad):
+    # k = 1.5 failed in slicing, and k = True and p = True ran as 1
+    with pytest.raises(InvalidConfigError, match="k must be an integer"):
+        tiny_engine.search("zebras", k=bad)
+    with pytest.raises(InvalidConfigError, match="ranking depth k must be an integer"):
+        Ranking(entries=(("a", 1.0),), k=bad)
+    store = named_store(["a", "b"])
+    sets = [candidate_set(store, ["a"]), candidate_set(store, ["b"])]
+    with pytest.raises(InvalidConfigError, match="p must be an integer"):
+        pruned_union(sets, bad)
+    assert pruned_union(sets, np.int64(2)).docs == {"a", "b"}
+    assert len(Ranking(entries=(("a", 1.0),), k=np.uint8(1))) == 1
+    ranking, _ = tiny_engine.search("zebras", k=np.int32(2))
+    assert ranking.entries == tiny_engine.search("zebras", k=2)[0].entries
+
+
 def test_ann_rejects_a_non_finite_query_vector(ann_index):
     # an all-NaN vector makes every centroid similarity NaN, and the stable
     # probe order would then fall back to list order
@@ -968,6 +985,35 @@ def test_maxsim_routes_agree_on_planted_engines(engine_name, request, monkeypatc
     csv = engine.sweep(fixture.queries, qrels).to_csv()
     assert ("table" in routes) == wide
     assert csv == plain.sweep(fixture.queries, qrels).to_csv()
+
+
+@pytest.mark.parametrize("engine_name", list(PLANTED_FIXTURE_OF))
+def test_search_and_sweep_on_a_coded_engine_never_read_store_vectors(
+    engine_name, request, monkeypatch
+):
+    # a coded store's ``vectors`` gathers every embedding on each read
+    engine = request.getfixturevalue(engine_name)
+    fixture = request.getfixturevalue(PLANTED_FIXTURE_OF[engine_name])
+    assert engine.index.store.codes is not None
+    reads = []
+    real = EmbeddingStore.vectors
+
+    def counted(store):
+        reads.append(store)
+        return real.fget(store)
+
+    monkeypatch.setattr(EmbeddingStore, "vectors", property(counted))
+    routes = spy_routes(monkeypatch)
+    for _, text in fixture.queries:
+        for strategy in Strategy:
+            for p in (1, 2, engine.config.q_len):
+                engine.search(text, strategy=strategy, p=p)
+    engine.sweep(fixture.queries, Qrels(fixture.judgments), p_values=(1, 3))
+    wide = engine_name == "wide_planted_engine"
+    assert set(routes) >= ({"table"} if wide else {"span", "gather"})
+    assert reads == []
+    store = engine.index.store
+    assert store.vectors.shape == (store.num_embeddings, store.dim) and reads == [store]
 
 
 @pytest.mark.parametrize("dim", [3, 16, 17, 64])
