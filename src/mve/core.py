@@ -276,7 +276,7 @@ class QueryEncoder:
         return QueryRepresentation(tokens, embed_tokens(tokens, self.seed, self.dim))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LexiconEntry:
     cf: int  # total occurrences across the collection
     df: int  # number of documents containing the token

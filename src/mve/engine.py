@@ -8,9 +8,10 @@ import dataclasses
 import json
 import math
 import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -268,13 +269,28 @@ def save_engine(engine: Engine, directory: str | Path) -> None:
         save_codes(engine.index.store, directory / CODES_FILE)
 
 
+@contextmanager
+def _engine_file(path: Path) -> Iterator[None]:
+    """Report an ``OSError`` from reading engine file ``path`` as damage to
+    the file: a directory in its place, or a file that cannot be read."""
+    try:
+        yield
+    except OSError as exc:
+        named = path if exc.filename is None else exc.filename
+        raise CorruptIndexError(
+            f"{named}: unreadable engine file: {exc.strerror or exc}"
+        ) from exc
+
+
 def load_engine(directory: str | Path) -> Engine:
     """Load an engine directory, cross-checking config against the index.
 
     A directory without ``config.json`` is not an engine directory
     (:class:`InvalidInputError`). A missing ``lexicon.tsv`` or
-    ``index.mvix``, or content of any of the three files that does not read
-    back, raises :class:`CorruptIndexError`, with the reader's message.
+    ``index.mvix``, a file of the directory that cannot be read (an
+    ``OSError``, as when a directory stands in its place), or content of any
+    of its files that does not read back, raises :class:`CorruptIndexError`
+    naming the file.
 
     ``codes.bin`` is read when it exists; a directory without it loads a
     store without codes. The codes are always checked against the stored
@@ -287,15 +303,17 @@ def load_engine(directory: str | Path) -> Engine:
     config_path = directory / CONFIG_FILE
     if not config_path.exists():
         raise InvalidInputError(f"{directory} is not an engine directory (missing {CONFIG_FILE})")
-    try:
-        config = EngineConfig.from_mapping(json.loads(config_path.read_text(encoding="utf-8")))
-    except (ValueError, TypeError, InvalidConfigError) as exc:  # ValueError: decode, JSON
-        raise CorruptIndexError(f"{config_path}: unreadable config: {exc}") from exc
+    with _engine_file(config_path):
+        try:
+            config = EngineConfig.from_mapping(json.loads(config_path.read_text(encoding="utf-8")))
+        except (ValueError, TypeError, InvalidConfigError) as exc:  # ValueError: decode, JSON
+            raise CorruptIndexError(f"{config_path}: unreadable config: {exc}") from exc
     for name in (INDEX_FILE, LEXICON_FILE):
         if not (directory / name).exists():
             raise CorruptIndexError(f"{directory / name}: missing engine file")
     codes_path = directory / CODES_FILE
-    index = load_index(directory / INDEX_FILE, codes_path if codes_path.exists() else None)
+    with _engine_file(directory / INDEX_FILE):  # or codes.bin, which the error then names
+        index = load_index(directory / INDEX_FILE, codes_path if codes_path.exists() else None)
     if config.dim != index.dim:
         raise CorruptIndexError(
             f"config dim {config.dim} disagrees with index dim {index.dim}"
@@ -304,8 +322,9 @@ def load_engine(directory: str | Path) -> Engine:
         raise CorruptIndexError(
             f"config n_list {config.n_list} disagrees with index n_list {index.n_list}"
         )
-    try:
-        lexicon, vocab = load_lexicon(directory / LEXICON_FILE, num_docs=index.store.num_docs)
-    except EngineError as exc:
-        raise CorruptIndexError(str(exc)) from exc
+    with _engine_file(directory / LEXICON_FILE):
+        try:
+            lexicon, vocab = load_lexicon(directory / LEXICON_FILE, num_docs=index.store.num_docs)
+        except EngineError as exc:
+            raise CorruptIndexError(str(exc)) from exc
     return Engine(config=config, vocab=vocab, lexicon=lexicon, index=index)

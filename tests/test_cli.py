@@ -516,6 +516,20 @@ def test_search_in_a_directory_missing_a_member_file_exits_two(tmp_path, capsys,
         load_engine(out)
 
 
+@pytest.mark.parametrize("name", ["index.mvix", "codes.bin", "lexicon.tsv", "config.json"])
+def test_search_with_a_directory_in_place_of_an_engine_file_exits_two(tmp_path, capsys, name):
+    out = build_tiny_engine_dir(tmp_path)
+    capsys.readouterr()
+    (out / name).unlink()
+    (out / name).mkdir()
+    code = cli.run(["search", "--index", str(out), "--query", "zebras"])
+    captured = capsys.readouterr()
+    assert_one_line_error(code, captured, out / name, exit_code=2)
+    assert "unreadable engine file" in captured.err
+    with pytest.raises(CorruptIndexError, match=f"{name}: unreadable engine file"):
+        load_engine(out)
+
+
 # codes.bin: magic, u32 version, u64 count, then one u32 code per embedding.
 # In the tiny corpus "the" is embeddings 0, 11 and 15 (code 0) and "quick"
 # embedding 1 (code 1), the only one of its code.
@@ -637,6 +651,25 @@ def test_a_flipped_bit_in_any_row_of_a_shared_code_exits_two(tmp_path, capsys, f
     (records,) = [dict(records) for records in lists if 0 in dict(records)]
     assert {0, 11, 15} <= set(records)  # equal vectors share a list
     records[flipped][-1] ^= 0x80  # the sign of the last coordinate
+    write_index_lists(out / "index.mvix", head, lists)
+    assert_search_names_differing_embedding(out, capsys, named)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 12, 14, 17])
+@pytest.mark.parametrize("flipped, named", [(0, 11), (15, 15)], ids=["first row", "later row"])
+def test_the_row_named_does_not_depend_on_where_a_batch_ends(
+    tmp_path, capsys, monkeypatch, batch, flipped, named
+):
+    monkeypatch.setattr(mve.index, "_LOAD_CHECK_BATCH", batch)
+    out = build_tiny_engine_dir(tmp_path)
+    capsys.readouterr()
+    head, lists = read_index_lists((out / "index.mvix").read_bytes())
+    # embeddings 0, 11 and 15 of code 0 are rows 7, 13 and 15 of the 17 read:
+    # a batch of 12 rows ends after 0, one of 14 after 11, one of 17 after all
+    read = [i for records in lists for i, _ in records]
+    assert [read.index(i) for i in (0, 11, 15)] == [7, 13, 15]
+    (records,) = [dict(records) for records in lists if 0 in dict(records)]
+    records[flipped][-1] ^= 0x80
     write_index_lists(out / "index.mvix", head, lists)
     assert_search_names_differing_embedding(out, capsys, named)
 

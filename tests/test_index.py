@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import mve.index
 
 from mve.core import FIRST_WORDPIECE_ID, token_table, tokenize_flat
-from mve.engine import load_engine, save_engine
+from mve.engine import EngineConfig, build_engine, load_engine, save_engine
 from mve.errors import CorruptIndexError, InvalidConfigError, InvalidInputError
 from mve.index import (
     Centroids,
@@ -23,6 +24,7 @@ from mve.index import (
 )
 
 from conftest import build_sample_index, random_store
+from synthdata import planted_fixture
 
 
 def unit(vector):
@@ -204,6 +206,23 @@ def test_coded_engines_hold_no_block_of_every_embedding(engine_name, request, tm
         total, largest = array_bytes(store, index, index.centroids)
         assert largest < full and total < full * 4 / 2, (total, full * 4)
         assert store.vectors.tobytes() == vectors.tobytes()
+
+
+def test_a_coded_load_never_holds_the_list_section(tmp_path):
+    # the list section of the 36,000 embeddings is 9.5 MB and their vectors
+    # 9.2 MB; a load reads the section in batches of a few thousand rows
+    fixture = planted_fixture(num_docs=3000, num_queries=8)
+    config = EngineConfig(dim=64, q_len=fixture.q_len, sample_fraction=0.05, seed=3)
+    save_engine(build_engine(fixture.corpus, config), tmp_path)
+    tracemalloc.start()
+    try:
+        index = load_index(tmp_path / "index.mvix", tmp_path / "codes.bin")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    vectors = index.store.num_embeddings * index.store.dim * 4
+    assert index.store.num_embeddings == 36_000
+    assert peak < vectors / 2, (peak, vectors)
 
 
 def test_store_from_documents_concatenates_in_corpus_order():

@@ -12,7 +12,11 @@ where the bulk loader fixes a defect of the reference:
 - a doc id that is empty or contains whitespace, which the reference
   accepts although no run file can carry it;
 - an inverted-list id of 2**63 or more, which the reference wraps negative
-  and reports only as inconsistent content.
+  and reports only as inconsistent content, or as an ``IndexError``.
+
+With ``codes.bin`` the reference is ``reference_load_index`` followed by
+``EmbeddingStore(vectors, offsets, doc_ids, codes)``, which compares every
+embedding with the other embeddings of its code.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import BinaryIO
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from mve.core import (
@@ -36,7 +40,15 @@ from mve.core import (
     load_lexicon,
     open_text,
 )
-from mve.engine import INDEX_FILE, LEXICON_FILE, save_engine
+import mve.index
+from mve.engine import (
+    CODES_FILE,
+    INDEX_FILE,
+    LEXICON_FILE,
+    EngineConfig,
+    build_engine,
+    save_engine,
+)
 from mve.errors import CorruptIndexError, InvalidInputError
 from mve.index import (
     _DOC_TAIL,
@@ -222,6 +234,34 @@ def test_loaders_equal_the_references_on_the_planted_engine(small_planted_engine
     )
 
 
+def largest_list_middle(index: IvfIndex) -> int:
+    """A row count at which a batch of the list section ends inside its
+    largest list."""
+    sizes = [len(ids) for ids in index.lists]
+    largest = int(np.argmax(sizes))
+    assert sizes[largest] >= 2
+    return sum(sizes[:largest]) + sizes[largest] // 2
+
+
+@pytest.mark.parametrize("batch", ["1", "inside the largest list", "beyond the store"])
+def test_batch_size_does_not_change_a_load(small_planted_engine, tmp_path, monkeypatch, batch):
+    save_engine(small_planted_engine, tmp_path)
+    built = small_planted_engine.index
+    rows = {
+        "1": 1,
+        "inside the largest list": largest_list_middle(built),
+        "beyond the store": built.store.num_embeddings + 1,
+    }[batch]
+    monkeypatch.setattr(mve.index, "_LOAD_CHECK_BATCH", rows)
+    coded = load_index(tmp_path / INDEX_FILE, tmp_path / CODES_FILE)
+    plain = load_index(tmp_path / INDEX_FILE)
+    for got in (coded, plain):
+        assert_same_index(got, built)
+    assert coded.store.codes.tobytes() == built.store.codes.tobytes()
+    assert coded.store.table.tobytes() == built.store.table.tobytes()
+    assert [r.tobytes() for r in coded.list_rows] == [r.tobytes() for r in built.list_rows]
+
+
 def test_load_index_equals_the_reference_on_the_sample_index(tmp_path):
     path = tmp_path / INDEX_FILE
     save_index(build_sample_index(), path)
@@ -233,26 +273,51 @@ def test_load_index_equals_the_reference_on_the_sample_index(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def outcome(load, path):
-    """The loaded index, or the CorruptIndexError or OverflowError raised."""
+def outcome(load, *paths):
+    """The loaded index, or the CorruptIndexError, OverflowError or
+    IndexError raised."""
     try:
-        return load(path)
-    except (CorruptIndexError, OverflowError) as exc:
+        return load(*paths)
+    except (CorruptIndexError, OverflowError, IndexError) as exc:
         return exc
 
 
-def assert_same_outcome(path):
-    got, want = outcome(load_index, path), outcome(reference_load_index, path)
+def reference_load_coded(path: Path, codes_path: Path) -> IvfIndex:
+    """``reference_load_index`` with the codes of an undamaged ``codes.bin``
+    checked by the store's constructor, against every embedding."""
+    want = reference_load_index(path)
+    codes = np.frombuffer(codes_path.read_bytes(), dtype="<u4", offset=16)
+    try:
+        store = EmbeddingStore(
+            want.store.vectors, want.store.doc_offsets, want.store.doc_ids, codes
+        )
+    except InvalidInputError as exc:
+        raise CorruptIndexError(f"inconsistent index content: {exc}") from exc
+    return IvfIndex(store=store, centroids=want.centroids, lists=want.lists)
+
+
+def assert_same_outcome(path, codes_path=None):
+    if codes_path is None:
+        got, want = outcome(load_index, path), outcome(reference_load_index, path)
+    else:
+        got = outcome(load_index, path, codes_path)
+        want = outcome(reference_load_coded, path, codes_path)
+    event(f"reference: {type(want).__name__}")
     if isinstance(want, OverflowError):
         # a start field of 2**63 or more
         assert isinstance(got, CorruptIndexError) and "document table" in str(got)
+    elif isinstance(want, (IndexError, CorruptIndexError)):
+        # IndexError: an inverted-list id of 2**63 or more, which the
+        # reference wraps negative
+        assert isinstance(got, CorruptIndexError)
     elif isinstance(want, IvfIndex) and not all(map(is_single_field, want.store.doc_ids)):
         assert isinstance(got, CorruptIndexError)
         assert "empty or contains whitespace" in str(got)
-    elif isinstance(want, CorruptIndexError):
-        assert isinstance(got, CorruptIndexError)
     else:
         assert_same_index(got, want)
+        if codes_path is not None:
+            assert got.store.codes.tobytes() == want.store.codes.tobytes()
+            assert got.store.table.tobytes() == want.store.table.tobytes()
 
 
 def index_named(names):
@@ -274,28 +339,70 @@ NAMES = st.lists(
 )
 
 
+def damage(path: Path, index: IvfIndex, data) -> None:
+    """Flip one bit of the header, the document table or the inverted lists
+    of the index file ``path`` holds, cut the file anywhere or inside its
+    lists, or append bytes to it."""
+    raw = bytearray(path.read_bytes())
+    table_at = len(INDEX_MAGIC) + _HEADER.size
+    table_end = table_at + sum(
+        _U32.size + len(name.encode("utf-8")) + _DOC_TAIL.size for name in index.store.doc_ids
+    )
+    lists_at = table_end + index.n_list * index.dim * 4
+    sections = {
+        "header": (0, table_at), "table": (table_at, table_end), "list": (lists_at, len(raw))
+    }
+    kind = data.draw(
+        st.sampled_from(["list flip", "list cut", "table flip", "header flip", "cut", "append"])
+    )
+    if kind.endswith("flip"):
+        first, end = sections[kind.split()[0]]
+        raw[data.draw(st.integers(first, end - 1))] ^= 1 << data.draw(st.integers(0, 7))
+    elif kind.endswith("cut"):
+        del raw[data.draw(st.integers(lists_at if kind == "list cut" else 0, len(raw) - 1)) :]
+    else:
+        raw += data.draw(st.binary(min_size=1, max_size=40))
+    event(kind)
+    path.write_bytes(bytes(raw))
+
+
 @settings(
     max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(names=NAMES, data=st.data())
 def test_damaged_index_fails_or_loads_as_the_reference_does(tmp_path, names, data):
     path = tmp_path / INDEX_FILE
-    save_index(index_named(names), path)
-    raw = bytearray(path.read_bytes())
-    table_at = len(INDEX_MAGIC) + _HEADER.size
-    table_end = table_at + sum(
-        _U32.size + len(name.encode("utf-8")) + _DOC_TAIL.size for name in names
-    )
-    kind = data.draw(st.sampled_from(["header flip", "table flip", "cut", "append"]))
-    if kind.endswith("flip"):
-        first, last = (0, table_at - 1) if kind == "header flip" else (table_at, table_end - 1)
-        raw[data.draw(st.integers(first, last))] ^= 1 << data.draw(st.integers(0, 7))
-    elif kind == "cut":
-        del raw[data.draw(st.integers(0, len(raw) - 1)) :]
-    else:
-        raw += data.draw(st.binary(min_size=1, max_size=40))
-    path.write_bytes(bytes(raw))
+    index = index_named(names)
+    save_index(index, path)
+    damage(path, index, data)
     assert_same_outcome(path)
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    names=NAMES,
+    texts=st.lists(
+        st.lists(st.sampled_from("abcd"), min_size=2, max_size=5), min_size=5, max_size=5
+    ),
+    dim=st.sampled_from([3, 4]),
+    batch=st.sampled_from([1, 2, 3, 4096]),
+    data=st.data(),
+)
+def test_damaged_coded_index_fails_or_loads_as_the_reference_does(
+    tmp_path, monkeypatch, names, texts, dim, batch, data
+):
+    # a coded engine over four words, so most embeddings share their code
+    # with another and a flipped vector bit in one of them fails the load
+    monkeypatch.setattr(mve.index, "_LOAD_CHECK_BATCH", batch)
+    corpus = [(name, " ".join(words)) for name, words in zip(names, texts)]
+    config = EngineConfig(dim=dim, q_len=4, n_list=2, sample_fraction=1.0, iterations=2)
+    engine = build_engine(corpus, config)
+    save_engine(engine, tmp_path)
+    assert (tmp_path / CODES_FILE).exists()
+    damage(tmp_path / INDEX_FILE, engine.index, data)
+    assert_same_outcome(tmp_path / INDEX_FILE, tmp_path / CODES_FILE)
 
 
 def test_a_start_of_2_63_or_more_is_corruption_of_the_document_table(tmp_path):
