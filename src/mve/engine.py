@@ -1,6 +1,7 @@
 """Engine assembly: configuration, corpus-to-index building, and the on-disk
 engine directory (config.json + lexicon.tsv + index.mvix, and codes.bin for
-an engine whose embeddings come from the built-in token table)."""
+a store whose embeddings repeat rows of its table, such as one built from
+the built-in token table)."""
 
 from __future__ import annotations
 
@@ -253,7 +254,9 @@ def build_engine(
 
 
 def save_engine(engine: Engine, directory: str | Path) -> None:
-    """Write an engine directory; ``codes.bin`` only for a store with codes.
+    """Write an engine directory; ``codes.bin`` unless the store's codes
+    are ``0 ... n-1``, as they are for a store whose embeddings are its
+    table, which then loads to the same store without the file.
 
     An older ``codes.bin`` is deleted first, so a directory never pairs this
     engine's index with another engine's codes, even if the save stops
@@ -265,7 +268,8 @@ def save_engine(engine: Engine, directory: str | Path) -> None:
     (directory / CONFIG_FILE).write_text(engine.config.to_json(), encoding="utf-8")
     save_lexicon(engine.lexicon, engine.vocab, directory / LEXICON_FILE)
     save_index(engine.index, directory / INDEX_FILE)
-    if engine.index.store.codes is not None:
+    codes = engine.index.store.codes
+    if not np.array_equal(codes, np.arange(len(codes))):
         save_codes(engine.index.store, directory / CODES_FILE)
 
 
@@ -293,11 +297,12 @@ def load_engine(directory: str | Path) -> Engine:
     naming the file.
 
     ``codes.bin`` is read when it exists; a directory without it loads a
-    store without codes. The codes are always checked against the stored
-    embeddings (see :func:`mve.index.load_index`): MaxSim scores from
-    the rows the codes name, so codes that a torn write, a save that
-    stopped between files or a mix of two saves' files left out of step
-    with ``index.mvix`` must fail the load, not score from the wrong rows.
+    store whose table is its embeddings, with codes ``0 ... n-1``. The
+    codes are always checked against the stored embeddings (see
+    :func:`mve.index.load_index`): MaxSim scores from the rows the codes
+    name, so codes that a torn write, a save that stopped between files or
+    a mix of two saves' files left out of step with ``index.mvix`` must
+    fail the load, not score from the wrong rows.
     """
     directory = Path(directory)
     config_path = directory / CONFIG_FILE

@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Lexicon, QueryEncoder, is_single_field, open_text
+from .core import Lexicon, QueryEncoder, QueryRepresentation, is_single_field, open_text
 from .errors import InvalidConfigError, InvalidInputError
 from .index import IvfIndex
 from .retrieval import (
@@ -347,13 +347,13 @@ class _QueryOutcome(NamedTuple):
 
 
 def _shared_probes(
-    queries: Sequence[tuple[str, str]],
+    queries: Sequence[QueryRepresentation],
     index: IvfIndex,
-    encoder: QueryEncoder,
     k_prime: int,
     n_probe: int,
 ) -> dict[bytes, CandidateSet]:
-    """Candidate sets of the query vectors that two or more ``queries`` hold.
+    """Candidate sets of the query vectors that two or more encoded
+    ``queries`` hold.
 
     Queries are embedded context-free, so CLS, MASK and repeated words give
     several queries one vector. Rows are keyed by their bytes, as
@@ -362,8 +362,7 @@ def _shared_probes(
     """
     holders: dict[bytes, int] = {}
     rows: dict[bytes, np.ndarray] = {}
-    for _, text in queries:
-        query = encoder.encode(text)
+    for query in queries:
         for position in query.distinct_rows[0].tolist():
             row = query.embeddings[position]
             key = row.tobytes()
@@ -379,10 +378,9 @@ def _shared_probes(
 
 def _evaluate_query(
     query_id: str,
-    text: str,
+    query: QueryRepresentation,
     index: IvfIndex,
     lexicon: Lexicon,
-    encoder: QueryEncoder,
     qrels: Qrels,
     strategies: Sequence[Strategy],
     p_values: Sequence[int],
@@ -391,7 +389,8 @@ def _evaluate_query(
     n_probe: int,
     shared: Mapping[bytes, CandidateSet],
 ) -> _QueryOutcome:
-    """Evaluate every (strategy, p) cell for one query in a single pass.
+    """Evaluate every (strategy, p) cell for one encoded query in a single
+    pass.
 
     Candidate generation runs once per distinct query vector and is shared
     by every position holding it; a vector other queries hold too comes
@@ -406,7 +405,6 @@ def _evaluate_query(
     relevant ones, so each metric is that of the full ranking, bit for bit.
     The document counts count every hit.
     """
-    query = encoder.encode(text)
     store = index.store
     firsts, slots = query.distinct_rows
     distinct_sets = []
@@ -508,22 +506,24 @@ def sweep(
     if len({qid for qid, _ in ordered_queries}) != len(ordered_queries):
         raise InvalidInputError("duplicate query ids")
 
-    shared = _shared_probes(ordered_queries, index, encoder, k_prime, n_probe)
+    # each query is encoded once, for the shared probes and its evaluation
+    encoded = [encoder.encode(text) for _, text in ordered_queries]
+    shared = _shared_probes(encoded, index, k_prime, n_probe)
 
-    def work(pair: tuple[str, str]) -> _QueryOutcome:
-        qid, text = pair
+    def work(qid: str, query: QueryRepresentation) -> _QueryOutcome:
         return _evaluate_query(
-            qid, text, index, lexicon, encoder, qrels,
+            qid, query, index, lexicon, qrels,
             strategies, p_values, k, k_prime, n_probe, shared,
         )
 
+    qids = [qid for qid, _ in ordered_queries]
     if threads == 1:
-        outcomes = [work(pair) for pair in ordered_queries]
+        outcomes = list(map(work, qids, encoded))
     else:
         import concurrent.futures
 
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(work, ordered_queries))
+            outcomes = list(pool.map(work, qids, encoded))
 
     num_queries = len(outcomes)
     baselines = {

@@ -72,16 +72,16 @@ def _bits(rows: np.ndarray) -> np.ndarray:
 
 
 def _check_code_rows(
-    distinct: np.ndarray, codes: np.ndarray, rows: np.ndarray, ids: np.ndarray | None = None
+    table: np.ndarray, codes: np.ndarray, rows: np.ndarray, ids: np.ndarray | None = None
 ) -> None:
     """Raise unless every one of ``rows`` is bit for bit the row of
-    ``distinct`` its code names; ``ids`` numbers the rows' embeddings, by
+    ``table`` its code names; ``ids`` numbers the rows' embeddings, by
     default from 0."""
     # bits, not values: -0.0 == 0.0, and NaN equals nothing
-    distinct_bits, bits = _bits(distinct), _bits(rows)
+    table_bits, bits = _bits(table), _bits(rows)
     for start in range(0, len(codes), _CODE_CHECK_CHUNK):
         block = codes[start : start + _CODE_CHECK_CHUNK]
-        same = np.take(distinct_bits, block, axis=0) == bits[start : start + len(block)]
+        same = np.take(table_bits, block, axis=0) == bits[start : start + len(block)]
         if not same.all():
             at = start + int(np.argmin(same.all(axis=1)))
             i = at if ids is None else int(ids[at])
@@ -96,10 +96,10 @@ def _code_rows(vectors: np.ndarray, codes: object) -> tuple[np.ndarray, np.ndarr
     codes = _check_codes(codes, len(vectors), len(vectors), "the number of embeddings")
     picked = np.empty(int(codes.max()) + 1, dtype=np.intp)
     picked[codes] = np.arange(len(codes))  # any embedding of each code; all are compared next
-    distinct = vectors[picked]
-    _check_code_rows(distinct, codes, vectors)
-    distinct.flags.writeable = False
-    return codes, distinct
+    table = vectors[picked]
+    _check_code_rows(table, codes, vectors)
+    table.flags.writeable = False
+    return codes, table
 
 
 def _offsets(lengths: object) -> np.ndarray:
@@ -118,32 +118,32 @@ class EmbeddingStore:
     ``doc_id_array`` holds the doc ids as a read-only object array, indexed
     by doc number.
 
-    A store holds its embeddings as ``table``, and reads them with
-    :meth:`rows`. Without codes the table is the ``(num_embeddings, dim)``
-    block of embeddings itself and ``distinct`` is None. With ``codes``,
-    embedding ``i`` is bit for bit ``distinct[codes[i]]`` and the table is
-    ``distinct``, one row per code: the desk store's 60,000 embeddings take
-    1,751 rows, 448 kB instead of 15 MB. A product with the store's rows can
-    then also be taken once per distinct row.
+    Every store is a ``table`` and its ``codes``: embedding ``i`` is bit for
+    bit ``table[codes[i]]``, and :meth:`rows` reads embeddings that way. The
+    built-in embedder's store takes one row per vocabulary token: the desk
+    store's 60,000 embeddings are 1,751 rows, 448 kB instead of 15 MB, so a
+    product with the store's rows can be taken once per row. A store of
+    embeddings whose rows do not repeat, such as one read from an embeddings
+    dump, is the same thing with its embeddings as the table and codes
+    ``0 ... n-1``. Both arrays are read-only.
 
     ``EmbeddingStore(vectors, doc_offsets, doc_ids, codes=None)`` builds a
-    store from its embeddings. The codes must use every value from 0 to
-    their maximum, which must lie below the number of embeddings;
-    ``distinct`` is built from the embeddings themselves, and a code whose
-    embeddings differ in any bit (-0.0 is not 0.0) is rejected.
-    :meth:`from_table` builds a store with codes from its table instead,
-    whose rows are the embeddings by construction.
+    store from its embeddings. Without codes the table is ``vectors`` itself,
+    not a copy. Given codes must use every value from 0 to their maximum,
+    which must lie below the number of embeddings; the table is built from
+    the embeddings themselves, and a code whose embeddings differ in any bit
+    (-0.0 is not 0.0) is rejected. :meth:`from_table` builds a store from its
+    table and codes instead, whose rows are the embeddings by construction.
 
-    ``vectors`` reads every embedding in id order. For a store with codes
-    that is a full gather, ``num_embeddings * dim * 4`` bytes made on each
-    read and never kept; the engine's own request path never reads it.
+    ``vectors`` reads every embedding in id order: a full gather,
+    ``num_embeddings * dim * 4`` bytes made on each read and never kept; the
+    engine's own request path never reads it.
     """
 
     doc_offsets: np.ndarray  # (num_docs, 2) int64 rows of (start, length)
     doc_ids: tuple[str, ...]
-    codes: np.ndarray | None  # embedding id -> row of ``distinct``
-    distinct: np.ndarray | None = field(repr=False)  # (num_codes, dim) float32
-    table: np.ndarray = field(repr=False)  # the rows ``rows`` reads
+    codes: np.ndarray  # embedding id -> row of ``table``
+    table: np.ndarray = field(repr=False)  # (num_rows, dim) float32
     num_embeddings: int
     doc_of: np.ndarray = field(repr=False)  # embedding id -> doc number
     id_rank: np.ndarray = field(repr=False)  # doc number -> rank of its id
@@ -165,36 +165,35 @@ class EmbeddingStore:
         if vectors.ndim != 2 or vectors.shape[1] == 0:
             raise InvalidInputError("store vectors must be a (n, dim) array")
         if codes is None:
-            self._init(vectors, None, len(vectors), doc_offsets, doc_ids)
+            table = vectors.view()  # read-only; the caller's array stays writeable
+            table.flags.writeable = False
+            codes = np.arange(len(vectors))
+            codes.flags.writeable = False
         else:
-            codes, distinct = _code_rows(vectors, codes)
-            self._init(distinct, codes, len(vectors), doc_offsets, doc_ids)
+            codes, table = _code_rows(vectors, codes)
+        self._init(table, codes, doc_offsets, doc_ids)
 
     @classmethod
-    def _coded(
-        cls, table: np.ndarray, codes: object, doc_offsets: np.ndarray, doc_ids: Sequence[str]
+    def _over(
+        cls, table: np.ndarray, codes: np.ndarray, doc_offsets: np.ndarray, doc_ids: Sequence[str]
     ) -> "EmbeddingStore":
-        """A store with codes over ``table``; see :meth:`from_table`."""
-        table = np.array(table, dtype=np.float32, order="C")
-        if table.ndim != 2 or table.shape[1] == 0:
-            raise InvalidInputError("store table must be a (n, dim) array")
-        table.flags.writeable = False
-        codes = _check_codes(codes, None, len(table), "the rows of the table", len(table))
+        """A store over a read-only float32 ``table`` and read-only intp
+        ``codes`` that the caller has checked, both kept as they are."""
         store = cls.__new__(cls)
-        store._init(table, codes, len(codes), doc_offsets, doc_ids)
+        store._init(table, codes, doc_offsets, doc_ids)
         return store
 
     def _init(
         self,
         table: np.ndarray,
-        codes: np.ndarray | None,
-        num_embeddings: int,
+        codes: np.ndarray,
         doc_offsets: np.ndarray,
         doc_ids: Sequence[str],
     ) -> None:
         def set_(name: str, value: object) -> None:
             object.__setattr__(self, name, value)
 
+        num_embeddings = len(codes)
         if num_embeddings > _MAX_EMBEDDINGS:
             raise InvalidInputError(
                 f"store holds {num_embeddings} embeddings, more than {_MAX_EMBEDDINGS}"
@@ -204,10 +203,9 @@ class EmbeddingStore:
         set_("doc_offsets", offsets)
         set_("doc_ids", doc_ids)
         set_("codes", codes)
-        set_("distinct", None if codes is None else table)
         set_("table", table)
-        set_("num_embeddings", int(num_embeddings))
-        # with codes every embedding is a row of the table
+        set_("num_embeddings", num_embeddings)
+        # every embedding is a row of the table
         if not np.isfinite(table).all():
             raise InvalidInputError("store vectors contain NaN or Inf")
         if offsets.ndim != 2 or offsets.shape[1] != 2 or offsets.shape[0] == 0:
@@ -248,8 +246,8 @@ class EmbeddingStore:
     def from_table(
         cls, table: np.ndarray, codes: np.ndarray, lengths: np.ndarray, doc_ids: Sequence[str]
     ) -> "EmbeddingStore":
-        """A store with codes in which embedding ``i`` is ``table[codes[i]]``
-        and document ``doc_ids[i]`` owns the next ``lengths[i]`` embeddings.
+        """A store in which embedding ``i`` is ``table[codes[i]]`` and
+        document ``doc_ids[i]`` owns the next ``lengths[i]`` embeddings.
 
         The embeddings are the table's rows by construction, so none is
         compared with another. The codes must be integers that lie in
@@ -257,7 +255,12 @@ class EmbeddingStore:
         there may be at most 2**32 embeddings. The store keeps a copy of the
         table.
         """
-        return cls._coded(table, codes, _offsets(lengths), doc_ids)
+        table = np.array(table, dtype=np.float32, order="C")
+        if table.ndim != 2 or table.shape[1] == 0:
+            raise InvalidInputError("store table must be a (n, dim) array")
+        table.flags.writeable = False
+        codes = _check_codes(codes, None, len(table), "the rows of the table", len(table))
+        return cls._over(table, codes, _offsets(lengths), doc_ids)
 
     @classmethod
     def from_blocks(cls, blocks: Sequence[tuple[str, np.ndarray]]) -> "EmbeddingStore":
@@ -280,10 +283,7 @@ class EmbeddingStore:
     @property
     def vectors(self) -> np.ndarray:
         """Every embedding in id order, a ``(num_embeddings, dim)`` float32
-        array: the table itself for a store without codes, and for one with
-        codes a new read-only ``np.take(table, codes)`` on each read."""
-        if self.codes is None:
-            return self.table
+        array: a new read-only ``np.take(table, codes)`` on each read."""
         vectors = np.take(self.table, self.codes, axis=0)
         vectors.flags.writeable = False
         return vectors
@@ -298,11 +298,8 @@ class EmbeddingStore:
 
     def rows(self, ids: np.ndarray | slice) -> np.ndarray:
         """The embeddings ``ids`` names, an array of embedding ids or a slice
-        of them, as the table's rows: ``table[codes[ids]]`` for a store with
-        codes, ``table[ids]`` (a view for a slice) for one without."""
-        if self.codes is not None:
-            return np.take(self.table, self.codes[ids], axis=0)
-        return self.table[ids] if isinstance(ids, slice) else np.take(self.table, ids, axis=0)
+        of them, as a new array of the table's rows, ``table[codes[ids]]``."""
+        return np.take(self.table, self.codes[ids], axis=0)
 
     def index_of(self, doc_id: str) -> int | None:
         return self._index_of.get(doc_id)  # type: ignore[attr-defined]
@@ -358,10 +355,8 @@ class IvfIndex:
     are a disjoint cover of it.
 
     ``list_rows[c]`` names the rows of ``store.table`` that hold those
-    embeddings, one for one: ``store.codes[lists[c]]``, rows of the store's
-    distinct rows, for a store with codes, and ``lists[c]`` itself for one
-    without, whose table is its embeddings. Either way the rows are bit for
-    bit the embeddings'.
+    embeddings, one for one, ``store.codes[lists[c]]``: bit for bit the
+    embeddings' rows.
     """
 
     store: EmbeddingStore
@@ -385,13 +380,11 @@ class IvfIndex:
             covered[joined] = True
         if not covered.all():
             raise InvalidInputError("inverted lists are not a disjoint cover of the store")
-        list_rows = lists
-        if self.store.codes is not None:
-            # one gather over the joined lists, cut into read-only views
-            rows = self.store.codes[joined]
-            rows.flags.writeable = False
-            ends = np.cumsum([len(ids) for ids in lists]).tolist()
-            list_rows = tuple(rows[end - len(ids) : end] for ids, end in zip(lists, ends))
+        # one gather over the joined lists, cut into read-only views
+        rows = self.store.codes[joined]
+        rows.flags.writeable = False
+        ends = np.cumsum([len(ids) for ids in lists]).tolist()
+        list_rows = tuple(rows[end - len(ids) : end] for ids, end in zip(lists, ends))
         object.__setattr__(self, "list_rows", list_rows)
 
     @property
@@ -683,10 +676,8 @@ _CODES_HEADER = struct.Struct("<IQ")
 
 
 def save_codes(store: EmbeddingStore, path: str | Path) -> None:
-    """Write the codes of a store that has them; :func:`load_index` reads
-    them back beside the index file."""
-    if store.codes is None:
-        raise InvalidInputError("store has no codes to save")
+    """Write the codes of a store; :func:`load_index` reads them back beside
+    the index file."""
     with open(path, "wb") as out:
         out.write(CODES_MAGIC)
         out.write(_CODES_HEADER.pack(FORMAT_VERSION, len(store.codes)))
@@ -746,18 +737,21 @@ def load_index(path: str | Path, codes_path: str | Path | None = None) -> IvfInd
     whitespace, so that a run file can carry them. The inverted lists are
     then read in batches of ``_LOAD_CHECK_BATCH`` rows into one reused
     buffer (see :func:`_read_lists`), and each batch's ids are range-checked
-    before use; a store without codes scatters each batch into its vectors.
+    before use. Without ``codes_path`` each batch is scattered into one block
+    of every embedding, which becomes the store's table, with codes
+    ``0 ... n-1``.
 
-    With ``codes_path`` the store also takes the codes that file holds (see
-    :func:`save_codes`), read before the lists, and keeps only one row per
-    code, never the ``(num_embeddings, dim)`` block: the first embedding of
-    a code read becomes its row, and every embedding, in every list, is
-    compared bit for bit with its code's row where it lies in the buffer.
+    With ``codes_path`` the store takes the codes that file holds (see
+    :func:`save_codes`), read and checked once before the lists, and keeps
+    only one row per code, never the ``(num_embeddings, dim)`` block: the
+    first embedding of a code read becomes its row, and every embedding, in
+    every list, is compared bit for bit with its code's row where it lies in
+    the buffer. The store then takes those codes and that table as they are.
 
     On the desk index (60,000 embeddings of dim 64, 5,000 documents; a
     shared 2-core host, warm) a load with codes takes about 12-13.5 ms: 3 ms
     to read the list section, 4-5 ms to check it, 1.5 ms for the document
-    table, 1.3 ms to build the store and 0.4 ms the index.
+    table, 0.9 ms to build the store and 0.4 ms the index.
 
     Raises:
         CorruptIndexError: On a bad magic, unsupported version, truncation,
@@ -834,7 +828,10 @@ def _load_index(path: Path, codes_path: Path | None) -> IvfIndex:
     if codes_path is None:
         store = EmbeddingStore(vectors, offsets, doc_ids)
     else:
-        store = EmbeddingStore._coded(table, codes, offsets, doc_ids)
+        # the codes were checked as they were read and the table was built
+        # from them, so the store takes both as they are
+        table.flags.writeable = False
+        store = EmbeddingStore._over(table, codes, offsets, doc_ids)
     return IvfIndex(store=store, centroids=Centroids(centroid_vectors), lists=lists)
 
 

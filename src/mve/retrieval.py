@@ -15,11 +15,11 @@ and their float64 scores, and builds ``(doc_id, score)`` pairs only when they
 are read; it refers to no store, so a kept ranking keeps no engine alive.
 
 A probe gathers the rows of its probed lists with ``np.take`` from the
-store's table, ``store.table``, through ``IvfIndex.list_rows``: for a store
-with codes that is ``store.distinct`` (on desk, 1,751 rows and 448 kB), for
-one without, the block of every embedding. Every embedding of a store with
-codes is bit for bit its code's row, so the gathered block holds the same
-bytes either way and the gemv gives the same scores.
+store's table, ``store.table``, through ``IvfIndex.list_rows``, the rows
+the lists' codes name: on desk a table of 1,751 rows and 448 kB, and for a
+store read from an embeddings dump every embedding, with codes 0 ... n-1.
+Every embedding is bit for bit its code's row, so the gathered block holds
+the probed embeddings' bytes and the gemv gives their scores.
 Its top k' comes from one sort of uint64 keys that pack a 32-bit score key
 over the embedding id: the cut and its tie rule are exactly those of
 ``np.lexsort`` on (score descending, id ascending), which is why a store
@@ -39,30 +39,23 @@ product as long as BLAS computes each entry of a product independently of
 how many query rows it holds; small products (few document tokens, or one
 distinct row) may take another kernel and differ in the last bits.
 
-``score_documents`` has three routes to the same bits, and
+``score_documents`` has two routes to the same bits, and
 ``_maxsim_route`` picks one:
 
-- *table*: a store with codes (every embedding a row of ``store.distinct``)
-  multiplies its distinct rows once per query and takes each candidate's
-  maxima over the rows of that table its tokens' codes name, one token
-  position at a time (``_table_maxima``). Taken when the gathered product
-  (candidate rows x distinct query rows) and the table's product both hold
-  at least ``_IN_PLACE_MIN_PRODUCT`` entries, there are two or more distinct
-  query rows, and the table has fewer rows than the candidates.
-- *span*: otherwise, a dense candidate set (candidate rows at least
-  ``_IN_PLACE_MIN_SHARE`` of the rows from its first document to its last)
-  multiplies that span of the store, and picks the candidates' maxima from
-  those of every document in the span. A store without codes multiplies the
-  span in place, as a view; one with codes, which holds no row per
-  embedding, gathers the span's rows from its table first
-  (``EmbeddingStore.rows``). Taken under the same floor and with two or
-  more distinct query rows.
-- *gather*: every other set gathers its rows into one block first.
+- *table*: multiplies the whole ``store.table`` in place, once per query,
+  and takes each candidate's maxima over the rows of that product its
+  tokens' codes name. Taken when there are two or more distinct query rows,
+  the gathered product (candidate rows x distinct query rows) and the
+  table's product both hold at least ``_IN_PLACE_MIN_PRODUCT`` entries, and
+  the candidates hold at least ``_TABLE_MIN_SHARE`` of the table's rows.
+- *gather*: every other set gathers its rows into one block, multiplies
+  it, and takes each candidate's maxima over its own rows of that product.
 
-Above the floor BLAS gives a row's entries the same bits in any product and
-at any row offset, while small products and gemv (one distinct row) do not,
-so the table and span routes run only where the gathered product's bits are
-already independent of where its rows sit.
+Both take the maxima with one kernel, ``_table_maxima``, one token position
+at a time. Above the floor BLAS gives a row's entries the same bits in any
+product and at any row offset, while small products and gemv (one distinct
+row) do not, so the table route runs only where the gathered product's
+bits are already independent of where its rows sit.
 """
 
 from __future__ import annotations
@@ -308,9 +301,8 @@ def _probe(index: IvfIndex, phi: np.ndarray, k_prime: int, n_probe: int) -> np.n
     """The hits of :func:`ann_candidates`, without their candidate set.
 
     The probed rows are gathered from ``index.store.table`` through
-    ``index.list_rows``: the store's distinct rows for a store with codes,
-    its embeddings for one without. Both blocks hold the probed embeddings'
-    exact bytes in list order, so the scores, and the hits, are the same.
+    ``index.list_rows``; the block holds the probed embeddings' exact bytes
+    in list order.
     """
     phi = np.asarray(phi, dtype=np.float32)
     if phi.shape != (index.dim,):
@@ -377,27 +369,6 @@ def pruned_union(per_embedding: Sequence[CandidateSet], p: int) -> CandidateSet:
     return CandidateSet(store, np.concatenate([docs.numbers for docs in per_embedding[:p]]))
 
 
-def _maxsim_scores(
-    query: QueryRepresentation,
-    sims: np.ndarray,
-    starts: np.ndarray,
-    pick: np.ndarray | None = None,
-) -> np.ndarray:
-    """MaxSim scores for documents whose token similarities lie back to back
-    in ``sims``.
-
-    ``sims`` is token-major, one row per document token and one column per
-    distinct query embedding (``query.distinct_rows[0]``), so each distinct
-    embedding's maximum over a document's tokens is taken once. ``starts``
-    marks where each document's rows begin. ``pick``, when given, selects
-    (and orders) the documents whose scores are returned.
-    """
-    maxima = np.maximum.reduceat(sims, starts, axis=0)
-    if pick is not None:
-        maxima = maxima[pick]
-    return _position_sums(query, maxima)
-
-
 def _table_maxima(
     table: np.ndarray, codes: np.ndarray, starts: np.ndarray, lengths: np.ndarray
 ) -> np.ndarray:
@@ -406,15 +377,15 @@ def _table_maxima(
 
     The documents are taken longest first and their tokens one position at
     a time, so every step gathers and compares whole contiguous rows of the
-    documents still that long; ``np.maximum.reduceat`` over the gathered
-    rows walks each column with a stride instead. On a desk-sweep union
-    (4,202 documents, 50,424 rows, 9 columns; one core of a shared Xeon)
-    this took 0.48–0.81 ms against 1.34–2.58 ms (10th–90th percentile of
-    30 s of repeats), and the benchmark's desk-sweep requests_per_s spread
-    less than half as far from run to run. Each maximum sees its document's
-    rows in token order, as ``np.maximum.reduceat`` does, and keeps its
-    bits: both keep the later of two equal values, so even -0.0 against 0.0
-    ends the same.
+    documents still that long; a segmented reduction (numpy's ``reduceat``)
+    over the gathered rows walks each column with a stride instead. On a
+    desk-sweep union (4,202 documents, 50,424 rows, 9 columns; one core of
+    a shared Xeon) this took 0.48–0.81 ms against 1.34–2.58 ms (10th–90th
+    percentile of 30 s of repeats), and the benchmark's desk-sweep
+    requests_per_s spread less than half as far from run to run. Each
+    maximum sees its document's rows in token order, as the segmented
+    reduction does, and keeps its bits: both keep the later of two equal
+    values, so even -0.0 against 0.0 ends the same.
     """
     order = np.argsort(-lengths, kind="stable")
     rows = starts[order]
@@ -456,46 +427,49 @@ def exact_score(query: QueryRepresentation, doc_embeddings: np.ndarray) -> float
             f"dimension mismatch: query {query.dim}, document {doc.shape[1]}"
         )
     sims = doc @ query.embeddings[query.distinct_rows[0]].T
-    return float(_maxsim_scores(query, sims, np.array([0]))[0])
+    rows = np.arange(len(doc))
+    maxima = _table_maxima(sims, rows, rows[:1], np.array([len(doc)]))
+    return float(_position_sums(query, maxima)[0])
 
 
-# The table and in-place MaxSim routes rest on a property of OpenBLAS 0.3.31
+# The table MaxSim route rests on a property of OpenBLAS 0.3.31
 # (numpy's wheel) sgemm. Measured at dims 3 to 768 and 2 to 32 distinct
 # query rows: once rows x distinct rows exceeds about 1,200 (the largest
 # differing product seen was 1,179), every entry of ``X[a:b] @ Q.T`` has the
 # bits of ``(X @ Q.T)[a:b]`` at any offset ``a``; and, measured at dims 3
 # to 768 and checked at dims 3, 16, 17, 64, 128 and 768 by test_retrieval.py's
 # test_blas_premise_of_the_in_place_route, a row's entries have the same
-# bits in any other product above that size that holds the row. Below that a small-matrix kernel gives other bits,
-# and one distinct row runs gemv, whose bits depend on the row's position.
-# The floor keeps every product a route takes, and the gathered product it
-# stands for, well above that boundary.
+# bits in any other product above that size that holds the row. Below that
+# a small-matrix kernel gives other bits, and one distinct row runs gemv,
+# whose bits depend on the row's position. The floor keeps the table's
+# product, and the gathered product it stands for, well above that boundary.
 _IN_PLACE_MIN_PRODUCT = 8192  # rows x distinct query rows
-# On the desk store (60,000 rows, dim 64, 9 distinct rows, one BLAS thread)
-# the in-place route cost about 0.11 us a span row and the gathered one about
-# 0.17 us a candidate row. Over the whole store, gathering took 6.4 ms and
-# the span 6.7 ms at a share of 0.6; at 0.7 they took 7.9 and 6.6 ms.
-_IN_PLACE_MIN_SHARE = 0.6  # candidate rows / rows of the candidates' span
+# Medians of 40 random candidate sets a point, one BLAS thread: on a store
+# of 60,000 contextual rows of dim 64 (every row its own code) gathering
+# cost as much as the whole table at a share of about 0.4 with 2 or 4
+# distinct query rows, 0.5 with 9 or 16 and 0.6 with 32, and 1.5-2.4 times
+# as much at a share of 1; on the desk store's table of 1,751 rows it broke
+# even at 0.4-0.6. At 0.6 the table was no slower at any of these counts.
+_TABLE_MIN_SHARE = 0.6  # candidate rows / table rows
 
 
-def _maxsim_route(store: EmbeddingStore, distinct: int, rows: int, span_rows: int) -> str:
+def _maxsim_route(store: EmbeddingStore, distinct: int, rows: int) -> str:
     """The product ``score_documents`` takes for ``rows`` candidate rows
-    spanning ``span_rows`` store rows, with ``distinct`` distinct query rows:
-    ``"table"``, ``"span"`` or ``"gather"``.
+    with ``distinct`` distinct query rows: ``"table"`` or ``"gather"``.
 
-    Only ``"gather"`` runs for one distinct row or a gathered product under
-    the floor, whose bits depend on their rows' positions. Above it a store
-    with codes scores from its table when the table is large enough for the
-    floor too and smaller than the candidate rows; otherwise a dense set is
-    scored on its whole span.
+    Only ``"gather"`` runs for one distinct row or a product under the
+    floor, whose bits depend on their rows' positions. Above it the whole
+    table is multiplied once the candidates hold a large enough share of
+    its rows.
     """
-    if distinct < 2 or rows * distinct < _IN_PLACE_MIN_PRODUCT:
-        return "gather"
-    if store.distinct is not None:
-        table_rows = len(store.distinct)
-        if table_rows * distinct >= _IN_PLACE_MIN_PRODUCT and table_rows < rows:
-            return "table"
-    return "span" if rows >= _IN_PLACE_MIN_SHARE * span_rows else "gather"
+    table_rows = len(store.table)
+    if (
+        distinct >= 2
+        and min(rows, table_rows) * distinct >= _IN_PLACE_MIN_PRODUCT
+        and rows >= _TABLE_MIN_SHARE * table_rows
+    ):
+        return "table"
+    return "gather"
 
 
 def score_documents(
@@ -503,11 +477,14 @@ def score_documents(
 ) -> np.ndarray:
     """Exact MaxSim scores for many stored documents in one pass.
 
-    The candidates' token rows are scored from a per-query table of the
-    store's distinct rows, on the rows of their whole span, or on a gathered
-    copy of their own rows; every route gives the same bits (see the module
-    docstring). ``doc_numbers`` must be integer doc numbers of ``store``.
+    The candidates' token rows are scored from a per-query product of the
+    store's whole table or of a gathered copy of their own rows; both routes
+    give the same bits (see the module docstring). ``doc_numbers`` must be
+    integer doc numbers of ``store``, and the query must have the store's
+    dimension.
     """
+    if query.dim != store.dim:
+        raise InvalidInputError(f"dimension mismatch: query {query.dim}, store {store.dim}")
     numbers = np.asarray(doc_numbers)
     if numbers.ndim != 1:
         raise InvalidInputError("doc numbers must form a 1-d array")
@@ -515,30 +492,21 @@ def score_documents(
         return np.empty(0, dtype=np.float64)
     if numbers.dtype.kind not in "iu":
         raise InvalidInputError(f"doc numbers must be integers, got dtype {numbers.dtype}")
-    first, last = int(numbers.min()), int(numbers.max())
-    if first < 0 or last >= store.num_docs:
+    if int(numbers.min()) < 0 or int(numbers.max()) >= store.num_docs:
         raise InvalidInputError(f"doc number outside the store of {store.num_docs} documents")
     doc_numbers = numbers.astype(np.int64, copy=False)
     starts = store.doc_offsets[doc_numbers, 0]
     lengths = store.doc_offsets[doc_numbers, 1]
     rows = int(lengths.sum())
     q_rows = query.embeddings[query.distinct_rows[0]]
-    # documents lie in the store in doc-number order
-    lo = int(store.doc_offsets[first, 0])
-    hi = int(store.doc_offsets[last].sum())
-    route = _maxsim_route(store, len(q_rows), rows, hi - lo)
-    if route == "span":
-        span_starts = store.doc_offsets[first : last + 1, 0] - lo
-        sims = store.rows(slice(lo, hi)) @ q_rows.T
-        return _maxsim_scores(query, sims, span_starts, doc_numbers - first)
-    if route == "table":
-        table = store.distinct @ q_rows.T
-        return _position_sums(query, _table_maxima(table, store.codes, starts, lengths))
-    out_starts = np.zeros(len(doc_numbers), dtype=np.int64)
-    out_starts[1:] = np.cumsum(lengths)[:-1]
-    token_rows = np.arange(rows) - np.repeat(out_starts, lengths) + np.repeat(starts, lengths)
-    sims = store.rows(token_rows) @ q_rows.T
-    return _maxsim_scores(query, sims, out_starts)
+    if _maxsim_route(store, len(q_rows), rows) == "table":
+        sims, codes = store.table @ q_rows.T, store.codes
+    else:
+        # the candidates' rows back to back, each document's from its start
+        gathered = np.cumsum(lengths) - lengths
+        token_rows = np.arange(rows) + np.repeat(starts - gathered, lengths)
+        sims, codes, starts = store.rows(token_rows) @ q_rows.T, np.arange(rows), gathered
+    return _position_sums(query, _table_maxima(sims, codes, starts, lengths))
 
 
 def _best_first(scores: np.ndarray) -> np.ndarray:

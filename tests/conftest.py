@@ -6,7 +6,7 @@ import pytest
 from mve.engine import EngineConfig, build_engine
 from mve.evaluation import Qrels
 
-from synthdata import planted_fixture
+from synthdata import contextual_dump, planted_fixture
 
 
 TINY_CORPUS = [
@@ -52,6 +52,17 @@ def small_planted_engine(small_planted):
         seed=11,
     )
     return build_engine(small_planted.corpus, config)
+
+
+@pytest.fixture(scope="session")
+def contextual_planted_engine(small_planted, small_planted_engine, tmp_path_factory):
+    """The small planted engine's corpus and config, its embeddings from a
+    contextual dump (``synthdata.contextual_dump``): every stored vector
+    differs from every other, so the store's table is its embeddings."""
+    config = small_planted_engine.config
+    path = tmp_path_factory.mktemp("contextual") / "docs.mved"
+    docs = contextual_dump(small_planted.corpus, config.dim, config.seed, path)
+    return build_engine(small_planted.corpus, config, dump_docs=docs)
 
 
 @pytest.fixture(scope="session")
@@ -143,6 +154,24 @@ def count_ann_calls(monkeypatch):
 
     monkeypatch.setattr(mve.retrieval, "_probe", counted)
     return calls
+
+
+def spy_routes(monkeypatch, of=None):
+    """Record the route of each MaxSim pass, "table" or "gather"; only the
+    passes over store ``of`` if given."""
+    import mve.retrieval
+
+    routes = []
+    real = mve.retrieval._maxsim_route
+
+    def spied(store, *args):
+        route = real(store, *args)
+        if of is None or store is of:
+            routes.append(route)
+        return route
+
+    monkeypatch.setattr(mve.retrieval, "_maxsim_route", spied)
+    return routes
 
 
 def build_sample_index(seed=16, num_docs=9):

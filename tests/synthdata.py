@@ -10,6 +10,7 @@ documents) immediately.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -83,6 +84,32 @@ def planted_fixture(
             judgments[qid][doc_id] = 1
     q_len = 1 + num_common + num_rare + 4
     return PlantedFixture(corpus=corpus, queries=queries, judgments=judgments, q_len=q_len)
+
+
+def contextual_dump(
+    corpus: list[tuple[str, str]], dim: int, seed: int, path: Path, noise_seed: int = 20241019
+) -> list[tuple[str, np.ndarray]]:
+    """Document embeddings of ``corpus`` as a contextual encoder gives them,
+    so that no two stored vectors are equal.
+
+    Each token occurrence takes its row of the built-in token table (the
+    one an engine of ``seed`` and ``dim`` builds, so its queries still
+    match), plus Gaussian noise of standard deviation 0.35/sqrt(dim) drawn
+    for that occurrence from ``noise_seed``; each row is then renormalised.
+    The embeddings are written to ``path`` as an ``MVED`` dump and returned
+    as read back from it, ready for ``build_engine(..., dump_docs=...)``.
+    """
+    from mve.core import FIRST_WORDPIECE_ID, token_table, tokenize_flat
+    from mve.index import read_embeddings_dump, write_embeddings_dump
+
+    token_ids, lengths, vocab = tokenize_flat(corpus)
+    rows = token_table(len(vocab), seed, dim)[token_ids - FIRST_WORDPIECE_ID].astype(np.float64)
+    rng = np.random.default_rng(noise_seed)
+    rows += rng.standard_normal(rows.shape) * (0.35 / math.sqrt(dim))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    blocks = np.split(rows.astype(np.float32), np.cumsum(lengths)[:-1])
+    write_embeddings_dump([(doc_id, block) for (doc_id, _), block in zip(corpus, blocks)], path)
+    return read_embeddings_dump(path)
 
 
 def write_corpus(corpus: list[tuple[str, str]], path: Path) -> None:

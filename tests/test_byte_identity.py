@@ -6,16 +6,20 @@ small planted fixture.
 file of the indexed engine directory) were written once by an earlier version
 of the engine. They are a regression pin, not an oracle:
 refactors of the retrieval pipeline must reproduce them byte for byte, and
-they are never regenerated to make a difference go away.
+they are never regenerated to make a difference go away. The search and
+sweep pins hold for a copy of each engine directory without ``codes.bin``
+too, whose store then holds every embedding as its own row of the table.
 """
 
 import hashlib
+import shutil
 from pathlib import Path
 
 import pytest
 
 from mve import cli
 
+from conftest import spy_routes
 from synthdata import write_corpus, write_qrels, write_queries
 
 DATA = Path(__file__).parent / "data"
@@ -114,3 +118,37 @@ def test_engine_directory_matches_pinned_hashes(planted_engine_dir):
         for name in ("index.mvix", "lexicon.tsv", "config.json")
     )
     assert got == expected
+
+
+def without_codes_file(engine_dir: Path, tmp_path: Path) -> Path:
+    """A copy of ``engine_dir`` without its ``codes.bin``."""
+    copy = tmp_path / f"{engine_dir.name}-without-codes"
+    shutil.copytree(engine_dir, copy)
+    (copy / "codes.bin").unlink()
+    return copy
+
+
+def test_search_pins_hold_without_the_codes_file(
+    small_planted, planted_engine_dir, padded_engine_dir, tmp_path, capsys, monkeypatch
+):
+    routes = spy_routes(monkeypatch)
+    plain = without_codes_file(planted_engine_dir, tmp_path)
+    got = planted_search_output(small_planted, plain, capsys).encode("utf-8")
+    assert got == (DATA / "planted_search.txt").read_bytes()
+    padded = without_codes_file(padded_engine_dir, tmp_path / "padded")
+    got = planted_search_output(
+        small_planted, padded, capsys, PADDED_SEARCH_CELLS, PADDED_Q_LEN
+    ).encode("utf-8")
+    assert got == (DATA / "planted_padded_search.txt").read_bytes()
+    assert set(routes) == {"table", "gather"}
+
+
+def test_sweep_pin_holds_without_the_codes_file(
+    small_planted, planted_engine_dir, tmp_path, monkeypatch
+):
+    routes = spy_routes(monkeypatch)
+    plain = without_codes_file(planted_engine_dir, tmp_path)
+    got = planted_sweep_csv(small_planted, plain, tmp_path).encode("utf-8")
+    assert got == (DATA / "planted_sweep.csv").read_bytes()
+    # the sweep scores each query's full union, which fills the table
+    assert set(routes) == {"table"}

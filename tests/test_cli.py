@@ -714,7 +714,8 @@ def test_a_directory_without_codes_searches_to_the_same_bytes(tmp_path, capsys):
         outputs.append(capsys.readouterr().out)
         (out / "codes.bin").unlink(missing_ok=True)
     assert outputs[0] == outputs[1] != ""
-    assert load_engine(out).index.store.codes is None
+    store = load_engine(out).index.store
+    assert store.codes.tolist() == list(range(store.num_embeddings))
 
 
 def test_saving_an_engine_without_codes_deletes_an_older_codes_file(tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mve.evaluation
+from mve.core import QueryEncoder
 from mve.engine import EngineConfig, build_engine
 from mve.errors import InvalidConfigError, InvalidInputError
 from mve.evaluation import (
@@ -570,14 +571,14 @@ def test_shallow_cells_equal_the_full_depth_cells(
     k_prime, n_probe = engine.config.k_prime, engine.config.n_probe
     args = (engine.index, engine.lexicon, engine.encoder, small_planted_qrels, strategies,
             p_values)
-    shared = mve.evaluation._shared_probes(
-        small_planted.queries, engine.index, engine.encoder, k_prime, n_probe
-    )
+    encoded = [engine.encoder.encode(text) for _, text in small_planted.queries]
+    shared = mve.evaluation._shared_probes(encoded, engine.index, k_prime, n_probe)
     deep = 0
     for k in (1, 5, 1000):
-        for qid, text in small_planted.queries:
+        for (qid, text), query in zip(small_planted.queries, encoded):
             outcome = mve.evaluation._evaluate_query(
-                qid, text, *args, k, k_prime, n_probe, shared
+                qid, query, engine.index, engine.lexicon, small_planted_qrels, strategies,
+                p_values, k, k_prime, n_probe, shared,
             )
             expected, baseline = full_depth_cells(qid, text, *args, k, k_prime, n_probe)
             assert outcome.baseline == baseline
@@ -734,3 +735,16 @@ def test_sweep_rejects_counts_that_are_not_integers(
     want = engine.sweep(queries, small_planted_qrels, p_values=[1, 3]).to_csv()
     got = engine.sweep(queries, small_planted_qrels, p_values=[np.int64(1), np.uint8(3)])
     assert got.to_csv() == want
+
+
+def test_sweep_encodes_each_query_once(small_planted_engine, small_planted, monkeypatch):
+    encoded = []
+    real = QueryEncoder.encode
+
+    def counted(encoder, text):
+        encoded.append(text)
+        return real(encoder, text)
+
+    monkeypatch.setattr(QueryEncoder, "encode", counted)
+    small_planted_engine.sweep(small_planted.queries, Qrels(small_planted.judgments), p_values=[1])
+    assert sorted(encoded) == sorted(text for _, text in small_planted.queries)

@@ -60,10 +60,14 @@ def test_store_codes_name_each_embedding_row_of_the_distinct_table():
     codes = [2, 0, 1, 2, 2, 0]
     vectors, table = coded_vectors(codes)
     store = EmbeddingStore.from_lengths(vectors, [2, 3, 1], ["a", "b", "c"], codes)
-    assert store.distinct.tobytes() == table.tobytes()
+    assert store.table.tobytes() == table.tobytes()
     assert store.codes.tolist() == codes
-    assert not store.codes.flags.writeable and not store.distinct.flags.writeable
-    assert EmbeddingStore.from_lengths(vectors, [2, 3, 1], ["a", "b", "c"]).distinct is None
+    assert not store.codes.flags.writeable and not store.table.flags.writeable
+    # without codes the vectors are the table, not a copy, and each is its own row
+    plain = EmbeddingStore.from_lengths(vectors, [2, 3, 1], ["a", "b", "c"])
+    assert plain.codes.tolist() == list(range(6)) and not plain.codes.flags.writeable
+    assert np.shares_memory(plain.table, vectors) and not plain.table.flags.writeable
+    assert vectors.flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -105,13 +109,13 @@ def test_store_from_table_equals_the_store_built_from_its_rows():
     vectors, table = coded_vectors(codes)
     built = EmbeddingStore.from_lengths(vectors, [2, 3, 1], ["a", "b", "c"], codes)
     store = EmbeddingStore.from_table(table, codes, [2, 3, 1], ["a", "b", "c"])
-    for name in ("distinct", "table", "codes", "doc_offsets", "doc_of", "id_order"):
+    for name in ("table", "codes", "doc_offsets", "doc_of", "id_order"):
         assert getattr(store, name).tobytes() == getattr(built, name).tobytes(), name
-    assert store.table is store.distinct and not store.table.flags.writeable
+    assert not store.table.flags.writeable
     assert store.doc_ids == built.doc_ids and store.num_embeddings == 6 and store.dim == 4
     # the store keeps its own copy of the table
     table[0] = 0.0
-    assert store.distinct.tobytes() == built.distinct.tobytes()
+    assert store.table.tobytes() == built.table.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -155,6 +159,7 @@ def test_coded_store_vectors_are_a_new_read_only_gather_on_each_read():
             vectors=vectors, doc_offsets=[[0, 2], [2, 4]], doc_ids=("a", "b"), codes=codes
         ),
         EmbeddingStore.from_table(table, codes, [2, 4], ["a", "b"]),
+        EmbeddingStore(vectors, [[0, 2], [2, 4]], ("a", "b")),
     ):
         first, second = store.vectors, store.vectors
         assert first.tobytes() == vectors.tobytes() and first.shape == (6, 4)
@@ -162,9 +167,6 @@ def test_coded_store_vectors_are_a_new_read_only_gather_on_each_read():
         assert store.rows(np.array([3, 1])).tobytes() == vectors[[3, 1]].tobytes()
         assert store.rows(slice(2, 5)).tobytes() == vectors[2:5].tobytes()
         assert store.doc_vectors(1).tobytes() == vectors[2:].tobytes()
-    plain = EmbeddingStore(vectors, [[0, 2], [2, 4]], ("a", "b"))
-    assert plain.distinct is None and plain.vectors is plain.table
-    assert np.shares_memory(plain.rows(slice(2, 5)), plain.table)
 
 
 @pytest.mark.parametrize("doc_number", [-1, -3, 3, 10**6, 1.0, True, "0"])
@@ -409,10 +411,15 @@ def test_codes_round_trip_beside_the_index(tmp_path):
     loaded = load_index(path, codes_path)
     assert_indexes_identical(coded, loaded)
     assert loaded.store.codes.tolist() == codes.tolist()
-    assert loaded.store.distinct.tobytes() == coded.store.distinct.tobytes()
-    assert load_index(path).store.codes is None
-    with pytest.raises(InvalidInputError, match="no codes"):
-        save_codes(index.store, codes_path)
+    assert loaded.store.table.tobytes() == coded.store.table.tobytes()
+    # without the codes file the same index loads with its embeddings as the table
+    plain = load_index(path)
+    assert_indexes_identical(coded, plain)
+    assert plain.store.codes.tolist() == list(range(store.num_embeddings))
+    assert plain.store.table.tobytes() == coded.store.vectors.tobytes()
+    # a store whose codes are 0 ... n-1 saves them like any other
+    save_codes(index.store, codes_path)
+    assert load_index(path, codes_path).store.codes.tolist() == list(range(store.num_embeddings))
 
 
 def test_load_rejects_wrong_magic(tmp_path):

@@ -63,6 +63,7 @@ from mve.index import (
     _entry_dtype,
     build_ivf,
     load_index,
+    save_codes,
     save_index,
     train_centroids,
 )
@@ -400,7 +401,15 @@ def test_damaged_coded_index_fails_or_loads_as_the_reference_does(
     config = EngineConfig(dim=dim, q_len=4, n_list=2, sample_fraction=1.0, iterations=2)
     engine = build_engine(corpus, config)
     save_engine(engine, tmp_path)
-    assert (tmp_path / CODES_FILE).exists()
+    codes = engine.index.store.codes
+    # where every token occurs once the codes are 0 ... n-1 and the engine
+    # directory holds no codes file; such codes are then loaded from one
+    # written beside the index
+    identity = np.array_equal(codes, np.arange(len(codes)))
+    event(f"identity codes: {identity}")
+    assert (tmp_path / CODES_FILE).exists() != identity
+    if identity:
+        save_codes(engine.index.store, tmp_path / CODES_FILE)
     damage(tmp_path / INDEX_FILE, engine.index, data)
     assert_same_outcome(tmp_path / INDEX_FILE, tmp_path / CODES_FILE)
 

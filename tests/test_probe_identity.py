@@ -1,14 +1,15 @@
 """Identity guards for the first-stage probe.
 
 ``ann_candidates`` gathers the probed rows with ``np.take``, from the
-store's distinct rows through the codes when the store has codes, selects
+store's table through its codes, selects
 its top k' with one sort of packed (score key, id) uint64 keys, and
 ``CandidateSet`` drops repeated ranks through one preallocated mask. The
 ``reference_*`` functions below are verbatim copies of the probe and the
 dedup they replaced, which gathered from ``store.vectors``, selected with
 ``np.lexsort`` and marked repeats with ``np.diff``. Every probe must return
 the same hit bytes and the same candidate numbers as the reference, and a
-store with codes the same hit bytes as its twin without.
+store whose embeddings repeat rows of its table the same hit bytes as its
+twin whose table is every embedding.
 """
 
 from __future__ import annotations
@@ -173,14 +174,15 @@ def distinct_query_vectors(engine, queries) -> list[np.ndarray]:
     return list(vectors.values())
 
 
-def codeless_twin(index: IvfIndex) -> IvfIndex:
-    """The same index over the same rows, without the store's codes."""
+def identity_twin(index: IvfIndex) -> IvfIndex:
+    """The same index over the same rows, with every embedding as its own
+    row of the table (codes 0 ... n-1)."""
     store = index.store
     twin = EmbeddingStore(store.vectors, store.doc_offsets, store.doc_ids)
     return IvfIndex(store=twin, centroids=index.centroids, lists=index.lists)
 
 
-def assert_same_as_codeless_twin(
+def assert_same_as_identity_twin(
     index: IvfIndex, twin: IvfIndex, phi: np.ndarray, k_prime: int, n_probe: int
 ) -> None:
     hits, candidates = ann_candidates(index, phi, k_prime, n_probe)
@@ -198,15 +200,16 @@ def test_probe_matches_the_reference_on_the_planted_engine(engine_name, request)
         "wide_planted" if engine_name == "wide_planted_engine" else "small_planted"
     )
     index = engine.index
-    # a built engine's store has codes, so its probes gather the distinct rows
+    # a built engine's embeddings repeat rows of its table, so its probes
+    # gather from fewer rows than there are embeddings
     store = index.store
-    assert store.codes is not None and len(store.distinct) < store.num_embeddings
+    assert len(store.table) < store.num_embeddings
     assert all(
         rows.tobytes() == store.codes[ids].tobytes() and not rows.flags.writeable
         for ids, rows in zip(index.lists, index.list_rows)
     )
-    twin = codeless_twin(index)
-    assert twin.list_rows is twin.lists
+    twin = identity_twin(index)
+    assert all(np.array_equal(rows, ids) for ids, rows in zip(twin.lists, twin.list_rows))
     vectors = distinct_query_vectors(engine, fixture.queries)
     assert len(vectors) > 20
     beyond = store.num_embeddings + 1  # more than any probe scans
@@ -214,7 +217,7 @@ def test_probe_matches_the_reference_on_the_planted_engine(engine_name, request)
         for n_probe in (1, 10, index.n_list):
             for k_prime in (1, 7, 1000, beyond):
                 assert_same_probe(index, phi, k_prime, n_probe)
-            assert_same_as_codeless_twin(index, twin, phi, beyond, n_probe)
+            assert_same_as_identity_twin(index, twin, phi, beyond, n_probe)
 
 
 def store_with_duplicates(dim: int, seed: int, coded: bool = False) -> EmbeddingStore:
@@ -248,9 +251,9 @@ def test_probe_matches_the_reference_on_stores_with_duplicated_rows(dim):
 @pytest.mark.parametrize("dim", [3, 17, 64])
 def test_probe_matches_the_reference_on_coded_stores_with_duplicated_rows(dim):
     store = store_with_duplicates(dim, seed=dim + 30, coded=True)
-    assert len(store.distinct) <= 40
+    assert len(store.table) <= 40
     index = build_ivf(store, train_centroids(store, 1.0, 8, 10, seed=dim + 31))
-    twin = codeless_twin(index)
+    twin = identity_twin(index)
     rng = np.random.default_rng(dim + 32)
     queries = list(rng.standard_normal((10, dim)).astype(np.float32)) + [
         store.vectors[i].copy() for i in rng.integers(0, store.num_embeddings, size=10)
@@ -273,7 +276,7 @@ def test_probe_matches_the_reference_on_coded_stores_with_duplicated_rows(dim):
             cut_in_run_seen |= bool(cuts)
             for k_prime in [1, 7, 50, 599, 601, *cuts]:
                 assert_same_probe(index, phi, k_prime, n_probe)
-                assert_same_as_codeless_twin(index, twin, phi, k_prime, n_probe)
+                assert_same_as_identity_twin(index, twin, phi, k_prime, n_probe)
     assert offsets_seen == {0, 1, 2, 3} and tail_seen and cut_in_run_seen
 
 

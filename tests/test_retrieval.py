@@ -40,7 +40,7 @@ from mve.retrieval import (
     score_documents,
 )
 
-from conftest import candidate_set, count_ann_calls, named_store, random_store
+from conftest import candidate_set, count_ann_calls, named_store, random_store, spy_routes
 
 
 # ---------------------------------------------------------------------------
@@ -891,8 +891,7 @@ def test_maxsim_adds_one_position_at_a_time_in_query_order():
 
 
 # ---------------------------------------------------------------------------
-# MaxSim routes: a table of the store's distinct rows, the store's own rows in
-# place, or a gathered copy
+# MaxSim routes: the store's whole table in place, or a gathered copy
 # ---------------------------------------------------------------------------
 
 
@@ -910,21 +909,8 @@ def gathered_scores(query, store, doc_numbers):
     return total
 
 
-def spy_routes(monkeypatch):
-    """Record the route of each MaxSim pass: "table", "span" or "gather"."""
-    routes = []
-    real = mve.retrieval._maxsim_route
-
-    def spied(*args):
-        routes.append(real(*args))
-        return routes[-1]
-
-    monkeypatch.setattr(mve.retrieval, "_maxsim_route", spied)
-    return routes
-
-
-def without_codes(store):
-    """The same rows and documents, scored by the multiply routes only."""
+def own_table(store):
+    """The same rows and documents, each embedding its own row of the table."""
     return EmbeddingStore(store.vectors, store.doc_offsets, store.doc_ids)
 
 
@@ -951,35 +937,34 @@ def test_maxsim_routes_agree_on_planted_engines(engine_name, request, monkeypatc
     engine = request.getfixturevalue(engine_name)
     fixture = request.getfixturevalue(PLANTED_FIXTURE_OF[engine_name])
     store = engine.index.store
-    assert store.codes is not None
+    assert len(store.table) < store.num_embeddings
     plain = dataclasses.replace(
-        engine, index=dataclasses.replace(engine.index, store=without_codes(store))
+        engine, index=dataclasses.replace(engine.index, store=own_table(store))
     )
-    routes = spy_routes(monkeypatch)
+    routes = spy_routes(monkeypatch, of=store)
+    plain_routes = spy_routes(monkeypatch, of=plain.index.store)
     for _, text in fixture.queries:
         query = engine.encoder.encode(text)
+        # every document, then each candidate set once: a p that adds no
+        # document repeats the last check
+        scored = []
         for strategy in Strategy:
-            scored = set()  # a p that adds no document repeats the last check
             for p in range(1, engine.config.q_len + 1):
                 ranking, candidates = engine.search(text, strategy=strategy, p=p)
                 plain_ranking, plain_candidates = plain.search(text, strategy=strategy, p=p)
                 assert ranking.entries == plain_ranking.entries
                 assert np.array_equal(candidates.numbers, plain_candidates.numbers)
-                numbers = candidates.numbers
-                if numbers.tobytes() in scored:
-                    continue
-                scored.add(numbers.tobytes())
-                expected = gathered_scores(query, store, numbers)
-                assert score_documents(query, store, numbers).tobytes() == expected.tobytes()
-                assert (
-                    score_documents(query, plain.index.store, numbers).tobytes()
-                    == expected.tobytes()
-                )
-    # only the wide engine's table is large enough for the floor
+                if not any(np.array_equal(candidates.numbers, done) for done in scored):
+                    scored.append(candidates.numbers)
+        for numbers in [np.arange(store.num_docs), *scored]:
+            expected = gathered_scores(query, store, numbers).tobytes()
+            assert score_documents(query, store, numbers).tobytes() == expected
+            assert score_documents(query, plain.index.store, numbers).tobytes() == expected
+    # only the wide engine's table of repeated rows is large enough for the
+    # floor; a table of every embedding is on each engine
     wide = engine_name == "wide_planted_engine"
-    assert ("table" in routes) == wide and "gather" in routes
-    if not wide:
-        assert "span" in routes
+    assert set(routes) == ({"table"} if wide else {"gather"})
+    assert set(plain_routes) == {"table", "gather"}
     routes.clear()
     qrels = Qrels(fixture.judgments)
     csv = engine.sweep(fixture.queries, qrels).to_csv()
@@ -994,7 +979,6 @@ def test_search_and_sweep_on_a_coded_engine_never_read_store_vectors(
     # a coded store's ``vectors`` gathers every embedding on each read
     engine = request.getfixturevalue(engine_name)
     fixture = request.getfixturevalue(PLANTED_FIXTURE_OF[engine_name])
-    assert engine.index.store.codes is not None
     reads = []
     real = EmbeddingStore.vectors
 
@@ -1010,14 +994,26 @@ def test_search_and_sweep_on_a_coded_engine_never_read_store_vectors(
                 engine.search(text, strategy=strategy, p=p)
     engine.sweep(fixture.queries, Qrels(fixture.judgments), p_values=(1, 3))
     wide = engine_name == "wide_planted_engine"
-    assert set(routes) >= ({"table"} if wide else {"span", "gather"})
+    assert set(routes) == ({"table"} if wide else {"gather"})
     assert reads == []
     store = engine.index.store
     assert store.vectors.shape == (store.num_embeddings, store.dim) and reads == [store]
 
 
+def takes_table(table_rows, candidate_rows, distinct):
+    """Whether ``score_documents`` should multiply the whole table."""
+    floor = mve.retrieval._IN_PLACE_MIN_PRODUCT
+    return (
+        distinct >= 2
+        and candidate_rows * distinct >= floor
+        and table_rows * distinct >= floor
+        and candidate_rows >= mve.retrieval._TABLE_MIN_SHARE * table_rows
+    )
+
+
 @pytest.mark.parametrize("dim", [3, 16, 17, 64])
 def test_maxsim_routes_agree_on_random_stores(dim, monkeypatch):
+    # each embedding its own row of the table, so the table is the store
     store = random_store(900, dim, seed=dim, min_len=1, max_len=20)
     offsets = store.doc_offsets
     rng = np.random.default_rng(100 + dim)
@@ -1034,15 +1030,11 @@ def test_maxsim_routes_agree_on_random_stores(dim, monkeypatch):
                 numbers = rng.permutation(np.concatenate([[first, last], kept]))
                 before = len(routes)
                 scores = score_documents(query, store, numbers)
-                assert np.array_equal(scores, gathered_scores(query, store, numbers))
+                assert scores.tobytes() == gathered_scores(query, store, numbers).tobytes()
                 candidate_rows = int(offsets[numbers, 1].sum())
-                span_rows = int(offsets[last].sum() - offsets[first, 0])
-                in_place = (
-                    candidate_rows * distinct >= mve.retrieval._IN_PLACE_MIN_PRODUCT
-                    and candidate_rows >= mve.retrieval._IN_PLACE_MIN_SHARE * span_rows
-                )
-                assert routes[before:] == ["span" if in_place else "gather"]
-    assert set(routes) == {"span", "gather"}
+                table = takes_table(store.num_embeddings, candidate_rows, distinct)
+                assert routes[before:] == ["table" if table else "gather"]
+    assert set(routes) == {"table", "gather"}
 
 
 @pytest.mark.parametrize("dim", [3, 17, 64])
@@ -1051,9 +1043,9 @@ def test_maxsim_table_route_agrees_on_random_coded_stores(dim, monkeypatch):
     routes = spy_routes(monkeypatch)
     for num_codes in (300, 1200):
         store = coded_store(900, dim, num_codes, seed=num_codes + dim)
-        assert store.distinct.shape == (num_codes, dim)
-        assert store.vectors.tobytes() == store.distinct[store.codes].tobytes()
-        plain = without_codes(store)
+        assert store.table.shape == (num_codes, dim)
+        assert store.vectors.tobytes() == store.table[store.codes].tobytes()
+        plain = own_table(store)
         for distinct in (2, 3, 9, 17, 32):
             rows = rng.standard_normal((distinct, dim))
             query = query_from_rows(
@@ -1067,40 +1059,38 @@ def test_maxsim_table_route_agrees_on_random_coded_stores(dim, monkeypatch):
                 assert scores.tobytes() == score_documents(query, plain, numbers).tobytes()
                 assert scores.tobytes() == gathered_scores(query, store, numbers).tobytes()
                 candidate_rows = int(store.doc_offsets[numbers, 1].sum())
-                floor = mve.retrieval._IN_PLACE_MIN_PRODUCT
-                table = (
-                    candidate_rows * distinct >= floor
-                    and num_codes * distinct >= floor
-                    and num_codes < candidate_rows
-                )
-                assert (routes[before] == "table") == table
-    assert "table" in routes and set(routes) - {"table"}
+                table = takes_table(num_codes, candidate_rows, distinct)
+                assert routes[before] == ("table" if table else "gather")
+    assert set(routes) == {"table", "gather"}
 
 
 def test_maxsim_table_route_needs_two_rows_a_large_product_and_a_saving(monkeypatch):
     floor = mve.retrieval._IN_PLACE_MIN_PRODUCT
-    store = coded_store(2000, 16, 600, seed=8)
+    share = mve.retrieval._TABLE_MIN_SHARE
+    store = coded_store(2000, 16, 1200, seed=8)
     rng = np.random.default_rng(9)
     routes = spy_routes(monkeypatch)
     everything = np.arange(store.num_docs)
-    rows = store.num_embeddings
-    assert rows * 2 >= floor and 600 * 16 >= floor
+    assert store.num_embeddings * 2 >= floor and 1200 * 7 >= floor > 1200 * 6
     # one distinct row: gemv, whatever the sizes
     one = query_from_rows(np.repeat(rng.standard_normal((1, 16)), 5, axis=0))
     score_documents(one, store, everything)
-    # 9 distinct rows: the table's product (600 x 9) is under the floor
-    nine = query_from_rows(rng.standard_normal((9, 16)))
-    score_documents(nine, store, everything)
-    # 16 distinct rows: the table's product is above it, but the candidates
-    # hold fewer rows than the table, or too few rows for the floor
+    # 6 distinct rows: the table's product (1,200 x 6) is under the floor
+    six = query_from_rows(rng.standard_normal((6, 16)))
+    score_documents(six, store, everything)
+    # 16 distinct rows: the table's product is above the floor, but the
+    # candidates hold too few rows for the floor, or too small a share of
+    # the table's rows for the whole table to cost less than their own
     sixteen = query_from_rows(rng.standard_normal((16, 16)))
-    lengths = store.doc_offsets[:, 1]
-    upto = np.flatnonzero(np.cumsum(lengths) >= 600)[0]
-    score_documents(sixteen, store, np.arange(upto))
+    ends = np.cumsum(store.doc_offsets[:, 1])
+    under_share = int(np.searchsorted(ends, share * 1200))  # docs before the share
+    assert ends[under_share - 1] * 16 >= floor
     score_documents(sixteen, store, np.arange(3))
-    assert "table" not in routes
+    score_documents(sixteen, store, np.arange(under_share))
+    assert routes == ["gather"] * 4
+    score_documents(sixteen, store, np.arange(under_share + 1))
     score_documents(sixteen, store, everything)
-    assert routes[-1] == "table"
+    assert routes[4:] == ["table"] * 2
 
 
 def test_table_maxima_keep_the_bits_of_reduceat():
@@ -1136,9 +1126,9 @@ def test_maxsim_in_place_route_keeps_repeats_and_order():
 
 
 def test_blas_premise_of_the_in_place_route():
-    # score_documents multiplies a span of the store in place, or scores
-    # from a table of the store's distinct rows, only because each entry of
-    # a gemm above the floor has the same bits at any row offset, in a
+    # score_documents multiplies the store's whole table in place, and
+    # scores a candidate's rows from that product, only because each entry
+    # of a gemm above the floor has the same bits at any row offset, in a
     # product of any height and whichever matrix holds the row; a BLAS that
     # breaks this would otherwise show up as a pinned-output mismatch far
     # from its cause
@@ -1160,8 +1150,8 @@ def test_blas_premise_of_the_in_place_route():
                             f"product differs from the product's slice (dim {dim}, "
                             f"{distinct} rows, rows {part.start}:{part.stop})"
                         )
-            # the table route: the rows of a table just above the floor, and
-            # of the desk store's 1,751, repeated at odd offsets of a larger
+            # a table whose rows repeat: the rows of a table just above the
+            # floor, and of the desk store's 1,751, repeated at odd offsets of a larger
             # matrix just above the floor and of every row of the matrix
             for table_rows in (height, height + 13, 1751):
                 table = matrix[:table_rows]
@@ -1183,3 +1173,39 @@ def test_score_documents_rejects_bad_doc_numbers(bad):
     with pytest.raises(InvalidInputError, match="doc number"):
         score_documents(query, store, np.array(bad))
     assert score_documents(query, store, np.array([], dtype=np.int64)).shape == (0,)
+
+
+def test_score_documents_and_rerank_reject_a_query_of_another_dimension():
+    store = random_store(3, 3, seed=3)
+    query = query_from_rows(np.random.default_rng(4).standard_normal((3, 4)))
+    for numbers in ([0, 2], []):
+        with pytest.raises(InvalidInputError, match="dimension mismatch: query 4, store 3"):
+            score_documents(query, store, np.array(numbers, dtype=np.int64))
+    with pytest.raises(InvalidInputError, match="dimension mismatch: query 4, store 3"):
+        rerank(CandidateSet(store, np.array([0, 2])), query, store, k=2)
+
+
+def test_maxsim_on_a_contextual_store_keeps_the_gathered_bits(
+    contextual_planted_engine, small_planted, monkeypatch
+):
+    # every stored vector differs from every other, so the table is the
+    # store and dense sets multiply all of it in place
+    engine = contextual_planted_engine
+    store = engine.index.store
+    assert len(np.unique(store.table, axis=0)) == len(store.table) == store.num_embeddings
+    rng = np.random.default_rng(21)
+    routes = spy_routes(monkeypatch)
+    for _, text in small_planted.queries:
+        query = engine.encoder.encode(text)
+        _, first = engine.search(text, p=1)
+        _, union = engine.search(text, p=engine.config.q_len)
+        for numbers in (
+            np.arange(store.num_docs),  # dense
+            np.flatnonzero(rng.random(store.num_docs) < 0.8),
+            first.numbers,  # sparse
+            union.numbers,
+            rng.permutation(store.num_docs)[:40],
+        ):
+            expected = gathered_scores(query, store, numbers)
+            assert score_documents(query, store, numbers).tobytes() == expected.tobytes()
+    assert set(routes) == {"table", "gather"}
