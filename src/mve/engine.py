@@ -40,7 +40,7 @@ from .index import (
     save_index,
     train_centroids,
 )
-from .retrieval import CandidateSet, PruningConfig, Ranking, Strategy, search
+from .retrieval import CandidateSet, PruningConfig, Ranking, Strategy, _as_strategy, search
 
 CONFIG_FILE = "config.json"
 LEXICON_FILE = "lexicon.tsv"
@@ -78,12 +78,7 @@ class EngineConfig:
             if isinstance(value, bool) or not isinstance(value, wanted):
                 kind = "a number" if wanted is numbers.Real else "an integer"
                 raise InvalidConfigError(f"{field.name} must be {kind}, got {value!r}")
-        try:
-            object.__setattr__(self, "strategy", Strategy(self.strategy).value)
-        except ValueError as exc:
-            raise InvalidConfigError(
-                f"strategy must be one of {[s.value for s in Strategy]}, got {self.strategy!r}"
-            ) from exc
+        object.__setattr__(self, "strategy", _as_strategy(self.strategy).value)
         if self.dim < 1:
             raise InvalidConfigError(f"dim must be >= 1, got {self.dim}")
         if self.q_len < 2:
@@ -137,7 +132,8 @@ class Engine:
         k_prime: int | None = None,
         n_probe: int | None = None,
     ) -> PruningConfig:
-        """Resolve a pruning config against this engine's defaults.
+        """Resolve a pruning config against this engine's defaults; the
+        search and the sweep take their k' and probe width from it.
 
         ``n_probe`` is capped at ``n_list`` so the default probe width works
         on indexes with few partitions.
@@ -147,7 +143,7 @@ class Engine:
         if isinstance(resolved_probe, numbers.Real) and resolved_probe >= 1:
             resolved_probe = min(resolved_probe, self.index.n_list)
         return PruningConfig(
-            strategy=Strategy(strategy) if strategy is not None else Strategy(self.config.strategy),
+            strategy=strategy if strategy is not None else self.config.strategy,
             p=p if p is not None else (self.config.p or self.config.q_len),
             k_prime=k_prime if k_prime is not None else self.config.k_prime,
             n_probe=resolved_probe,
@@ -181,6 +177,7 @@ class Engine:
     ) -> SweepTable:
         if p_values is None:
             p_values = range(1, self.config.q_len + 1)
+        pruning = self.pruning()
         return sweep(
             queries,
             qrels,
@@ -190,8 +187,8 @@ class Engine:
             strategies,
             p_values,
             k=self.config.k,
-            k_prime=self.config.k_prime,
-            n_probe=min(self.config.n_probe, self.index.n_list),
+            k_prime=pruning.k_prime,
+            n_probe=pruning.n_probe,
             alpha=alpha,
             threads=threads,
         )

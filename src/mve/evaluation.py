@@ -38,6 +38,7 @@ from .retrieval import (
     RankedEntries,
     Ranking,
     Strategy,
+    _as_strategy,
     _best_first,
     _check_int,
     ann_candidates,
@@ -253,9 +254,11 @@ def paired_t_test_bonferroni(
     The statistic is mean(d) / (sd(d) / sqrt(n)) over the paired differences
     d = a - b (sample standard deviation, n - 1 degrees of freedom), and the
     result is significant iff p < alpha / num_comparisons, for an alpha in
-    (0, 1). All-zero differences yield (t=0, p=1, not significant); zero
-    spread around a nonzero mean yields an infinite statistic and p = 0.
+    (0, 1) and an integer num_comparisons of at least 1. All-zero differences
+    yield (t=0, p=1, not significant); zero spread around a nonzero mean
+    yields an infinite statistic and p = 0.
     """
+    _check_int("num_comparisons", num_comparisons)
     if num_comparisons < 1:
         raise InvalidConfigError(f"num_comparisons must be >= 1, got {num_comparisons}")
     _check_alpha(alpha)
@@ -318,7 +321,7 @@ class SweepTable:
     rows: tuple[SweepRow, ...]
 
     def row(self, strategy: Strategy | str, p: int) -> SweepRow:
-        wanted = Strategy(strategy).value
+        wanted = _as_strategy(strategy).value
         for row in self.rows:
             if row.strategy == wanted and row.p == p:
                 return row
@@ -484,7 +487,11 @@ def sweep(
     """
     if not queries:
         raise InvalidInputError("sweep needs at least one query")
-    strategies = [Strategy(s) for s in strategies]
+    if isinstance(strategies, str):
+        raise InvalidConfigError(
+            f"strategies must be a sequence of strategies, not one string: {strategies!r}"
+        )
+    strategies = [_as_strategy(s) for s in strategies]
     if not strategies or len(set(strategies)) != len(strategies):
         raise InvalidConfigError("strategies must be non-empty and unique")
     p_values = list(p_values)

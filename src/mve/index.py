@@ -45,14 +45,12 @@ _LOAD_CHECK_BATCH = 4096
 _MAX_EMBEDDINGS = 2**32
 
 
-def _check_codes(
-    codes: object, count: int | None, bound: int, bound_name: str, used: int = 0
-) -> np.ndarray:
-    """``codes`` as a read-only intp array, once they are integers, ``count``
-    of them if given, that lie in ``[0, bound)`` and use every value up to
-    their maximum and below ``used``."""
+def _check_codes(codes: object, bound: int, bound_name: str, used: int = 0) -> np.ndarray:
+    """``codes`` as a read-only intp array, once they are integers that lie
+    in ``[0, bound)`` and use every value up to their maximum and below
+    ``used``."""
     codes = np.asarray(codes)
-    if codes.ndim != 1 or codes.dtype.kind not in "iu" or count not in (None, len(codes)):
+    if codes.ndim != 1 or codes.dtype.kind not in "iu":
         raise InvalidInputError("store codes must be one integer per embedding")
     if codes.size and not (0 <= codes.min() and codes.max() < bound):
         raise InvalidInputError(f"store codes must lie in [0, {bound}), {bound_name}")
@@ -72,11 +70,10 @@ def _bits(rows: np.ndarray) -> np.ndarray:
 
 
 def _check_code_rows(
-    table: np.ndarray, codes: np.ndarray, rows: np.ndarray, ids: np.ndarray | None = None
+    table: np.ndarray, codes: np.ndarray, rows: np.ndarray, ids: np.ndarray
 ) -> None:
-    """Raise unless every one of ``rows`` is bit for bit the row of
-    ``table`` its code names; ``ids`` numbers the rows' embeddings, by
-    default from 0."""
+    """Raise unless every one of ``rows``, embeddings ``ids``, is bit for
+    bit the row of ``table`` its code names."""
     # bits, not values: -0.0 == 0.0, and NaN equals nothing
     table_bits, bits = _bits(table), _bits(rows)
     for start in range(0, len(codes), _CODE_CHECK_CHUNK):
@@ -84,22 +81,10 @@ def _check_code_rows(
         same = np.take(table_bits, block, axis=0) == bits[start : start + len(block)]
         if not same.all():
             at = start + int(np.argmin(same.all(axis=1)))
-            i = at if ids is None else int(ids[at])
             raise InvalidInputError(
-                f"embedding {i} differs from another embedding of its code {int(codes[at])}"
+                f"embedding {int(ids[at])} differs from another embedding of its code "
+                f"{int(codes[at])}"
             )
-
-
-def _code_rows(vectors: np.ndarray, codes: object) -> tuple[np.ndarray, np.ndarray]:
-    """Check a store's ``codes`` against its ``vectors``; return the codes as
-    a read-only intp array and the row of each code."""
-    codes = _check_codes(codes, len(vectors), len(vectors), "the number of embeddings")
-    picked = np.empty(int(codes.max()) + 1, dtype=np.intp)
-    picked[codes] = np.arange(len(codes))  # any embedding of each code; all are compared next
-    table = vectors[picked]
-    _check_code_rows(table, codes, vectors)
-    table.flags.writeable = False
-    return codes, table
 
 
 def _offsets(lengths: object) -> np.ndarray:
@@ -127,13 +112,11 @@ class EmbeddingStore:
     dump, is the same thing with its embeddings as the table and codes
     ``0 ... n-1``. Both arrays are read-only.
 
-    ``EmbeddingStore(vectors, doc_offsets, doc_ids, codes=None)`` builds a
-    store from its embeddings. Without codes the table is ``vectors`` itself,
-    not a copy. Given codes must use every value from 0 to their maximum,
-    which must lie below the number of embeddings; the table is built from
-    the embeddings themselves, and a code whose embeddings differ in any bit
-    (-0.0 is not 0.0) is rejected. :meth:`from_table` builds a store from its
-    table and codes instead, whose rows are the embeddings by construction.
+    ``EmbeddingStore(vectors, doc_offsets, doc_ids)`` builds a store whose
+    table is ``vectors`` itself, not a copy, with codes ``0 ... n-1``. A
+    store whose embeddings share rows comes from :meth:`from_table`, whose
+    rows are the embeddings by construction, or from :func:`load_index`
+    with a codes file, which compares every embedding with its code's row.
 
     ``vectors`` reads every embedding in id order: a full gather,
     ``num_embeddings * dim * 4`` bytes made on each read and never kept; the
@@ -151,11 +134,7 @@ class EmbeddingStore:
     doc_id_array: np.ndarray = field(repr=False)  # doc number -> doc id
 
     def __init__(
-        self,
-        vectors: np.ndarray,
-        doc_offsets: np.ndarray,
-        doc_ids: Sequence[str],
-        codes: np.ndarray | None = None,
+        self, vectors: np.ndarray, doc_offsets: np.ndarray, doc_ids: Sequence[str]
     ) -> None:
         if np.ndim(vectors) and len(vectors) > _MAX_EMBEDDINGS:
             raise InvalidInputError(
@@ -164,13 +143,10 @@ class EmbeddingStore:
         vectors = np.ascontiguousarray(vectors, dtype=np.float32)
         if vectors.ndim != 2 or vectors.shape[1] == 0:
             raise InvalidInputError("store vectors must be a (n, dim) array")
-        if codes is None:
-            table = vectors.view()  # read-only; the caller's array stays writeable
-            table.flags.writeable = False
-            codes = np.arange(len(vectors))
-            codes.flags.writeable = False
-        else:
-            codes, table = _code_rows(vectors, codes)
+        table = vectors.view()  # read-only; the caller's array stays writeable
+        table.flags.writeable = False
+        codes = np.arange(len(vectors))
+        codes.flags.writeable = False
         self._init(table, codes, doc_offsets, doc_ids)
 
     @classmethod
@@ -232,15 +208,11 @@ class EmbeddingStore:
 
     @classmethod
     def from_lengths(
-        cls,
-        vectors: np.ndarray,
-        lengths: np.ndarray,
-        doc_ids: Sequence[str],
-        codes: np.ndarray | None = None,
+        cls, vectors: np.ndarray, lengths: np.ndarray, doc_ids: Sequence[str]
     ) -> "EmbeddingStore":
         """A store over one block of vectors in which document ``doc_ids[i]``
         owns the next ``lengths[i]`` rows."""
-        return cls(vectors, _offsets(lengths), tuple(doc_ids), codes)
+        return cls(vectors, _offsets(lengths), tuple(doc_ids))
 
     @classmethod
     def from_table(
@@ -259,7 +231,7 @@ class EmbeddingStore:
         if table.ndim != 2 or table.shape[1] == 0:
             raise InvalidInputError("store table must be a (n, dim) array")
         table.flags.writeable = False
-        codes = _check_codes(codes, None, len(table), "the rows of the table", len(table))
+        codes = _check_codes(codes, len(table), "the rows of the table", len(table))
         return cls._over(table, codes, _offsets(lengths), doc_ids)
 
     @classmethod
@@ -351,18 +323,13 @@ class IvfIndex:
     """Inverted file over an embedding store.
 
     ``lists[c]`` holds the embedding ids assigned to centroid ``c`` in
-    ascending id order; vectors are resolved through the store, so the lists
-    are a disjoint cover of it.
-
-    ``list_rows[c]`` names the rows of ``store.table`` that hold those
-    embeddings, one for one, ``store.codes[lists[c]]``: bit for bit the
-    embeddings' rows.
+    ascending id order, and the lists are a disjoint cover of the store.
+    They hold ids only; their embeddings are read with ``store.rows``.
     """
 
     store: EmbeddingStore
     centroids: Centroids
     lists: tuple[np.ndarray, ...]
-    list_rows: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.centroids.dim != self.store.dim:
@@ -380,12 +347,6 @@ class IvfIndex:
             covered[joined] = True
         if not covered.all():
             raise InvalidInputError("inverted lists are not a disjoint cover of the store")
-        # one gather over the joined lists, cut into read-only views
-        rows = self.store.codes[joined]
-        rows.flags.writeable = False
-        ends = np.cumsum([len(ids) for ids in lists]).tolist()
-        list_rows = tuple(rows[end - len(ids) : end] for ids, end in zip(lists, ends))
-        object.__setattr__(self, "list_rows", list_rows)
 
     @property
     def n_list(self) -> int:
@@ -807,11 +768,9 @@ def _load_index(path: Path, codes_path: Path | None) -> IvfIndex:
                 vectors[ids] = rows
 
         else:
+            # _read_codes has checked their count
             codes = _check_codes(
-                _read_codes(codes_path, num_embeddings),
-                num_embeddings,
-                num_embeddings,
-                "the number of embeddings",
+                _read_codes(codes_path, num_embeddings), num_embeddings, "the number of embeddings"
             )
             # zeros, not empty: a code that no list holds leaves its row
             # finite, and the lists then fail as a cover of the store

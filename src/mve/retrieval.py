@@ -14,12 +14,12 @@ read from it only at the edges. A ``Ranking`` holds two columns, its doc ids
 and their float64 scores, and builds ``(doc_id, score)`` pairs only when they
 are read; it refers to no store, so a kept ranking keeps no engine alive.
 
-A probe gathers the rows of its probed lists with ``np.take`` from the
-store's table, ``store.table``, through ``IvfIndex.list_rows``, the rows
-the lists' codes name: on desk a table of 1,751 rows and 448 kB, and for a
-store read from an embeddings dump every embedding, with codes 0 ... n-1.
-Every embedding is bit for bit its code's row, so the gathered block holds
-the probed embeddings' bytes and the gemv gives their scores.
+A probe reads the embeddings of its probed lists with
+``EmbeddingStore.rows``, which gathers the rows their codes name from the
+store's table: on desk a table of 1,751 rows and 448 kB, and for a store
+read from an embeddings dump every embedding, with codes 0 ... n-1. Every
+embedding is bit for bit its code's row, so the gathered block holds the
+probed embeddings' bytes and the gemv gives their scores.
 Its top k' comes from one sort of uint64 keys that pack a 32-bit score key
 over the embedding id: the cut and its tie rule are exactly those of
 ``np.lexsort`` on (score descending, id ascending), which is why a store
@@ -81,6 +81,16 @@ class Strategy(str, enum.Enum):
     IDF = "idf"  # descending inverse document frequency, specials last
 
 
+def _as_strategy(value: object) -> Strategy:
+    """``value`` as a :class:`Strategy`: a member or its name."""
+    try:
+        return Strategy(value)
+    except ValueError as exc:
+        raise InvalidConfigError(
+            f"strategy must be one of {[s.value for s in Strategy]}, got {value!r}"
+        ) from exc
+
+
 def _check_int(name: str, value: object) -> None:
     """Reject a count that is not an integer: a bool or a float would
     otherwise pass the range checks and be truncated or fail later."""
@@ -99,12 +109,7 @@ class PruningConfig:
     n_probe: int
 
     def __post_init__(self) -> None:
-        try:
-            object.__setattr__(self, "strategy", Strategy(self.strategy))
-        except ValueError as exc:
-            raise InvalidConfigError(
-                f"strategy must be one of {[s.value for s in Strategy]}, got {self.strategy!r}"
-            ) from exc
+        object.__setattr__(self, "strategy", _as_strategy(self.strategy))
         for name in ("p", "k_prime", "n_probe"):
             _check_int(name, getattr(self, name))
         if self.p < 1:
@@ -268,7 +273,7 @@ def order_embeddings(
     wordpieces, CLS first and then the masked tokens in occurrence order.
     Tokens missing from the lexicon count as cf = 0, i.e. highest priority.
     """
-    strategy = Strategy(strategy)
+    strategy = _as_strategy(strategy)
     positions = list(range(query.q_len))
     if strategy is Strategy.FIRST:
         return positions
@@ -300,9 +305,8 @@ def ann_candidates(
 def _probe(index: IvfIndex, phi: np.ndarray, k_prime: int, n_probe: int) -> np.ndarray:
     """The hits of :func:`ann_candidates`, without their candidate set.
 
-    The probed rows are gathered from ``index.store.table`` through
-    ``index.list_rows``; the block holds the probed embeddings' exact bytes
-    in list order.
+    The probed embeddings are read with ``index.store.rows``, one block of
+    their exact bytes in list order.
     """
     phi = np.asarray(phi, dtype=np.float32)
     if phi.shape != (index.dim,):
@@ -320,8 +324,7 @@ def _probe(index: IvfIndex, phi: np.ndarray, k_prime: int, n_probe: int) -> np.n
     centroid_sims = index.centroids.vectors @ phi
     probed = np.argsort(-centroid_sims, kind="stable")[:n_probe]
     ids = np.concatenate([index.lists[c] for c in probed])
-    rows = np.concatenate([index.list_rows[c] for c in probed])
-    return _top_ids(ids, np.take(index.store.table, rows, axis=0) @ phi, k_prime)
+    return _top_ids(ids, index.store.rows(ids) @ phi, k_prime)
 
 
 def _top_ids(ids: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:

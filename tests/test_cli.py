@@ -551,6 +551,13 @@ def change_count(data):
     data[8] += 1
 
 
+def set_code_of_quick(code):
+    def damage(data):
+        data[CODES_AT + 4 : CODES_AT + 8] = struct.pack("<I", code)
+
+    return damage
+
+
 @pytest.mark.parametrize(
     "damage, named",
     [
@@ -561,9 +568,11 @@ def change_count(data):
         (swap_two_codes, "differs from another embedding of its code"),
         (lambda data: data.__delitem__(slice(10, None)), "truncated header"),
         (lambda data: data.__setitem__(0, ord("X")), "bad magic"),
+        (set_code_of_quick(17), "lie in [0, 17), the number of embeddings"),
+        (set_code_of_quick(0), "store code 1 has no embedding"),
     ],
     ids=["flipped bit", "truncated", "trailing byte", "wrong count", "swapped codes",
-         "cut header", "bad magic"],
+         "cut header", "bad magic", "code out of range", "unused code"],
 )
 def test_damaged_codes_file_exits_two(tmp_path, capsys, damage, named):
     out = build_tiny_engine_dir(tmp_path)

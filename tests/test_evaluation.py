@@ -373,6 +373,15 @@ def test_t_test_input_validation():
         paired_t_test_bonferroni([1.0, 2.0], [1.0, 2.0], num_comparisons=0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 2.5, 2.0, True, "2"])
+def test_t_test_rejects_a_comparison_count_that_is_not_an_integer(bad):
+    # NaN and inf made every result not significant; 2.5 scaled alpha by it
+    a, b = fixed_samples()
+    with pytest.raises(InvalidConfigError, match="num_comparisons must be an integer"):
+        paired_t_test_bonferroni(a, b, num_comparisons=bad)
+    assert paired_t_test_bonferroni(a, b, np.int64(3)) == paired_t_test_bonferroni(a, b, 3)
+
+
 def test_alpha_outside_unit_interval_is_rejected(
     small_planted_engine, small_planted, small_planted_qrels, monkeypatch
 ):
@@ -714,6 +723,55 @@ def test_sweep_validates_inputs(small_planted_engine, small_planted, small_plant
         sweep(
             [], small_planted_qrels, engine.index, engine.lexicon, engine.encoder,
             [Strategy.FIRST], [1],
+        )
+
+
+UNKNOWN_STRATEGY = {
+    "Engine.search": lambda engine, queries, qrels: engine.search(
+        queries[0][1], strategy="bogus"
+    ),
+    "Engine.pruning": lambda engine, queries, qrels: engine.pruning(strategy="bogus"),
+    "Engine.sweep": lambda engine, queries, qrels: engine.sweep(
+        queries, qrels, strategies=["bogus"]
+    ),
+    "sweep": lambda engine, queries, qrels: sweep(
+        queries, qrels, engine.index, engine.lexicon, engine.encoder,
+        [Strategy.FIRST, "bogus"], [1],
+    ),
+    "order_embeddings": lambda engine, queries, qrels: order_embeddings(
+        engine.encoder.encode(queries[0][1]), engine.lexicon, "bogus"
+    ),
+    "SweepTable.row": lambda engine, queries, qrels: engine.sweep(
+        queries, qrels, p_values=[1]
+    ).row("bogus", 1),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(UNKNOWN_STRATEGY))
+def test_an_unknown_strategy_is_a_config_error(
+    small_planted_engine, small_planted, small_planted_qrels, entry
+):
+    # it was the ValueError of Strategy("bogus")
+    with pytest.raises(
+        InvalidConfigError, match=r"strategy must be one of \['first', 'icf', 'idf'\], got 'bogus'"
+    ):
+        UNKNOWN_STRATEGY[entry](
+            small_planted_engine, small_planted.queries[:2], small_planted_qrels
+        )
+
+
+def test_the_sweep_rejects_one_string_for_its_strategies(
+    small_planted_engine, small_planted, small_planted_qrels, monkeypatch
+):
+    # "icf" was read as the strategies "i", "c" and "f"
+    monkeypatch.setattr(mve.evaluation, "ann_candidates", None)
+    engine, queries = small_planted_engine, small_planted.queries[:2]
+    with pytest.raises(InvalidConfigError, match="not one string"):
+        engine.sweep(queries, small_planted_qrels, strategies="icf")
+    with pytest.raises(InvalidConfigError, match="not one string"):
+        sweep(
+            queries, small_planted_qrels, engine.index, engine.lexicon, engine.encoder,
+            Strategy.FIRST, [1],
         )
 
 

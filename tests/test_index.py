@@ -59,9 +59,10 @@ def coded_vectors(codes, dim=4, seed=0):
 def test_store_codes_name_each_embedding_row_of_the_distinct_table():
     codes = [2, 0, 1, 2, 2, 0]
     vectors, table = coded_vectors(codes)
-    store = EmbeddingStore.from_lengths(vectors, [2, 3, 1], ["a", "b", "c"], codes)
+    store = EmbeddingStore.from_table(table, codes, [2, 3, 1], ["a", "b", "c"])
     assert store.table.tobytes() == table.tobytes()
     assert store.codes.tolist() == codes
+    assert store.vectors.tobytes() == vectors.tobytes()
     assert not store.codes.flags.writeable and not store.table.flags.writeable
     # without codes the vectors are the table, not a copy, and each is its own row
     plain = EmbeddingStore.from_lengths(vectors, [2, 3, 1], ["a", "b", "c"])
@@ -70,52 +71,20 @@ def test_store_codes_name_each_embedding_row_of_the_distinct_table():
     assert vectors.flags.writeable
 
 
-@pytest.mark.parametrize(
-    "codes, message",
-    [
-        ([0, 1, 2], "one integer per embedding"),
-        ([0.0, 1.0, 2.0, 0.0], "one integer per embedding"),
-        ([0, 1, 4, 0], r"lie in \[0, 4\)"),
-        ([0, -1, 1, 0], r"lie in \[0, 4\)"),
-        ([0, 2, 2, 0], "code 1 has no embedding"),
-    ],
-)
-def test_store_rejects_codes_that_are_not_a_dense_row_per_embedding(codes, message):
-    vectors, _ = coded_vectors([0, 1, 2, 0])
-    with pytest.raises(InvalidInputError, match=message):
-        EmbeddingStore.from_lengths(vectors, [4], ["a"], codes)
-
-
-def test_store_rejects_codes_whose_embeddings_differ_in_any_bit():
-    codes = [0, 1, 0, 1]
-    vectors, _ = coded_vectors(codes)
-    flipped = vectors.copy()
-    flipped.view(np.uint32)[3, 2] ^= 1  # the last mantissa bit of a shared code's row
-    with pytest.raises(InvalidInputError, match="differs from another embedding of its code 1"):
-        EmbeddingStore.from_lengths(flipped, [4], ["a"], codes)
-    signed = np.zeros((2, 3), dtype=np.float32)
-    signed[1, 0] = -0.0
-    with pytest.raises(InvalidInputError, match="differs from another embedding of its code 0"):
-        EmbeddingStore.from_lengths(signed, [2], ["a"], [0, 0])
-    # a non-finite value is caught on the distinct rows
-    infinite = vectors.copy()
-    infinite[[1, 3], 0] = np.inf
-    with pytest.raises(InvalidInputError, match="NaN or Inf"):
-        EmbeddingStore.from_lengths(infinite, [4], ["a"], codes)
-
-
 def test_store_from_table_equals_the_store_built_from_its_rows():
     codes = [2, 0, 1, 2, 2, 0]
     vectors, table = coded_vectors(codes)
-    built = EmbeddingStore.from_lengths(vectors, [2, 3, 1], ["a", "b", "c"], codes)
+    built = EmbeddingStore.from_lengths(vectors, [2, 3, 1], ["a", "b", "c"])
     store = EmbeddingStore.from_table(table, codes, [2, 3, 1], ["a", "b", "c"])
-    for name in ("table", "codes", "doc_offsets", "doc_of", "id_order"):
+    for name in ("vectors", "doc_offsets", "doc_of", "id_order", "id_rank"):
         assert getattr(store, name).tobytes() == getattr(built, name).tobytes(), name
-    assert not store.table.flags.writeable
+    ids = np.array([5, 0, 3, 3])
+    assert store.rows(ids).tobytes() == built.rows(ids).tobytes()
     assert store.doc_ids == built.doc_ids and store.num_embeddings == 6 and store.dim == 4
     # the store keeps its own copy of the table
+    saved = table.copy()
     table[0] = 0.0
-    assert store.table.tobytes() == built.table.tobytes()
+    assert store.table.tobytes() == saved.tobytes() and not store.table.flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -154,10 +123,6 @@ def test_coded_store_vectors_are_a_new_read_only_gather_on_each_read():
     codes = [2, 0, 1, 2, 2, 0]
     vectors, table = coded_vectors(codes)
     for store in (
-        EmbeddingStore(vectors, [[0, 2], [2, 4]], ("a", "b"), codes),
-        EmbeddingStore(
-            vectors=vectors, doc_offsets=[[0, 2], [2, 4]], doc_ids=("a", "b"), codes=codes
-        ),
         EmbeddingStore.from_table(table, codes, [2, 4], ["a", "b"]),
         EmbeddingStore(vectors, [[0, 2], [2, 4]], ("a", "b")),
     ):
@@ -401,7 +366,9 @@ def test_codes_round_trip_beside_the_index(tmp_path):
     # the sample store's first five rows, repeated
     codes = np.arange(store.num_embeddings) % 5
     coded = IvfIndex(
-        store=EmbeddingStore(store.vectors[codes], store.doc_offsets, store.doc_ids, codes),
+        store=EmbeddingStore.from_table(
+            store.rows(slice(0, 5)), codes, store.doc_offsets[:, 1], store.doc_ids
+        ),
         centroids=index.centroids,
         lists=index.lists,
     )
@@ -420,6 +387,37 @@ def test_codes_round_trip_beside_the_index(tmp_path):
     # a store whose codes are 0 ... n-1 saves them like any other
     save_codes(index.store, codes_path)
     assert load_index(path, codes_path).store.codes.tolist() == list(range(store.num_embeddings))
+
+
+def test_store_rejects_codes_whose_embeddings_differ_in_any_bit(tmp_path):
+    # the coded load compares every embedding with its code's row bit for
+    # bit: a 0.0 coordinate whose sign flips is -0.0, equal in value only
+    _, table = coded_vectors([0, 1, 2])
+    table[1, 2] = 0.0
+    store = EmbeddingStore.from_table(table, [0, 1, 2, 1, 0, 1], [2, 3, 1], ["a", "b", "c"])
+    index = build_ivf(store, train_centroids(store, 1.0, 2, 2, seed=0))
+    path, codes_path = tmp_path / "index.mvix", tmp_path / "codes.bin"
+    save_index(index, path)
+    save_codes(store, codes_path)
+    data = path.read_bytes()
+    assert load_index(path, codes_path).store.table.tobytes() == table.tobytes()
+    # the sign bit of embedding 3's 0.0 coordinate, and the last mantissa
+    # bit of embedding 4's first coordinate
+    for embedding, byte, bit, code in ((3, 2 * 4 + 3, 0x80, 1), (4, 0, 1, 0)):
+        record = struct.pack("<Q", embedding) + store.rows([embedding]).tobytes()
+        at = data.find(record) + 8
+        assert at > 8 and data.find(record, at) == -1
+        damaged = bytearray(data)
+        damaged[at + byte] ^= bit
+        path.write_bytes(bytes(damaged))
+        with pytest.raises(
+            CorruptIndexError, match=f"differs from another embedding of its code {code}"
+        ):
+            load_index(path, codes_path)
+        # without the codes file the damaged embedding loads as it is
+        flipped = load_index(path).store.rows([embedding])
+        assert flipped.tobytes() != table[code].tobytes()
+        assert np.array_equal(flipped[0], table[code]) == (code == 1)
 
 
 def test_load_rejects_wrong_magic(tmp_path):

@@ -204,12 +204,8 @@ def test_probe_matches_the_reference_on_the_planted_engine(engine_name, request)
     # gather from fewer rows than there are embeddings
     store = index.store
     assert len(store.table) < store.num_embeddings
-    assert all(
-        rows.tobytes() == store.codes[ids].tobytes() and not rows.flags.writeable
-        for ids, rows in zip(index.lists, index.list_rows)
-    )
     twin = identity_twin(index)
-    assert all(np.array_equal(rows, ids) for ids, rows in zip(twin.lists, twin.list_rows))
+    assert np.array_equal(twin.store.codes, np.arange(store.num_embeddings))
     vectors = distinct_query_vectors(engine, fixture.queries)
     assert len(vectors) > 20
     beyond = store.num_embeddings + 1  # more than any probe scans
@@ -230,8 +226,10 @@ def store_with_duplicates(dim: int, seed: int, coded: bool = False) -> Embedding
     vectors = pool[picks]
     lengths = np.full(100, 6)
     doc_ids = [f"d{i:03d}" for i in rng.permutation(100)]  # doc-id order differs from doc order
-    codes = np.unique(picks, return_inverse=True)[1] if coded else None
-    return EmbeddingStore.from_lengths(vectors, lengths, doc_ids, codes)
+    if not coded:
+        return EmbeddingStore.from_lengths(vectors, lengths, doc_ids)
+    used, codes = np.unique(picks, return_inverse=True)
+    return EmbeddingStore.from_table(pool[used], codes, lengths, doc_ids)
 
 
 @pytest.mark.parametrize("dim", [3, 17])

@@ -922,7 +922,7 @@ def coded_store(num_docs, dim, num_codes, seed, max_len=20):
     table = rng.standard_normal((num_codes, dim)).astype(np.float32)
     codes = rng.permutation(np.resize(np.arange(num_codes), int(lengths.sum())))
     names = [f"d{i:04d}" for i in range(num_docs)]
-    return EmbeddingStore.from_lengths(table[codes], lengths, names, codes)
+    return EmbeddingStore.from_table(table, codes, lengths, names)
 
 
 PLANTED_FIXTURE_OF = {

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Run both test suites: the package tests under ``tests/`` and the
-benchmark's own tests under ``perfbench/tests``.
+"""Run the package tests under ``tests/`` with ``src`` on the import path.
 
-The two suites run as separate pytest sessions, because their ``conftest``
-modules clash when collected together. Exits non-zero if either fails.
-Extra arguments go to both sessions:
+The benchmark's own tests, ``perfbench/tests``, run as part of them:
+``tests/test_benchmark_suite.py`` starts them in a pytest session of their
+own, because the two suites' ``conftest`` modules clash when collected
+together. Exits non-zero if any test fails. Extra arguments go to pytest:
 
     python3 tools/check.py
     python3 tools/check.py -x
@@ -16,10 +16,6 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SESSIONS = (
-    ["--continue-on-collection-errors"],  # tests/, the pyproject testpaths
-    ["perfbench/tests"],
-)
 
 
 def main(extra: list[str]) -> int:
@@ -27,13 +23,10 @@ def main(extra: list[str]) -> int:
     env["PYTHONPATH"] = os.pathsep.join(
         part for part in (str(ROOT / "src"), env.get("PYTHONPATH")) if part
     )
-    failed = 0
-    for args in SESSIONS:
-        command = [sys.executable, "-m", "pytest", "-q", *args, *extra]
-        print("$", " ".join(command[2:]), flush=True)
-        if subprocess.run(command, cwd=ROOT, env=env).returncode != 0:
-            failed += 1
-    return 1 if failed else 0
+    # tests/, the pyproject testpaths
+    command = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", *extra]
+    print("$", " ".join(command[2:]), flush=True)
+    return subprocess.run(command, cwd=ROOT, env=env).returncode
 
 
 if __name__ == "__main__":
