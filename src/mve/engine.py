@@ -216,9 +216,13 @@ def build_engine(
 
     The corpus is tokenized into one flat token-id array; the lexicon is
     counted from it, and the built-in store is the token table with each
-    embedding's row number in it as its code
-    (:meth:`~mve.index.EmbeddingStore.from_table`): no per-document arrays
-    and no array of every embedding's vector are built.
+    embedding's row number in it as its code, made by the one store
+    constructor, ``EmbeddingStore(table, codes, lengths, doc_ids)``: no
+    per-document arrays and no array of every embedding's vector are built.
+    A dump's store (:meth:`~mve.index.EmbeddingStore.from_blocks`) has the
+    dump's embeddings as its table and codes ``0 ... n-1``; a block that is
+    not a ``(length, dim)`` array raises :class:`InvalidInputError` naming
+    its doc id.
     """
     _check_doc_ids(corpus)
     doc_ids = [doc_id for doc_id, _ in corpus]
@@ -227,7 +231,7 @@ def build_engine(
     if dump_docs is None:
         codes = token_ids - FIRST_WORDPIECE_ID
         table = token_table(len(vocab), config.seed, config.dim)
-        store = EmbeddingStore.from_table(table, codes, lengths, doc_ids)
+        store = EmbeddingStore(table, codes, lengths, doc_ids)
     else:
         _check_doc_ids(dump_docs)
         store = EmbeddingStore.from_blocks(dump_docs)

@@ -13,6 +13,7 @@ import bisect
 import math
 import numbers
 import os
+import stat
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,18 +46,17 @@ _LOAD_CHECK_BATCH = 4096
 _MAX_EMBEDDINGS = 2**32
 
 
-def _check_codes(codes: object, bound: int, bound_name: str, used: int = 0) -> np.ndarray:
-    """``codes`` as a read-only intp array, once they are integers that lie
-    in ``[0, bound)`` and use every value up to their maximum and below
-    ``used``."""
+def _check_codes(codes: object, bound: int) -> np.ndarray:
+    """``codes`` as a new read-only intp array, once they are integers that
+    lie in ``[0, bound)`` and use every value there."""
     codes = np.asarray(codes)
     if codes.ndim != 1 or codes.dtype.kind not in "iu":
         raise InvalidInputError("store codes must be one integer per embedding")
     if codes.size and not (0 <= codes.min() and codes.max() < bound):
-        raise InvalidInputError(f"store codes must lie in [0, {bound}), {bound_name}")
+        raise InvalidInputError(f"store codes must lie in [0, {bound})")
     codes = codes.astype(np.intp)
     codes.flags.writeable = False
-    unused = np.flatnonzero(np.bincount(codes, minlength=used) == 0)
+    unused = np.flatnonzero(np.bincount(codes, minlength=bound) == 0)
     if unused.size:
         raise InvalidInputError(f"store code {int(unused[0])} has no embedding")
     return codes
@@ -87,36 +87,34 @@ def _check_code_rows(
             )
 
 
-def _offsets(lengths: object) -> np.ndarray:
-    """``(start, length)`` rows of documents that own ``lengths`` rows in turn."""
-    lengths = np.asarray(lengths, dtype=np.int64)
-    return np.stack([np.cumsum(lengths) - lengths, lengths], axis=1)
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class EmbeddingStore:
-    """All document embeddings concatenated in corpus order.
+    """All document embeddings concatenated in corpus order, as a table of
+    rows and one code per embedding: embedding ``i``, whose embedding id is
+    its global row number, is bit for bit ``table[codes[i]]``, and
+    :meth:`rows` reads embeddings that way. The built-in embedder's store
+    takes one row per vocabulary token (the desk store's 60,000 embeddings
+    are 1,751 rows, 448 kB instead of 15 MB), so a product with the store's
+    rows can be taken once per row. A store whose rows do not repeat, such
+    as one read from an embeddings dump, has its embeddings as the table and
+    codes ``0 ... n-1``.
 
-    ``doc_offsets[i] == (start, length)`` locates document ``i`` among the
-    embeddings; the global row number of an embedding is its embedding id.
-    A store holds at most 2**32 embeddings, so every id fits in 32 bits.
-    ``doc_id_array`` holds the doc ids as a read-only object array, indexed
-    by doc number.
+    ``EmbeddingStore(table, codes, lengths, doc_ids)`` makes every store;
+    document ``doc_ids[i]`` owns the next ``lengths[i]`` embeddings. It
+    raises :class:`InvalidInputError` unless there are at most 2**32 codes,
+    so that every embedding id fits in 32 bits (checked before anything is
+    converted or read); ``table`` is a finite 2-d float32 array of dim 1 or
+    more; the codes are integers in ``[0, len(table))`` that use every row;
+    the doc ids are unique; and ``lengths`` is a 1-d integer array, one per
+    doc id, each at least 1, summing to the number of codes. No embedding is
+    compared with another: they are the table's rows by construction. The
+    store keeps a read-only view of ``table`` (a copy only where it is not
+    C-ordered float32), which the caller must not write afterwards, and its
+    own read-only intp copy of the codes.
 
-    Every store is a ``table`` and its ``codes``: embedding ``i`` is bit for
-    bit ``table[codes[i]]``, and :meth:`rows` reads embeddings that way. The
-    built-in embedder's store takes one row per vocabulary token: the desk
-    store's 60,000 embeddings are 1,751 rows, 448 kB instead of 15 MB, so a
-    product with the store's rows can be taken once per row. A store of
-    embeddings whose rows do not repeat, such as one read from an embeddings
-    dump, is the same thing with its embeddings as the table and codes
-    ``0 ... n-1``. Both arrays are read-only.
-
-    ``EmbeddingStore(vectors, doc_offsets, doc_ids)`` builds a store whose
-    table is ``vectors`` itself, not a copy, with codes ``0 ... n-1``. A
-    store whose embeddings share rows comes from :meth:`from_table`, whose
-    rows are the embeddings by construction, or from :func:`load_index`
-    with a codes file, which compares every embedding with its code's row.
+    ``doc_offsets[i] == (start, length)``, derived from the lengths, locates
+    document ``i`` among the embeddings. ``doc_id_array`` holds the doc ids
+    as a read-only object array, indexed by doc number.
 
     ``vectors`` reads every embedding in id order: a full gather,
     ``num_embeddings * dim * 4`` bytes made on each read and never kept; the
@@ -134,69 +132,45 @@ class EmbeddingStore:
     doc_id_array: np.ndarray = field(repr=False)  # doc number -> doc id
 
     def __init__(
-        self, vectors: np.ndarray, doc_offsets: np.ndarray, doc_ids: Sequence[str]
-    ) -> None:
-        if np.ndim(vectors) and len(vectors) > _MAX_EMBEDDINGS:
-            raise InvalidInputError(
-                f"store holds {len(vectors)} embeddings, more than {_MAX_EMBEDDINGS}"
-            )
-        vectors = np.ascontiguousarray(vectors, dtype=np.float32)
-        if vectors.ndim != 2 or vectors.shape[1] == 0:
-            raise InvalidInputError("store vectors must be a (n, dim) array")
-        table = vectors.view()  # read-only; the caller's array stays writeable
-        table.flags.writeable = False
-        codes = np.arange(len(vectors))
-        codes.flags.writeable = False
-        self._init(table, codes, doc_offsets, doc_ids)
-
-    @classmethod
-    def _over(
-        cls, table: np.ndarray, codes: np.ndarray, doc_offsets: np.ndarray, doc_ids: Sequence[str]
-    ) -> "EmbeddingStore":
-        """A store over a read-only float32 ``table`` and read-only intp
-        ``codes`` that the caller has checked, both kept as they are."""
-        store = cls.__new__(cls)
-        store._init(table, codes, doc_offsets, doc_ids)
-        return store
-
-    def _init(
-        self,
-        table: np.ndarray,
-        codes: np.ndarray,
-        doc_offsets: np.ndarray,
-        doc_ids: Sequence[str],
+        self, table: np.ndarray, codes: np.ndarray, lengths: np.ndarray, doc_ids: Sequence[str]
     ) -> None:
         def set_(name: str, value: object) -> None:
             object.__setattr__(self, name, value)
 
-        num_embeddings = len(codes)
-        if num_embeddings > _MAX_EMBEDDINGS:
+        if np.ndim(codes) and len(codes) > _MAX_EMBEDDINGS:
             raise InvalidInputError(
-                f"store holds {num_embeddings} embeddings, more than {_MAX_EMBEDDINGS}"
+                f"store holds {len(codes)} embeddings, more than {_MAX_EMBEDDINGS}"
             )
-        offsets = np.ascontiguousarray(doc_offsets, dtype=np.int64)
-        doc_ids = tuple(doc_ids)
-        set_("doc_offsets", offsets)
-        set_("doc_ids", doc_ids)
-        set_("codes", codes)
-        set_("table", table)
-        set_("num_embeddings", num_embeddings)
-        # every embedding is a row of the table
+        table = np.ascontiguousarray(table, dtype=np.float32).view()
+        if table.ndim != 2 or table.shape[1] == 0:
+            raise InvalidInputError("store table must be a (n, dim) array")
+        table.flags.writeable = False
         if not np.isfinite(table).all():
             raise InvalidInputError("store vectors contain NaN or Inf")
-        if offsets.ndim != 2 or offsets.shape[1] != 2 or offsets.shape[0] == 0:
-            raise InvalidInputError("doc_offsets must be a non-empty (n, 2) array")
-        if len(doc_ids) != offsets.shape[0]:
-            raise InvalidInputError("doc_ids and doc_offsets differ in length")
+        codes = _check_codes(codes, len(table))
+        doc_ids = tuple(doc_ids)
         index_of = dict(zip(doc_ids, range(len(doc_ids))))
         if len(index_of) != len(doc_ids):
             raise InvalidInputError("duplicate doc ids in store")
-        starts, lengths = offsets[:, 0], offsets[:, 1]
+        lengths = np.asarray(lengths)
+        if lengths.ndim != 1 or lengths.dtype.kind not in "iu" or not lengths.size:
+            raise InvalidInputError("document lengths must be a non-empty 1-d integer array")
+        if len(lengths) != len(doc_ids):
+            raise InvalidInputError("doc_ids and document lengths differ in length")
+        lengths = lengths.astype(np.int64)  # a u64 of 2**63 or more wraps negative
         if (lengths < 1).any():
             raise InvalidInputError("every document must own at least one embedding")
-        expected = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-        if (starts != expected).any() or int(lengths.sum()) != num_embeddings:
-            raise InvalidInputError("doc offsets do not partition the vector block")
+        ends = np.cumsum(lengths)
+        # no length above the total keeps the int64 sum from wrapping
+        if (lengths > len(codes)).any() or int(ends[-1]) != len(codes):
+            raise InvalidInputError(
+                f"document lengths do not sum to the store's {len(codes)} embeddings"
+            )
+        set_("doc_offsets", np.stack([ends - lengths, lengths], axis=1))
+        set_("doc_ids", doc_ids)
+        set_("codes", codes)
+        set_("table", table)
+        set_("num_embeddings", len(codes))
         set_("doc_of", np.repeat(np.arange(len(doc_ids)), lengths))
         set_("_index_of", index_of)
         order = np.array(sorted(range(len(doc_ids)), key=doc_ids.__getitem__))
@@ -207,44 +181,27 @@ class EmbeddingStore:
         set_("doc_id_array", doc_id_array)
 
     @classmethod
-    def from_lengths(
-        cls, vectors: np.ndarray, lengths: np.ndarray, doc_ids: Sequence[str]
-    ) -> "EmbeddingStore":
-        """A store over one block of vectors in which document ``doc_ids[i]``
-        owns the next ``lengths[i]`` rows."""
-        return cls(vectors, _offsets(lengths), tuple(doc_ids))
-
-    @classmethod
-    def from_table(
-        cls, table: np.ndarray, codes: np.ndarray, lengths: np.ndarray, doc_ids: Sequence[str]
-    ) -> "EmbeddingStore":
-        """A store in which embedding ``i`` is ``table[codes[i]]`` and
-        document ``doc_ids[i]`` owns the next ``lengths[i]`` embeddings.
-
-        The embeddings are the table's rows by construction, so none is
-        compared with another. The codes must be integers that lie in
-        ``[0, len(table))`` and use every row, the table must be finite, and
-        there may be at most 2**32 embeddings. The store keeps a copy of the
-        table.
-        """
-        table = np.array(table, dtype=np.float32, order="C")
-        if table.ndim != 2 or table.shape[1] == 0:
-            raise InvalidInputError("store table must be a (n, dim) array")
-        table.flags.writeable = False
-        codes = _check_codes(codes, len(table), "the rows of the table", len(table))
-        return cls._over(table, codes, _offsets(lengths), doc_ids)
-
-    @classmethod
     def from_blocks(cls, blocks: Sequence[tuple[str, np.ndarray]]) -> "EmbeddingStore":
-        """A store of ``(doc_id, (length, dim) matrix)`` blocks in the given order."""
+        """A store of ``(doc_id, (length, dim) matrix)`` blocks in the given
+        order, whose table is their rows, one per embedding, with codes
+        ``0 ... n-1``."""
         if not blocks:
             raise InvalidInputError("cannot build a store from no documents")
-        dims = {matrix.shape[1] for _, matrix in blocks}
+        matrices = [np.asarray(matrix) for _, matrix in blocks]
+        for (doc_id, _), matrix in zip(blocks, matrices):
+            if matrix.ndim != 2:
+                raise InvalidInputError(
+                    f"embeddings of doc {doc_id!r} must be a (length, dim) array, "
+                    f"not {matrix.ndim}-d"
+                )
+        dims = {matrix.shape[1] for matrix in matrices}
         if len(dims) != 1:
             raise InvalidInputError(f"mixed embedding dimensions: {sorted(dims)}")
-        return cls.from_lengths(
-            np.concatenate([matrix for _, matrix in blocks], axis=0),
-            [matrix.shape[0] for _, matrix in blocks],
+        table = np.concatenate(matrices, axis=0)
+        return cls(
+            table,
+            np.arange(len(table)),
+            [len(matrix) for matrix in matrices],
             [doc_id for doc_id, _ in blocks],
         )
 
@@ -565,16 +522,14 @@ def _read_exact(handle: BinaryIO, count: int, section: str) -> bytes:
 _DOC_FIELDS = np.dtype([("start", "<u8"), ("length", "<u4")])
 
 
-def _parse_doc_table(
-    table: bytes, num_docs: int, num_embeddings: int
-) -> tuple[tuple[str, ...], np.ndarray, int]:
+def _parse_doc_table(table: bytes, num_docs: int) -> tuple[tuple[str, ...], np.ndarray, int]:
     """Parse the first ``num_docs`` entries of a document table.
 
-    Returns the doc ids, the ``(start, length)`` rows as int64 and the
-    table's size in bytes. One loop walks the name lengths, noting where
-    each entry starts; numpy then gathers the names, each followed by a
-    ``\n``, into one buffer that decodes in one call, and the start and
-    length fields into one structured array.
+    Returns the doc ids, their lengths and the table's size in bytes, once
+    each entry's start is the sum of the lengths before it. One loop walks
+    the name lengths, noting where each entry starts; numpy then gathers the
+    names, each followed by a ``\n``, into one buffer that decodes in one
+    call, and the start and length fields into one structured array.
     """
     unpack_len = _U32.unpack_from
     fixed = _U32.size + _DOC_TAIL.size
@@ -616,15 +571,17 @@ def _parse_doc_table(
                 )
 
     fields = data[stops[:, None] + np.arange(_DOC_TAIL.size)].view(_DOC_FIELDS)[:, 0]
-    beyond = np.flatnonzero(fields["start"] >= num_embeddings)
-    if beyond.size:
-        i = int(beyond[0])
+    lengths = fields["length"]
+    # compared as u64: a cast first would wrap starts of 2**63 or more negative
+    before = np.cumsum(lengths, dtype=np.uint64) - lengths
+    wrong = np.flatnonzero(fields["start"] != before)
+    if wrong.size:
+        i = int(wrong[0])
         raise CorruptIndexError(
             f"document table: entry {i} starts at embedding {int(fields['start'][i])}, "
-            f"past the {num_embeddings} the header declares"
+            f"but the entries before it hold {int(before[i])}"
         )
-    offsets = np.stack([fields["start"], fields["length"]], axis=1).astype(np.int64)
-    return tuple(doc_ids), offsets, at
+    return tuple(doc_ids), lengths, at
 
 
 # --------------------------------------------------------------------------
@@ -663,7 +620,12 @@ def _read_codes(path: Path, num_embeddings: int) -> np.ndarray:
         raise CorruptIndexError(
             f"{path}: {len(data)} bytes, but {count} codes take {head + 4 * count}"
         )
-    return np.frombuffer(data, dtype="<u4", offset=head)
+    codes = np.frombuffer(data, dtype="<u4", offset=head)
+    if count and codes.max() >= num_embeddings:
+        raise CorruptIndexError(
+            f"{path}: store codes must lie in [0, {num_embeddings}), the number of embeddings"
+        )
+    return codes
 
 
 def _fill_code_rows(
@@ -695,19 +657,25 @@ def load_index(path: str | Path, codes_path: str | Path | None = None) -> IvfInd
     after the document table has a size the header fixes, so the table is
     read in one call and parsed in bulk. Doc ids must decode as UTF-8 and,
     as :func:`mve.engine.build_engine` requires, be non-empty and free of
-    whitespace, so that a run file can carry them. The inverted lists are
-    then read in batches of ``_LOAD_CHECK_BATCH`` rows into one reused
-    buffer (see :func:`_read_lists`), and each batch's ids are range-checked
-    before use. Without ``codes_path`` each batch is scattered into one block
-    of every embedding, which becomes the store's table, with codes
-    ``0 ... n-1``.
+    whitespace, so that a run file can carry them, and each document must
+    start where the lengths before it end, so damage to the table is found
+    before the list section is read. The inverted lists are then read in
+    batches of ``_LOAD_CHECK_BATCH`` rows into one reused buffer (see
+    :func:`_read_lists`), and each batch's ids are range-checked before use.
+    Without ``codes_path`` each batch is scattered into one block of every
+    embedding, which becomes the store's table, with codes ``0 ... n-1``.
 
     With ``codes_path`` the store takes the codes that file holds (see
-    :func:`save_codes`), read and checked once before the lists, and keeps
-    only one row per code, never the ``(num_embeddings, dim)`` block: the
-    first embedding of a code read becomes its row, and every embedding, in
-    every list, is compared bit for bit with its code's row where it lies in
-    the buffer. The store then takes those codes and that table as they are.
+    :func:`save_codes`), read and checked once before the lists: one per
+    embedding, each below the number of embeddings, and every value up to
+    their maximum used. It keeps only one row per code, never the
+    ``(num_embeddings, dim)`` block: the first embedding of a code read
+    becomes its row, and every embedding, in every list, is compared bit for
+    bit with its code's row where it lies in the buffer.
+
+    Either way the load ends in one call of
+    ``EmbeddingStore(table, codes, lengths, doc_ids)``, which checks them as
+    it checks any store.
 
     On the desk index (60,000 embeddings of dim 64, 5,000 documents; a
     shared 2-core host, warm) a load with codes takes about 12-13.5 ms: 3 ms
@@ -738,7 +706,7 @@ def _load_index(path: Path, codes_path: Path | None) -> IvfIndex:
         )
         if version != FORMAT_VERSION:
             raise CorruptIndexError(f"unsupported version {version}")
-        if dim == 0 or n_list == 0 or num_docs == 0:
+        if dim == 0 or n_list == 0 or num_docs == 0 or num_embeddings == 0:
             raise CorruptIndexError("header declares an empty index")
         file_size = os.fstat(handle.fileno()).st_size
         rest = n_list * (dim * 4 + _U64.size) + num_embeddings * (_U64.size + dim * 4)
@@ -751,10 +719,8 @@ def _load_index(path: Path, codes_path: Path | None) -> IvfIndex:
             )
 
         table_at = handle.tell()
-        doc_ids, offsets, table_size = _parse_doc_table(
-            _read_exact(handle, file_size - table_at - rest, "document table"),
-            num_docs,
-            num_embeddings,
+        doc_ids, lengths, table_size = _parse_doc_table(
+            _read_exact(handle, file_size - table_at - rest, "document table"), num_docs
         )
         handle.seek(table_at + table_size)
 
@@ -762,19 +728,21 @@ def _load_index(path: Path, codes_path: Path | None) -> IvfIndex:
         centroid_vectors = np.frombuffer(centroid_bytes, dtype="<f4").reshape(n_list, dim).copy()
 
         if codes_path is None:
-            vectors = np.empty((num_embeddings, dim), dtype=np.float32)
+            table = np.empty((num_embeddings, dim), dtype=np.float32)
+            codes = np.arange(num_embeddings)
 
             def place(ids: np.ndarray, rows: np.ndarray) -> None:
-                vectors[ids] = rows
+                table[ids] = rows
 
         else:
-            # _read_codes has checked their count
-            codes = _check_codes(
-                _read_codes(codes_path, num_embeddings), num_embeddings, "the number of embeddings"
-            )
+            # _read_codes has checked their count and bound; as intp, the
+            # fill below indexes with them faster than with the file's u4
+            codes = _read_codes(codes_path, num_embeddings)
+            num_rows = int(codes.max()) + 1
+            codes = _check_codes(codes, num_rows)
             # zeros, not empty: a code that no list holds leaves its row
             # finite, and the lists then fail as a cover of the store
-            table = np.zeros((int(codes.max()) + 1, dim), dtype=np.float32)
+            table = np.zeros((num_rows, dim), dtype=np.float32)
             filled = np.zeros(len(table), dtype=bool)
 
             def place(ids: np.ndarray, rows: np.ndarray) -> None:
@@ -784,13 +752,7 @@ def _load_index(path: Path, codes_path: Path | None) -> IvfIndex:
         if handle.read(1):
             raise CorruptIndexError("trailing data after the final inverted list")
 
-    if codes_path is None:
-        store = EmbeddingStore(vectors, offsets, doc_ids)
-    else:
-        # the codes were checked as they were read and the table was built
-        # from them, so the store takes both as they are
-        table.flags.writeable = False
-        store = EmbeddingStore._over(table, codes, offsets, doc_ids)
+    store = EmbeddingStore(table, codes, lengths, doc_ids)
     return IvfIndex(store=store, centroids=Centroids(centroid_vectors), lists=lists)
 
 
@@ -864,23 +826,45 @@ def _read_lists(
 _DUMP_HEADER = struct.Struct("<IIQ")
 
 
+def _check_dump_doc(i: int, doc_id: str, matrix: np.ndarray) -> None:
+    """Raise unless dump doc ``i`` has a doc id that is non-empty and free
+    of whitespace, and at least one embedding, all finite."""
+    if not is_single_field(doc_id):
+        raise InvalidInputError(f"dump doc {i}: doc id {doc_id!r} is empty or contains whitespace")
+    if not len(matrix):
+        raise InvalidInputError(f"dump doc {doc_id!r} has no embeddings")
+    if not np.isfinite(matrix).all():
+        raise InvalidInputError(f"dump doc {doc_id!r}: non-finite embedding values")
+
+
 def write_embeddings_dump(docs: Sequence[tuple[str, np.ndarray]], path: str | Path) -> None:
-    """Write per-document embedding matrices in the ingestion format."""
+    """Write per-document embedding matrices in the ingestion format.
+
+    Every doc is checked before the file is opened, by the rules and with
+    the messages of :func:`read_embeddings_dump`, so every dump written
+    reads back, and a refused one leaves no file.
+    """
     if not docs:
         raise InvalidInputError("refusing to write an empty embeddings dump")
-    dim = int(np.asarray(docs[0][1]).shape[1])
+    matrices = [np.ascontiguousarray(matrix, dtype="<f4") for _, matrix in docs]
+    dim = matrices[0].shape[-1]
+    if dim == 0:
+        raise InvalidInputError("refusing to write an embeddings dump of dim 0")
+    for i, ((doc_id, _), matrix) in enumerate(zip(docs, matrices)):
+        if matrix.ndim != 2 or matrix.shape[1] != dim:
+            raise InvalidInputError(
+                f"dump doc {doc_id!r}: expected shape (n, {dim}), got {matrix.shape}"
+            )
+        _check_dump_doc(i, doc_id, matrix)
+    names = [doc_id.encode("utf-8") for doc_id, _ in docs]
     with open(path, "wb") as out:
         out.write(DUMP_MAGIC)
         out.write(_DUMP_HEADER.pack(FORMAT_VERSION, dim, len(docs)))
-        for doc_id, matrix in docs:
-            arr = np.ascontiguousarray(matrix, dtype="<f4")
-            if arr.ndim != 2 or arr.shape[1] != dim:
-                raise InvalidInputError(f"dump doc {doc_id!r}: expected shape (n, {dim})")
-            name = doc_id.encode("utf-8")
+        for name, matrix in zip(names, matrices):
             out.write(_U32.pack(len(name)))
             out.write(name)
-            out.write(_U32.pack(arr.shape[0]))
-            out.write(arr.tobytes())
+            out.write(_U32.pack(len(matrix)))
+            out.write(matrix.tobytes())
 
 
 def read_embeddings_dump(path: str | Path) -> list[tuple[str, np.ndarray]]:
@@ -888,42 +872,43 @@ def read_embeddings_dump(path: str | Path) -> list[tuple[str, np.ndarray]]:
 
     Dumps are user input, so failures raise :class:`InvalidInputError`
     (unlike our own index files, which raise :class:`CorruptIndexError`).
-    Doc ids must be non-empty and free of whitespace.
+    Doc ids must be non-empty and free of whitespace. Each name and each
+    doc's embeddings are checked against the bytes left in a regular file
+    before they are read, so a damaged length or count fails as truncation,
+    not as a huge allocation; a pipe is read unchecked.
     """
-
-    def need(handle: BinaryIO, count: int, section: str) -> bytes:
-        data = handle.read(count)
-        if len(data) != count:
-            raise InvalidInputError(f"truncated embeddings dump: {section}")
-        return data
-
     docs: list[tuple[str, np.ndarray]] = []
     with open(path, "rb") as handle:
-        magic = handle.read(4)
+        info = os.fstat(handle.fileno())
+        # the bytes after the magic; a pipe has no size to check against
+        left = info.st_size - len(DUMP_MAGIC) if stat.S_ISREG(info.st_mode) else math.inf
+
+        def need(count: int, section: str) -> bytes:
+            nonlocal left
+            data = handle.read(count) if count <= left else b""
+            if len(data) != count:
+                raise InvalidInputError(f"truncated embeddings dump: {section}")
+            left -= count
+            return data
+
+        magic = handle.read(len(DUMP_MAGIC))
         if magic != DUMP_MAGIC:
             raise InvalidInputError(f"bad dump magic {magic!r}, expected {DUMP_MAGIC!r}")
-        version, dim, num_docs = _DUMP_HEADER.unpack(need(handle, _DUMP_HEADER.size, "header"))
+        version, dim, num_docs = _DUMP_HEADER.unpack(need(_DUMP_HEADER.size, "header"))
         if version != FORMAT_VERSION:
             raise InvalidInputError(f"unsupported dump version {version}")
         if dim == 0 or num_docs == 0:
             raise InvalidInputError("dump header declares no content")
         for i in range(num_docs):
-            (name_len,) = _U32.unpack(need(handle, 4, f"doc {i} name"))
+            (name_len,) = _U32.unpack(need(4, f"doc {i} name"))
             try:
-                doc_id = need(handle, name_len, f"doc {i} name").decode("utf-8")
+                doc_id = need(name_len, f"doc {i} name").decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise InvalidInputError(f"dump doc {i}: undecodable name") from exc
-            if not is_single_field(doc_id):
-                raise InvalidInputError(
-                    f"dump doc {i}: doc id {doc_id!r} is empty or contains whitespace"
-                )
-            (count,) = _U32.unpack(need(handle, 4, f"doc {doc_id!r} count"))
-            if count == 0:
-                raise InvalidInputError(f"dump doc {doc_id!r} has no embeddings")
-            raw = need(handle, count * dim * 4, f"doc {doc_id!r} embeddings")
+            (count,) = _U32.unpack(need(4, f"doc {doc_id!r} count"))
+            raw = need(count * dim * 4, f"doc {doc_id!r} embeddings")
             matrix = np.frombuffer(raw, dtype="<f4").reshape(count, dim).copy()
-            if not np.isfinite(matrix).all():
-                raise InvalidInputError(f"dump doc {doc_id!r}: non-finite embedding values")
+            _check_dump_doc(i, doc_id, matrix)
             docs.append((doc_id, matrix))
         if handle.read(1):
             raise InvalidInputError("trailing data after the final dump document")

@@ -442,8 +442,8 @@ def test_train_centroids_equals_the_reference_on_the_planted_engine(small_plante
 
 def single_vector_store(rows):
     vectors = np.asarray(rows, dtype=np.float32)
-    offsets = np.stack([np.arange(len(vectors)), np.ones(len(vectors), dtype=np.int64)], axis=1)
-    return EmbeddingStore(vectors, offsets, tuple(f"d{i}" for i in range(len(vectors))))
+    n = len(vectors)
+    return EmbeddingStore(vectors, np.arange(n), [1] * n, [f"d{i}" for i in range(n)])
 
 
 def test_train_centroids_equals_the_reference_when_a_cluster_empties():

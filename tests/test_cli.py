@@ -337,6 +337,29 @@ def test_dump_doc_mismatch_is_rejected(tmp_path, capsys):
     assert "doc ids" in captured.err
 
 
+@pytest.mark.parametrize(
+    "name_len, count, dim, section",
+    [(2, 2**32 - 1, 2**32 - 1, "doc 'd1' embeddings"), (2**32 - 1, 1, 4, "doc 0 name"),
+     (2, 2**32 - 1, 64, "doc 'd1' embeddings")],
+    ids=["dim and count 2**32 - 1", "name length 2**32 - 1", "count 2**32 - 1 at dim 64"],
+)
+def test_index_from_a_dump_declaring_more_than_it_holds_exits_one(
+    tmp_path, capsys, name_len, count, dim, section
+):
+    corpus_path = write_tiny_corpus(tmp_path)
+    dump_path = tmp_path / "docs.mved"
+    dump_path.write_bytes(
+        mve.index.DUMP_MAGIC + struct.pack("<IIQ", 1, dim, 3) + struct.pack("<I", name_len)
+        + b"d1" + struct.pack("<I", count) + bytes(16)
+    )
+    code = cli.run(["index", "--corpus", str(corpus_path), "--out", str(tmp_path / "e"),
+                    "--embeddings-dump", str(dump_path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: truncated embeddings dump: {section}\n"
+    assert not (tmp_path / "e").exists()
+
+
 def test_sweep_cli_matches_library(tmp_path, capsys, small_planted, small_planted_qrels):
     corpus_path = tmp_path / "corpus.tsv"
     queries_path = tmp_path / "queries.tsv"
@@ -872,9 +895,11 @@ def test_ids_that_a_run_file_cannot_carry_are_rejected(tmp_path, capsys):
     dump_path = tmp_path / "docs.mved"
     rng = np.random.default_rng(3)
     write_embeddings_dump(
-        [(doc_id, rng.standard_normal((2, 4)).astype(np.float32)) for doc_id in ("d1", "d2 ")],
+        [(doc_id, rng.standard_normal((2, 4)).astype(np.float32)) for doc_id in ("d1", "d2_")],
         dump_path,
     )
+    # the writer refuses the id, so it goes into the file by hand
+    dump_path.write_bytes(dump_path.read_bytes().replace(b"d2_", b"d2 "))
     code = cli.run(["index", "--corpus", str(corpus_path), "--out", str(tmp_path / "e"),
                     "--embeddings-dump", str(dump_path)])
     assert code == 1 and "'d2 '" in capsys.readouterr().err

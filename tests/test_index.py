@@ -1,3 +1,4 @@
+import os
 import struct
 import tracemalloc
 
@@ -38,16 +39,42 @@ def unit(vector):
 
 
 def test_store_offsets_must_partition():
-    vectors = np.ones((4, 2), dtype=np.float32)
-    with pytest.raises(InvalidInputError):
-        EmbeddingStore(vectors, np.array([[0, 2], [3, 1]]), ("a", "b"))  # gap
-    with pytest.raises(InvalidInputError):
-        EmbeddingStore(vectors, np.array([[0, 2], [1, 3]]), ("a", "b"))  # overlap
-    with pytest.raises(InvalidInputError):
-        EmbeddingStore(vectors, np.array([[0, 4], [4, 0]]), ("a", "b"))  # empty doc
-    store = EmbeddingStore(vectors, np.array([[0, 3], [3, 1]]), ("a", "b"))
+    vectors, codes = np.ones((4, 2), dtype=np.float32), np.arange(4)
+    with pytest.raises(InvalidInputError, match="do not sum to the store's 4 embeddings"):
+        EmbeddingStore(vectors, codes, [2, 1], ("a", "b"))  # short
+    with pytest.raises(InvalidInputError, match="do not sum to the store's 4 embeddings"):
+        EmbeddingStore(vectors, codes, [2, 3], ("a", "b"))  # long
+    with pytest.raises(InvalidInputError, match="at least one embedding"):
+        EmbeddingStore(vectors, codes, [4, 0], ("a", "b"))  # empty doc
+    with pytest.raises(InvalidInputError, match="at least one embedding"):
+        EmbeddingStore(vectors, codes, np.array([2**64 - 1, 5], dtype=np.uint64), ("a", "b"))
+    with pytest.raises(InvalidInputError, match="do not sum"):
+        EmbeddingStore(vectors, codes, [2**62, 2**62, 2**62, 2**62 + 4], "abcd")  # wraps to 4
+    with pytest.raises(InvalidInputError, match="duplicate doc ids"):
+        EmbeddingStore(vectors, codes, [3, 1], ("a", "a"))
+    store = EmbeddingStore(vectors, codes, [3, 1], ("a", "b"))
+    assert store.doc_offsets.tolist() == [[0, 3], [3, 1]] and store.doc_offsets.dtype == np.int64
     assert list(store.doc_of) == [0, 0, 0, 1]
     assert store.index_of("b") == 1 and store.index_of("zz") is None
+
+
+@pytest.mark.parametrize(
+    "lengths",
+    [
+        [2.9, 4.9],  # truncated to (2, 4), they would sum to the 6 embeddings
+        [2.0, 4.0],
+        np.array([True, True]),
+        [[2, 4]],
+        [6],
+        [],
+    ],
+    ids=["fractional", "float", "bool", "2-d", "one for two doc ids", "none"],
+)
+def test_store_lengths_must_be_one_integer_per_doc_id(lengths):
+    table = np.eye(2, dtype=np.float32)
+    codes = [0, 1] * (1 if np.asarray(lengths).dtype == bool else 3)
+    with pytest.raises(InvalidInputError, match="document lengths|differ in length"):
+        EmbeddingStore(table, codes, lengths, ["a", "b"])
 
 
 def coded_vectors(codes, dim=4, seed=0):
@@ -59,32 +86,35 @@ def coded_vectors(codes, dim=4, seed=0):
 def test_store_codes_name_each_embedding_row_of_the_distinct_table():
     codes = [2, 0, 1, 2, 2, 0]
     vectors, table = coded_vectors(codes)
-    store = EmbeddingStore.from_table(table, codes, [2, 3, 1], ["a", "b", "c"])
+    store = EmbeddingStore(table, codes, [2, 3, 1], ["a", "b", "c"])
     assert store.table.tobytes() == table.tobytes()
     assert store.codes.tolist() == codes
     assert store.vectors.tobytes() == vectors.tobytes()
     assert not store.codes.flags.writeable and not store.table.flags.writeable
-    # without codes the vectors are the table, not a copy, and each is its own row
-    plain = EmbeddingStore.from_lengths(vectors, [2, 3, 1], ["a", "b", "c"])
+    # with codes 0 ... n-1 each embedding is its own row of the table
+    plain = EmbeddingStore(vectors, np.arange(6), [2, 3, 1], ["a", "b", "c"])
     assert plain.codes.tolist() == list(range(6)) and not plain.codes.flags.writeable
-    assert np.shares_memory(plain.table, vectors) and not plain.table.flags.writeable
-    assert vectors.flags.writeable
+    assert plain.table.tobytes() == vectors.tobytes()
 
 
 def test_store_from_table_equals_the_store_built_from_its_rows():
-    codes = [2, 0, 1, 2, 2, 0]
+    codes = np.array([2, 0, 1, 2, 2, 0], dtype=np.uint32)
     vectors, table = coded_vectors(codes)
-    built = EmbeddingStore.from_lengths(vectors, [2, 3, 1], ["a", "b", "c"])
-    store = EmbeddingStore.from_table(table, codes, [2, 3, 1], ["a", "b", "c"])
+    built = EmbeddingStore(vectors, np.arange(6), [2, 3, 1], ["a", "b", "c"])
+    store = EmbeddingStore(table, codes, np.array([2, 3, 1], dtype=np.uint32), ["a", "b", "c"])
     for name in ("vectors", "doc_offsets", "doc_of", "id_order", "id_rank"):
         assert getattr(store, name).tobytes() == getattr(built, name).tobytes(), name
     ids = np.array([5, 0, 3, 3])
     assert store.rows(ids).tobytes() == built.rows(ids).tobytes()
     assert store.doc_ids == built.doc_ids and store.num_embeddings == 6 and store.dim == 4
-    # the store keeps its own copy of the table
-    saved = table.copy()
-    table[0] = 0.0
-    assert store.table.tobytes() == saved.tobytes() and not store.table.flags.writeable
+    # a C-ordered float32 table is kept as a read-only view, not a copy, and
+    # the caller's array stays writeable; the codes are the store's own intp copy
+    assert np.shares_memory(store.table, table) and not store.table.flags.writeable
+    assert table.flags.writeable
+    assert store.codes.dtype == np.intp and not np.shares_memory(store.codes, codes)
+    # any other table is converted to one
+    wide = EmbeddingStore(table.astype(np.float64), codes, [6], ["a"])
+    assert wide.table.dtype == np.float32 and wide.table.tobytes() == table.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -100,7 +130,7 @@ def test_store_from_table_equals_the_store_built_from_its_rows():
 def test_store_from_table_rejects_codes_that_do_not_use_each_row(codes, message):
     _, table = coded_vectors([0, 1, 2])
     with pytest.raises(InvalidInputError, match=message):
-        EmbeddingStore.from_table(table, codes, [len(np.ravel(codes))], ["a"])
+        EmbeddingStore(table, codes, [len(np.ravel(codes))], ["a"])
 
 
 def test_store_from_table_checks_the_table_and_the_embedding_limit(monkeypatch):
@@ -108,23 +138,25 @@ def test_store_from_table_checks_the_table_and_the_embedding_limit(monkeypatch):
     infinite = table.copy()
     infinite[1, 0] = np.nan
     with pytest.raises(InvalidInputError, match="NaN or Inf"):
-        EmbeddingStore.from_table(infinite, [0, 1, 2], [3], ["a"])
+        EmbeddingStore(infinite, [0, 1, 2], [3], ["a"])
     with pytest.raises(InvalidInputError, match=r"\(n, dim\) array"):
-        EmbeddingStore.from_table(table[:, :0], [0, 1, 2], [3], ["a"])
-    with pytest.raises(InvalidInputError, match="do not partition"):
-        EmbeddingStore.from_table(table, [0, 1, 2], [2], ["a"])
+        EmbeddingStore(table[:, :0], [0, 1, 2], [3], ["a"])
+    with pytest.raises(InvalidInputError, match=r"\(n, dim\) array"):
+        EmbeddingStore(table[0], [0, 1, 2], [3], ["a"])
+    with pytest.raises(InvalidInputError, match="do not sum"):
+        EmbeddingStore(table, [0, 1, 2], [2], ["a"])
     monkeypatch.setattr(mve.index, "_MAX_EMBEDDINGS", 5)
-    EmbeddingStore.from_table(table, [0, 1, 2, 0, 1], [5], ["a"])
+    EmbeddingStore(table, [0, 1, 2, 0, 1], [5], ["a"])
     with pytest.raises(InvalidInputError, match="store holds 6 embeddings, more than 5"):
-        EmbeddingStore.from_table(table, [0, 1, 2, 0, 1, 2], [6], ["a"])
+        EmbeddingStore(table, [0, 1, 2, 0, 1, 2], [6], ["a"])
 
 
 def test_coded_store_vectors_are_a_new_read_only_gather_on_each_read():
     codes = [2, 0, 1, 2, 2, 0]
     vectors, table = coded_vectors(codes)
     for store in (
-        EmbeddingStore.from_table(table, codes, [2, 4], ["a", "b"]),
-        EmbeddingStore(vectors, [[0, 2], [2, 4]], ("a", "b")),
+        EmbeddingStore(table, codes, [2, 4], ["a", "b"]),
+        EmbeddingStore(vectors, np.arange(6), [2, 4], ("a", "b")),
     ):
         first, second = store.vectors, store.vectors
         assert first.tobytes() == vectors.tobytes() and first.shape == (6, 4)
@@ -192,6 +224,20 @@ def test_a_coded_load_never_holds_the_list_section(tmp_path):
     assert peak < vectors / 2, (peak, vectors)
 
 
+@pytest.mark.parametrize(
+    "block", [np.ones(4, dtype=np.float32), "abcd", np.ones((1, 2, 4), dtype=np.float32)],
+    ids=["1-d", "string", "3-d"],
+)
+def test_store_from_blocks_rejects_a_block_that_is_not_a_matrix(block):
+    good = np.ones((2, 4), dtype=np.float32)
+    with pytest.raises(InvalidInputError, match="embeddings of doc 'b' must be a"):
+        EmbeddingStore.from_blocks([("a", good), ("b", block)])
+    corpus = [("a", "alpha beta"), ("b", "gamma")]
+    config = EngineConfig(dim=4, q_len=2, n_list=1, sample_fraction=1.0)
+    with pytest.raises(InvalidInputError, match="embeddings of doc 'b' must be a"):
+        build_engine(corpus, config, dump_docs=[("a", good), ("b", block)])
+
+
 def test_store_from_documents_concatenates_in_corpus_order():
     store = random_store(10, 8, seed=1)
     assert store.num_docs == 10
@@ -221,8 +267,7 @@ def test_two_separated_clusters_recover_their_means():
     vectors = np.concatenate([a, b]).astype(np.float32)
     norms = np.linalg.norm(vectors, axis=1, keepdims=True)
     vectors = (vectors / norms).astype(np.float32)
-    offsets = np.stack([np.arange(120), np.ones(120, dtype=np.int64)], axis=1)
-    store = EmbeddingStore(vectors, offsets, tuple(f"d{i}" for i in range(120)))
+    store = EmbeddingStore(vectors, np.arange(120), [1] * 120, [f"d{i}" for i in range(120)])
     centroids = train_centroids(store, 1.0, n_list=2, iterations=20, seed=5)
 
     for group in (vectors[:60], vectors[60:]):
@@ -252,8 +297,9 @@ def test_training_objective_is_non_decreasing():
 def test_training_repairs_empty_clusters():
     # 10 copies of one point and 2 of another force an empty third cluster
     base = np.concatenate([np.tile(unit([1, 0, 0, 0]), (10, 1)), np.tile(unit([0, 1, 0, 0]), (2, 1))])
-    offsets = np.stack([np.arange(12), np.ones(12, dtype=np.int64)], axis=1)
-    store = EmbeddingStore(base.astype(np.float32), offsets, tuple(f"d{i}" for i in range(12)))
+    store = EmbeddingStore(
+        base.astype(np.float32), np.arange(12), [1] * 12, [f"d{i}" for i in range(12)]
+    )
     centroids = train_centroids(store, 1.0, n_list=3, iterations=4, seed=0)
     assert centroids.vectors.shape == (3, 4)
     assert np.isfinite(centroids.vectors).all()
@@ -286,8 +332,7 @@ def test_single_list_holds_everything_in_store_order():
 
 def test_assignment_to_matching_orthogonal_centroid():
     eye = np.eye(4, dtype=np.float32)
-    offsets = np.stack([np.arange(4), np.ones(4, dtype=np.int64)], axis=1)
-    store = EmbeddingStore(eye.copy(), offsets, ("a", "b", "c", "d"))
+    store = EmbeddingStore(eye.copy(), np.arange(4), [1] * 4, ("a", "b", "c", "d"))
     index = build_ivf(store, Centroids(eye.copy()))
     # embedding i equals centroid i exactly
     for c in range(4):
@@ -366,9 +411,7 @@ def test_codes_round_trip_beside_the_index(tmp_path):
     # the sample store's first five rows, repeated
     codes = np.arange(store.num_embeddings) % 5
     coded = IvfIndex(
-        store=EmbeddingStore.from_table(
-            store.rows(slice(0, 5)), codes, store.doc_offsets[:, 1], store.doc_ids
-        ),
+        store=EmbeddingStore(store.rows(slice(0, 5)), codes, store.doc_offsets[:, 1], store.doc_ids),
         centroids=index.centroids,
         lists=index.lists,
     )
@@ -394,7 +437,7 @@ def test_store_rejects_codes_whose_embeddings_differ_in_any_bit(tmp_path):
     # bit: a 0.0 coordinate whose sign flips is -0.0, equal in value only
     _, table = coded_vectors([0, 1, 2])
     table[1, 2] = 0.0
-    store = EmbeddingStore.from_table(table, [0, 1, 2, 1, 0, 1], [2, 3, 1], ["a", "b", "c"])
+    store = EmbeddingStore(table, [0, 1, 2, 1, 0, 1], [2, 3, 1], ["a", "b", "c"])
     index = build_ivf(store, train_centroids(store, 1.0, 2, 2, seed=0))
     path, codes_path = tmp_path / "index.mvix", tmp_path / "codes.bin"
     save_index(index, path)
@@ -463,6 +506,20 @@ def test_load_rejects_overdeclared_embeddings(tmp_path):
         load_index(path)
 
 
+def test_load_rejects_a_header_of_no_embeddings(tmp_path):
+    # no document start lies past the 0 embeddings declared, and 0 codes
+    # have no largest to size the table by
+    path, codes_path = tmp_path / "index.mvix", tmp_path / "codes.bin"
+    save_index(build_sample_index(), path)
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<Q", data, 24, 0)
+    path.write_bytes(bytes(data))
+    codes_path.write_bytes(mve.index.CODES_MAGIC + struct.pack("<IQ", 1, 0))
+    for paths in ((path,), (path, codes_path)):
+        with pytest.raises(CorruptIndexError, match="header declares an empty index"):
+            load_index(*paths)
+
+
 def test_load_rejects_trailing_data(tmp_path):
     path = tmp_path / "index.mvix"
     save_index(build_sample_index(), path)
@@ -503,8 +560,81 @@ def test_dump_rejects_bad_content(tmp_path):
     with pytest.raises(InvalidInputError, match="truncated"):
         read_embeddings_dump(bad)
 
-    nan_doc = np.full((1, 4), np.nan, dtype=np.float32)
-    nan_path = tmp_path / "nan.mved"
-    write_embeddings_dump([("a", nan_doc)], nan_path)
+    # the writer refuses NaN, so it goes into the file's last value
+    bad.write_bytes(path.read_bytes()[:-4] + struct.pack("<f", np.nan))
     with pytest.raises(InvalidInputError, match="finite"):
-        read_embeddings_dump(nan_path)
+        read_embeddings_dump(bad)
+
+
+def dump_declaring(dim: int, name_len: int, count: int) -> bytes:
+    """A one-doc dump whose header declares ``dim``, whose doc declares a
+    name of ``name_len`` bytes and ``count`` embeddings, and which holds
+    the name ``a`` and one embedding of dim 4."""
+    return (
+        mve.index.DUMP_MAGIC
+        + struct.pack("<IIQ", 1, dim, 1)
+        + struct.pack("<I", name_len)
+        + b"a"
+        + struct.pack("<I", count)
+        + np.ones(4, dtype="<f4").tobytes()
+    )
+
+
+DAMAGED_DUMPS = {
+    # bytes a read of the declared size would take: 2**66 (OverflowError),
+    # 4 GiB and 1 TiB (MemoryError under a few GB of address space)
+    "dim and count 2**32 - 1": (dump_declaring(2**32 - 1, 1, 2**32 - 1), "doc 'a' embeddings"),
+    "name length 2**32 - 1": (dump_declaring(4, 2**32 - 1, 1), "doc 0 name"),
+    "count 2**32 - 1 at dim 64": (dump_declaring(64, 1, 2**32 - 1), "doc 'a' embeddings"),
+}
+
+
+@pytest.mark.parametrize("damaged", DAMAGED_DUMPS)
+def test_dump_sizes_are_checked_against_the_file_before_reading(tmp_path, damaged):
+    path = tmp_path / "embeddings.mved"
+    data, section = DAMAGED_DUMPS[damaged]
+    path.write_bytes(data)
+    with pytest.raises(InvalidInputError, match=f"^truncated embeddings dump: {section}$"):
+        read_embeddings_dump(path)
+    path.write_bytes(dump_declaring(4, 1, 1))
+    assert read_embeddings_dump(path)[0][0] == "a"
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_dump_reads_from_a_pipe(tmp_path):
+    path = tmp_path / "embeddings.mved"
+    docs = [("a", np.ones((2, 4), dtype=np.float32)), ("b", np.zeros((1, 4), dtype=np.float32))]
+    write_embeddings_dump(docs, path)
+    read, write = os.pipe()
+    try:
+        os.write(write, path.read_bytes())  # 100 bytes fit in the pipe's buffer
+        os.close(write)
+        loaded = read_embeddings_dump(f"/dev/fd/{read}")
+    finally:
+        os.close(read)
+    assert [(d, m.tobytes()) for d, m in loaded] == [(d, m.tobytes()) for d, m in docs]
+
+
+@pytest.mark.parametrize(
+    "docs, message",
+    [
+        ([("a", np.ones((1, 4))), ("b", np.ones((0, 4)))], "dump doc 'b' has no embeddings"),
+        (
+            [("a", np.ones((1, 4))), ("b", np.full((2, 4), np.nan))],
+            "dump doc 'b': non-finite embedding values",
+        ),
+        ([("a", np.ones((1, 4))), ("b c", np.ones((1, 4)))], "dump doc 1: doc id 'b c' is empty"),
+        ([("", np.ones((1, 4)))], "dump doc 0: doc id '' is empty"),
+        ([("a", np.ones(4))], r"dump doc 'a': expected shape \(n, 4\), got \(4,\)"),
+        ([("a", np.ones((1, 4))), ("b", np.ones((1, 3)))], r"expected shape \(n, 4\)"),
+        ([("a", np.ones((1, 0)))], "dim 0"),
+    ],
+    ids=["no rows", "NaN", "whitespace", "empty id", "1-d first", "other dim", "dim 0"],
+)
+def test_dump_writer_refuses_what_the_reader_refuses_and_leaves_no_file(
+    tmp_path, docs, message
+):
+    path = tmp_path / "embeddings.mved"
+    with pytest.raises(InvalidInputError, match=message):
+        write_embeddings_dump(docs, path)
+    assert not path.exists()

@@ -14,9 +14,14 @@ where the bulk loader fixes a defect of the reference:
 - an inverted-list id of 2**63 or more, which the reference wraps negative
   and reports only as inconsistent content, or as an ``IndexError``.
 
+``reference_load_index`` applies the document table's partition rule
+itself (each start the sum of the lengths before it, every length at least
+1, the lengths summing to the number of embeddings), where the bulk loader
+checks starts as it parses the table and leaves the rest to the store.
+
 With ``codes.bin`` the reference is ``reference_load_index`` followed by
 ``reference_code_table``, which compares every embedding with the other
-embeddings of its code, and ``EmbeddingStore.from_table``.
+embeddings of its code, and an ``EmbeddingStore`` over that table.
 """
 
 from __future__ import annotations
@@ -163,7 +168,11 @@ def reference_load_index(path: str | Path) -> IvfIndex:
             raise CorruptIndexError("trailing data after the final inverted list")
 
     try:
-        store = EmbeddingStore(vectors=vectors, doc_offsets=offsets, doc_ids=tuple(doc_ids))
+        starts, lengths = offsets[:, 0], offsets[:, 1]
+        expected = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+        if (lengths < 1).any() or (starts != expected).any() or lengths.sum() != num_embeddings:
+            raise InvalidInputError("doc offsets do not partition the vector block")
+        store = EmbeddingStore(vectors, np.arange(num_embeddings), lengths, doc_ids)
         return IvfIndex(store=store, centroids=Centroids(centroid_vectors), lists=tuple(lists))
     except InvalidInputError as exc:
         raise CorruptIndexError(f"inconsistent index content: {exc}") from exc
@@ -304,7 +313,7 @@ def reference_load_coded(path: Path, codes_path: Path) -> IvfIndex:
     vectors, lengths, doc_ids = want.store.vectors, want.store.doc_offsets[:, 1], want.store.doc_ids
     try:
         table = reference_code_table(vectors, codes)
-        store = EmbeddingStore.from_table(table, codes, lengths, doc_ids)
+        store = EmbeddingStore(table, codes, lengths, doc_ids)
     except InvalidInputError as exc:
         raise CorruptIndexError(f"inconsistent index content: {exc}") from exc
     return IvfIndex(store=store, centroids=want.centroids, lists=want.lists)
@@ -338,7 +347,7 @@ def index_named(names):
     """A small index over documents ``names`` of two embeddings each."""
     rng = np.random.default_rng(len(names))
     vectors = rng.standard_normal((2 * len(names), 3)).astype(np.float32)
-    store = EmbeddingStore.from_lengths(vectors, [2] * len(names), names)
+    store = EmbeddingStore(vectors, np.arange(len(vectors)), [2] * len(names), names)
     return build_ivf(store, train_centroids(store, 1.0, 2, 2, seed=0))
 
 
@@ -438,6 +447,32 @@ def test_a_start_of_2_63_or_more_is_corruption_of_the_document_table(tmp_path):
         reference_load_index(path)
     with pytest.raises(CorruptIndexError, match="document table: entry 0"):
         load_index(path)
+
+
+@pytest.mark.parametrize("entry, by", [(1, 1), (1, -1), (2, 1), (2, 2**63)])
+def test_a_start_off_the_lengths_before_it_is_corruption_of_the_document_table(
+    tmp_path, entry, by
+):
+    # each entry owns two embeddings, so a start one off still lies inside
+    # the store; a start of 2**63 more compares as u64, without wrapping
+    names = ["d00000", "d00001", "d00002"]
+    path = tmp_path / INDEX_FILE
+    save_index(index_named(names), path)
+    raw = bytearray(path.read_bytes())
+    entry_size = _U32.size + len("d00000") + _DOC_TAIL.size
+    start_at = len(INDEX_MAGIC) + _HEADER.size + entry * entry_size + _U32.size + len("d00000")
+    start = struct.unpack_from("<Q", raw, start_at)[0]
+    assert start == 2 * entry
+    struct.pack_into("<Q", raw, start_at, (start + by) % 2**64)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(
+        CorruptIndexError,
+        match=f"^document table: entry {entry} starts at embedding {(start + by) % 2**64}, "
+        f"but the entries before it hold {start}$",
+    ):
+        load_index(path)
+    with pytest.raises(OverflowError if by >= 2**63 else CorruptIndexError):
+        reference_load_index(path)
 
 
 def test_a_doc_id_with_whitespace_is_corruption_of_the_document_table(tmp_path):

@@ -38,6 +38,35 @@ def test_summarize_gives_quartiles_wins_and_verdicts(pairs):
     assert math.isnan(pairs.summarize([0.0, 0.0], [1.0, 1.0], "higher", 0.1)["pct"])
 
 
+def test_summarize_calls_a_spread_wider_than_the_bound_unresolved(pairs):
+    # desk-sweep setup_s in BENCH_21, which read "-": parent quartiles
+    # 0.127-0.165 s around a 0.141 s median, 27% of it, against a bound of 25%
+    record = json.loads((ROOT / "BENCH_21.json").read_text(encoding="utf-8"))
+    runs = {
+        side: [pair[side]["desk-sweep/setup_s"] for pair in record["pairs"]]
+        for side in ("parent", "change")
+    }
+    row = pairs.summarize(runs["parent"], runs["change"], "lower", 0.25)
+    q1, median, q3 = row["parent"]
+    assert (q3 - q1) / median == pytest.approx(0.269, abs=1e-3)
+    assert row["wins"] == 6 and row["verdict"] == "unresolved"
+    parent = runs["parent"]
+    steady = [median] * 10
+    assert pairs.summarize(parent, steady, "lower", 0.25)["verdict"] == "unresolved"
+    # either side's spread counts
+    assert pairs.summarize(steady, parent, "lower", 0.25)["verdict"] == "unresolved"
+    assert pairs.summarize(parent, parent, "lower", 0.30)["verdict"] == "-"
+    # every change run better than every parent run tells, however wide,
+    # though a gain within the parent's spread is no gain
+    below = [min(parent) - 0.001 * i for i in range(1, 11)]
+    assert pairs.summarize(parent, below, "lower", 0.25)["verdict"] == "-"
+    # gain and regression come first
+    assert pairs.summarize(parent, [v / 2 for v in parent], "lower", 0.25)["verdict"] == "gain"
+    assert pairs.summarize(parent, [v * 2 for v in parent], "lower", 0.25)["verdict"] == (
+        "regression"
+    )
+
+
 def synthetic_runs(count: int) -> dict[str, list[dict]]:
     def run(side: str, i: int) -> dict:
         speed = 50.0 + i if side == "parent" else 65.0 + i

@@ -178,7 +178,9 @@ def identity_twin(index: IvfIndex) -> IvfIndex:
     """The same index over the same rows, with every embedding as its own
     row of the table (codes 0 ... n-1)."""
     store = index.store
-    twin = EmbeddingStore(store.vectors, store.doc_offsets, store.doc_ids)
+    twin = EmbeddingStore(
+        store.vectors, np.arange(store.num_embeddings), store.doc_offsets[:, 1], store.doc_ids
+    )
     return IvfIndex(store=twin, centroids=index.centroids, lists=index.lists)
 
 
@@ -227,9 +229,9 @@ def store_with_duplicates(dim: int, seed: int, coded: bool = False) -> Embedding
     lengths = np.full(100, 6)
     doc_ids = [f"d{i:03d}" for i in rng.permutation(100)]  # doc-id order differs from doc order
     if not coded:
-        return EmbeddingStore.from_lengths(vectors, lengths, doc_ids)
+        return EmbeddingStore(vectors, np.arange(len(vectors)), lengths, doc_ids)
     used, codes = np.unique(picks, return_inverse=True)
-    return EmbeddingStore.from_table(pool[used], codes, lengths, doc_ids)
+    return EmbeddingStore(pool[used], codes, lengths, doc_ids)
 
 
 @pytest.mark.parametrize("dim", [3, 17])
@@ -308,12 +310,12 @@ class RowsOnly:
 
 
 def test_store_rejects_more_than_two_to_the_32_embeddings_before_copying():
-    offsets = np.array([[0, 2**32 + 1]])
+    table = RowsOnly(1)
     with pytest.raises(InvalidInputError, match="more than 4294967296"):
-        EmbeddingStore(RowsOnly(2**32 + 1), offsets, ("d",))  # type: ignore[arg-type]
-    # 2**32 rows pass the limit and only then are read
+        EmbeddingStore(table, RowsOnly(2**32 + 1), [2**32 + 1], ("d",))  # type: ignore[arg-type]
+    # 2**32 codes pass the limit, and only then is the table read
     with pytest.raises(ConsistencyError, match="read the rows"):
-        EmbeddingStore(RowsOnly(2**32), offsets, ("d",))  # type: ignore[arg-type]
+        EmbeddingStore(table, RowsOnly(2**32), [2**32], ("d",))  # type: ignore[arg-type]
 
 
 def test_store_limit_applies_to_built_and_loaded_stores(tmp_path, monkeypatch):
@@ -323,7 +325,9 @@ def test_store_limit_applies_to_built_and_loaded_stores(tmp_path, monkeypatch):
     rows = index.store.num_embeddings
     monkeypatch.setattr(mve.index, "_MAX_EMBEDDINGS", rows - 1)
     with pytest.raises(InvalidInputError, match=f"store holds {rows} embeddings"):
-        EmbeddingStore(index.store.vectors, index.store.doc_offsets, index.store.doc_ids)
+        EmbeddingStore(
+            index.store.vectors, np.arange(rows), index.store.doc_offsets[:, 1], index.store.doc_ids
+        )
     with pytest.raises(CorruptIndexError, match=f"inconsistent index content: store holds {rows}"):
         load_index(path)
     monkeypatch.setattr(mve.index, "_MAX_EMBEDDINGS", rows)

@@ -500,8 +500,7 @@ def test_rerank_breaks_ties_by_ascending_doc_id():
     rng = np.random.default_rng(33)
     row = rng.standard_normal((1, 8)).astype(np.float32)
     vectors = np.concatenate([row, row, rng.standard_normal((1, 8)).astype(np.float32) * 0.01])
-    offsets = np.array([[0, 1], [1, 1], [2, 1]])
-    store = EmbeddingStore(vectors, offsets, ("zz", "aa", "mm"))
+    store = EmbeddingStore(vectors, np.arange(3), [1, 1, 1], ("zz", "aa", "mm"))
     query = query_from_rows(row)
     ranking = rerank(candidate_set(store, ("zz", "aa", "mm")), query, store, k=3)
     assert ranking.doc_ids()[:2] == ["aa", "zz"]  # equal scores, id order
@@ -911,7 +910,9 @@ def gathered_scores(query, store, doc_numbers):
 
 def own_table(store):
     """The same rows and documents, each embedding its own row of the table."""
-    return EmbeddingStore(store.vectors, store.doc_offsets, store.doc_ids)
+    return EmbeddingStore(
+        store.vectors, np.arange(store.num_embeddings), store.doc_offsets[:, 1], store.doc_ids
+    )
 
 
 def coded_store(num_docs, dim, num_codes, seed, max_len=20):
@@ -922,7 +923,7 @@ def coded_store(num_docs, dim, num_codes, seed, max_len=20):
     table = rng.standard_normal((num_codes, dim)).astype(np.float32)
     codes = rng.permutation(np.resize(np.arange(num_codes), int(lengths.sum())))
     names = [f"d{i:04d}" for i in range(num_docs)]
-    return EmbeddingStore.from_table(table, codes, lengths, names)
+    return EmbeddingStore(table, codes, lengths, names)
 
 
 PLANTED_FIXTURE_OF = {

@@ -17,7 +17,11 @@ quartiles, the change of the medians in %, and the pairs the change won
 (ties count for neither). The verdict is ``gain`` when the change won at
 least 9 in 10 of the pairs and its median is better by more than the
 parent's interquartile distance, and ``regression`` when its median is worse
-than the parent's by more than the bound. Every run's output fingerprints
+than the parent's by more than the bound. Otherwise it is ``unresolved`` when
+either side's interquartile distance is wider than the bound (as a share of
+the parent's median), unless every run of the change is better than every
+run of the parent, and ``-`` when the medians are within the bound and the
+runs are steady enough to tell. Every run's output fingerprints
 (``run_sha256``, ``sweep_csv_sha256``) must equal its partner's.
 
 ``--out FILE`` also writes the comparison as one JSON file, the trajectory
@@ -82,10 +86,14 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
     p_q1, p_med, p_q3 = np.percentile(parent, [25, 50, 75])
     c_q1, c_med, c_q3 = np.percentile(change, [25, 50, 75])
     gain = sign * (c_med - p_med)
+    spread = max(p_q3 - p_q1, c_q3 - c_q1)
+    separated = min(sign * c for c in change) > max(sign * p for p in parent)
     if wins >= math.ceil(0.9 * len(parent)) and gain > p_q3 - p_q1:
         verdict = "gain"
     elif gain < -bound * abs(p_med):
         verdict = "regression"
+    elif spread > bound * abs(p_med) and not separated:
+        verdict = "unresolved"
     else:
         verdict = "-"
     return {
