@@ -8,36 +8,45 @@ the complete query representation. Every tie anywhere (probe choice, top-k'
 cut, final ranking) breaks toward the lowest id, which makes runs bitwise
 reproducible regardless of thread interleaving; ``rerank`` and the sweep
 order candidates best first with ``_best_first``, numpy's default sort with
-its ties put back in doc-id order. Candidates travel as a
+its ties put back in doc-id order (its stable sort on a few scores). Candidates travel as a
 ``CandidateSet``, the distinct doc numbers of one store; doc id strings are
 read from it only at the edges. A ``Ranking`` holds two columns, its doc ids
 and their float64 scores, and builds ``(doc_id, score)`` pairs only when they
 are read; it refers to no store, so a kept ranking keeps no engine alive.
 
-A probe reads the embeddings of its probed lists with
-``EmbeddingStore.rows``, which gathers the rows their codes name from the
-store's table: on desk a table of 1,751 rows and 448 kB, and for a store
-read from an embeddings dump every embedding, with codes 0 ... n-1. Every
-embedding is bit for bit its code's row, so the gathered block holds the
-probed embeddings' bytes and the gemv gives their scores.
-Its top k' comes from one sort of uint64 keys that pack a 32-bit score key
-over the embedding id: the cut and its tie rule are exactly those of
-``np.lexsort`` on (score descending, id ascending), which is why a store
-holds at most 2**32 embeddings. Doc ids leave the pipeline through the
-store's doc-id column, ``EmbeddingStore.doc_id_array``.
+A probe picks its lists with ``_best_first_head``: the first ``n_probe``
+of a stable sort of the centroid scores, of which it sorts only the scores
+at or above the ``n_probe``-th after a partition. It reads the embeddings
+of its probed lists with ``EmbeddingStore.rows``, which gathers the rows
+their codes name from the store's table: on desk a table of 1,751 rows and
+448 kB, and for a store read from an embeddings dump every embedding, with
+codes 0 ... n-1. Every embedding is bit for bit its code's row, so the
+gathered block holds the probed embeddings' bytes and the gemv gives their
+scores. Its top k' comes from one partition of uint64 keys that pack a
+32-bit score key over the embedding id: the cut and its tie rule are
+exactly those of ``np.lexsort`` on (score descending, id ascending), which
+is why a store holds at most 2**32 embeddings. ``ann_candidates`` sorts
+the kept keys to return its hits in that order; ``search`` only collects
+their documents and leaves them unsorted. Doc ids leave the pipeline
+through the store's doc-id column, ``EmbeddingStore.doc_id_array``.
 
 Candidate generation and MaxSim run once per distinct query embedding: the
 MASK padding and repeated words share one vector, so they share one ANN
 probe and one column of the similarity matrix. ``search`` builds one
 candidate set from the documents of all its probes' hits; the sweep keeps
 one set per distinct vector, since its cells union different prefixes of
-them. ``p`` still counts query positions, as in the paper.
+them. ``p`` still counts query positions, as in the paper. ``search``
+checks the probe arguments once per query, and ``rerank`` orders only the
+candidates that can reach its top k, which ``_best_first_head`` finds with
+a partition; the sweep orders every candidate, since its metrics read
+every hit.
 MaxSim multiplies token-major (document tokens by distinct query rows), and
 its float64 sum of the maxima still runs over every position in query order,
-one addition per position. A score keeps the bits of the all-positions
-product as long as BLAS computes each entry of a product independently of
-how many query rows it holds; small products (few document tokens, or one
-distinct row) may take another kernel and differ in the last bits.
+one addition per position, each over a contiguous row of the widened maxima.
+A score keeps the bits of the all-positions product as long as BLAS
+computes each entry of a product independently of how many query rows it
+holds; small products (few document tokens, or one distinct row) may take
+another kernel and differ in the last bits.
 
 ``score_documents`` has two routes to the same bits, and
 ``_maxsim_route`` picks one:
@@ -130,6 +139,13 @@ class CandidateSet:
     numbers, repeats allowed; floats, bools and other shapes are rejected
     rather than converted. ``docs`` gives the candidates' doc ids as a set of
     strings.
+
+    Repeats are dropped by marking the numbers' doc-id ranks in a boolean
+    array over the whole store and reading it back in rank order, which
+    costs one byte per stored document whatever the input size. On 5,000
+    documents it took 32 us for 10,000 numbers, about what the 9 probes of
+    a desk-padded search return, where sorting the ranks took 145 us (one
+    core, numpy 2.4).
     """
 
     store: EmbeddingStore
@@ -144,14 +160,12 @@ class CandidateSet:
                 f"candidate doc numbers must be integers, got dtype {numbers.dtype}"
             )
         numbers = numbers.astype(np.int64, copy=False)
-        if numbers.size and not (0 <= numbers.min() and numbers.max() < self.store.num_docs):
+        num_docs = self.store.num_docs
+        if numbers.size and not (0 <= numbers.min() and numbers.max() < num_docs):
             raise InvalidInputError("candidate doc number outside the store")
-        ranks = np.sort(self.store.id_rank[numbers])
-        # the sorted ranks without repeats, as np.unique gives them; np.unique
-        # took about ten times as long on 1,000 ranks with numpy 2.4
-        first = np.ones(ranks.size, dtype=bool)
-        np.not_equal(ranks[1:], ranks[:-1], out=first[1:])
-        numbers = self.store.id_order[ranks[first]]
+        marked = np.zeros(num_docs, dtype=bool)
+        marked[self.store.id_rank[numbers]] = True
+        numbers = self.store.id_order[np.flatnonzero(marked)]
         numbers.flags.writeable = False
         object.__setattr__(self, "numbers", numbers)
 
@@ -211,7 +225,8 @@ class RankedEntries(collections.abc.Sequence):
 @dataclass(frozen=True)
 class Ranking:
     """Scored documents, best first: descending score, ties by ascending doc
-    id, truncated to depth ``k``.
+    id, truncated to depth ``k``. NaN scores come last, ordered by doc id
+    among themselves.
 
     ``entries`` is a :class:`RankedEntries`, a read-only sequence of
     ``(doc_id, float64 score)`` pairs over a doc-id tuple and a score array.
@@ -241,7 +256,12 @@ class Ranking:
         # a position is out of order when its score rises, or when it ties
         # its predecessor with a smaller id; ids are compared at ties only
         out_of_order = scores[1:] > scores[:-1]
-        for i in np.flatnonzero(scores[1:] == scores[:-1]).tolist():
+        ties = scores[1:] == scores[:-1]
+        nan = np.isnan(scores)
+        if nan.any():  # NaN ranks last, as ``_best_first`` puts it, and ties NaN
+            out_of_order |= nan[:-1] & ~nan[1:]
+            ties |= nan[1:] & nan[:-1]
+        for i in np.flatnonzero(ties).tolist():
             out_of_order[i] = ids[i + 1] < ids[i]
         first_out = int(np.argmax(out_of_order)) + 1 if out_of_order.any() else len(ids)
         if len(set(ids)) != len(ids):
@@ -298,20 +318,23 @@ def ann_candidates(
     with the candidate set of their documents. Probe scores only select the
     hits; they are never surfaced as ranking scores.
     """
-    hits = _probe(index, phi, k_prime, n_probe)
+    phi = np.asarray(phi, dtype=np.float32)
+    _check_probe(index, phi[np.newaxis], k_prime, n_probe)
+    keys = _probe(index, phi, k_prime, n_probe)
+    keys.sort()
+    hits = _key_ids(keys)
     return hits, CandidateSet(index.store, index.store.doc_of[hits])
 
 
-def _probe(index: IvfIndex, phi: np.ndarray, k_prime: int, n_probe: int) -> np.ndarray:
-    """The hits of :func:`ann_candidates`, without their candidate set.
-
-    The probed embeddings are read with ``index.store.rows``, one block of
-    their exact bytes in list order.
-    """
-    phi = np.asarray(phi, dtype=np.float32)
-    if phi.shape != (index.dim,):
-        raise InvalidInputError(f"query embedding has shape {phi.shape}, expected ({index.dim},)")
-    if not np.isfinite(phi).all():
+def _check_probe(index: IvfIndex, rows: np.ndarray, k_prime: int, n_probe: int) -> None:
+    """Raise what probing each of the float32 query embeddings ``rows``
+    (one a row) would: a row that is not ``index.dim`` long or not finite,
+    a ``k_prime`` below 1, or an ``n_probe`` outside ``[1, n_list]``."""
+    if rows.shape[1:] != (index.dim,):
+        raise InvalidInputError(
+            f"query embedding has shape {rows.shape[1:]}, expected ({index.dim},)"
+        )
+    if not np.isfinite(rows).all():
         raise InvalidInputError("query embedding contains NaN or Inf")
     _check_int("k_prime", k_prime)
     _check_int("n_probe", n_probe)
@@ -321,22 +344,34 @@ def _probe(index: IvfIndex, phi: np.ndarray, k_prime: int, n_probe: int) -> np.n
         raise InvalidConfigError(
             f"n_probe must be between 1 and n_list={index.n_list}, got {n_probe}"
         )
-    centroid_sims = index.centroids.vectors @ phi
-    probed = np.argsort(-centroid_sims, kind="stable")[:n_probe]
+
+
+def _probe(index: IvfIndex, phi: np.ndarray, k_prime: int, n_probe: int) -> np.ndarray:
+    """The hits of :func:`ann_candidates` for a float32 ``phi`` that
+    ``_check_probe`` passed, as the packed keys of :func:`_top_keys`, in no
+    particular order and without their candidate set.
+
+    The ``n_probe`` lists are the first of ``np.argsort(-centroid_scores,
+    kind="stable")``, which ``_best_first_head`` finds by sorting only the
+    scores at or above the cut. Their embeddings are read with
+    ``index.store.rows``, one block of their exact bytes in list order.
+    """
+    probed = _best_first_head(index.centroids.vectors @ phi, n_probe)
     ids = np.concatenate([index.lists[c] for c in probed])
-    return _top_ids(ids, index.store.rows(ids) @ phi, k_prime)
+    return _top_keys(ids, index.store.rows(ids) @ phi, k_prime)
 
 
-def _top_ids(ids: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
-    """The ``k`` ids of the highest float32 ``scores``, ties by ascending
-    id: ``ids[np.lexsort((ids, -scores))[:k]]`` for distinct ids below 2**32.
+def _top_keys(ids: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
+    """The keys of the ``k`` ids of the highest float32 ``scores``, ties by
+    ascending id, for distinct ids below 2**32; the ids come back in no
+    particular order, which is all a candidate set needs.
 
     Each id is packed with its score into one uint64 key, a 32-bit score key
-    in the high half and the id in the low half, so one sort orders by both.
+    in the high half and the id in the low half, so the keys order by both.
     The score key is the float32 bit pattern mapped so that a higher score
     gives a smaller key: -0.0 is first folded into 0.0, which ``lexsort``
     takes as equal, and NaN maps to the largest key, as ``lexsort`` puts NaN
-    last. Only the ``k`` smallest keys are sorted.
+    last. A partition keeps the ``k`` smallest keys.
     """
     bits = (scores + np.float32(0)).view(np.uint32)
     # a negative score keeps its bits; a non-negative one becomes 2**31 - 1 - bits
@@ -345,8 +380,15 @@ def _top_ids(ids: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
     packed = keys.astype(np.uint64) << np.uint64(32) | ids.astype(np.uint64)
     if packed.size > k:
         packed = np.partition(packed, k - 1)[:k]
-    packed.sort()
-    return (packed & np.uint64(0xFFFFFFFF)).astype(np.int64)
+    return packed
+
+
+def _key_ids(keys: np.ndarray) -> np.ndarray:
+    """The int64 ids in the low halves of packed keys. Sorted keys give
+    their ids best score first, ties by ascending id:
+    ``_key_ids(np.sort(_top_keys(ids, scores, k)))`` is
+    ``ids[np.lexsort((ids, -scores))[:k]]``."""
+    return (keys & np.uint64(0xFFFFFFFF)).astype(np.int64)
 
 
 def pruned_union(per_embedding: Sequence[CandidateSet], p: int) -> CandidateSet:
@@ -406,12 +448,15 @@ def _table_maxima(
 def _position_sums(query: QueryRepresentation, maxima: np.ndarray) -> np.ndarray:
     """Sum each document's float64 maxima position by position in query
     order (one addition per position, a column repeated for every position
-    sharing it), so equal inputs always reproduce the same score bit for bit."""
-    maxima = maxima.astype(np.float64)
+    sharing it), so equal inputs always reproduce the same score bit for bit.
+
+    The maxima are widened into one contiguous row per distinct query row,
+    so each addition reads a contiguous row rather than a strided column."""
+    by_slot = maxima.T.astype(np.float64, order="C")
     first, *rest = query.distinct_rows[1].tolist()
-    total = maxima[:, first].copy()
+    total = by_slot[first].copy()
     for slot in rest:
-        total += maxima[:, slot]
+        total += by_slot[slot]
     return total
 
 
@@ -512,18 +557,28 @@ def score_documents(
     return _position_sums(query, _table_maxima(sims, codes, starts, lengths))
 
 
+# Up to this many scores, ``_best_first`` is numpy's stable sort itself. On
+# 10 to 128 random float32 or float64 scores the stable sort took 0.3-0.6 of
+# the time of the default sort and its tie pass; from 256 to 1,024 the two
+# were within about 30% of each other, and on 4,096 the stable sort took
+# 3-4.5 times as long (medians of 15 repeats, one core, numpy 2.4).
+_STABLE_SORT_MAX = 128
+
+
 def _best_first(scores: np.ndarray) -> np.ndarray:
     """Positions of ``scores`` best first, equal scores in ascending position
     order: exactly ``np.argsort(-scores, kind="stable")``, NaN last.
 
     Candidates come in doc-id order, so ranking them by this order breaks
-    ties by doc id. numpy's default sort is several times faster than its
-    stable one; it may leave equal scores in any order, so each run of equal
-    scores (-0.0 equal to 0.0, NaN equal to NaN) is put back in position
-    order afterwards, by one sort of (run start, position) keys over the
-    tied entries only.
+    ties by doc id. Above ``_STABLE_SORT_MAX`` scores numpy's default sort
+    is several times faster than its stable one; it may leave equal scores
+    in any order, so each run of equal scores (-0.0 equal to 0.0, NaN equal
+    to NaN) is put back in position order afterwards, by one sort of (run
+    start, position) keys over the tied entries only.
     """
     keys = -scores
+    if scores.size <= _STABLE_SORT_MAX:
+        return np.argsort(keys, kind="stable")
     order = np.argsort(keys)
     ranked = keys[order]
     tied = np.zeros(order.size + 1, dtype=bool)
@@ -543,12 +598,31 @@ def _best_first(scores: np.ndarray) -> np.ndarray:
     return order
 
 
+def _best_first_head(scores: np.ndarray, n: int) -> np.ndarray:
+    """``_best_first(scores)[:n]`` for ``n >= 1``.
+
+    When there are more than ``n`` scores, a partition finds the ``n``-th
+    best, and only the scores at least that good are ordered: no other
+    score can come before them, and a stable order ranks a subset as it
+    ranks the whole. A NaN ``n``-th best leaves no such cut (NaN compares
+    false), so the whole array is ordered then.
+    """
+    if n < scores.size:
+        keys = -scores
+        cut = np.partition(keys, n - 1)[n - 1]
+        if not np.isnan(cut):
+            chosen = (keys <= cut).nonzero()[0]
+            return chosen[_best_first(scores[chosen])[:n]]
+    return _best_first(scores)[:n]
+
+
 def rerank(
     candidates: CandidateSet, query: QueryRepresentation, store: EmbeddingStore, k: int
 ) -> Ranking:
     """Score every candidate exactly and keep the best ``k``.
 
-    Descending score; ties break by ascending doc id.
+    Descending score; ties break by ascending doc id. Only the scores at
+    least as good as the ``k``-th best are ordered (``_best_first_head``).
     """
     _check_int("k", k)
     if k < 1:
@@ -556,7 +630,7 @@ def rerank(
     if candidates.store is not store:
         raise ConsistencyError("candidate set was built on a different store")
     scores = score_documents(query, store, candidates.numbers)
-    order = _best_first(scores)[:k]
+    order = _best_first_head(scores, k)
     ids = store.doc_id_array[candidates.numbers[order]].tolist()
     return Ranking(entries=RankedEntries(ids, scores[order]), k=k)
 
@@ -576,6 +650,10 @@ def search(
     takes the documents of all their hits as one candidate set, and reranks
     it with the full query representation. Returns the ranking and the
     candidate set (the latter feeds the retrieved-count metrics).
+
+    The probe arguments are checked once for the whole query, with the
+    errors and messages ``ann_candidates`` gives; each distinct vector is
+    then probed unchecked, and its hits are never sorted.
     """
     query = encoder.encode(query_text)
     if config.p > query.q_len:
@@ -587,9 +665,9 @@ def search(
     first_position: dict[int, int] = {}
     for position in ordering[: config.p]:
         first_position.setdefault(slots[position], position)
-    hits = [
-        _probe(index, query.embeddings[position], config.k_prime, config.n_probe)
-        for position in first_position.values()
-    ]
-    candidates = CandidateSet(index.store, index.store.doc_of[np.concatenate(hits)])
+    rows = query.embeddings[list(first_position.values())]
+    _check_probe(index, rows, config.k_prime, config.n_probe)
+    keys = [_probe(index, phi, config.k_prime, config.n_probe) for phi in rows]
+    hits = _key_ids(np.concatenate(keys))
+    candidates = CandidateSet(index.store, index.store.doc_of[hits])
     return rerank(candidates, query, index.store, k), candidates

@@ -1,9 +1,9 @@
 """Identity guards for the first-stage probe.
 
 ``ann_candidates`` gathers the probed rows with ``np.take``, from the
-store's table through its codes, selects
-its top k' with one sort of packed (score key, id) uint64 keys, and
-``CandidateSet`` drops repeated ranks through one preallocated mask. The
+store's table through its codes, keeps its top k' by one partition of
+packed (score key, id) uint64 keys and sorts the kept keys, and
+``CandidateSet`` drops repeated ranks through a mask. The
 ``reference_*`` functions below are verbatim copies of the probe and the
 dedup they replaced, which gathered from ``store.vectors``, selected with
 ``np.lexsort`` and marked repeats with ``np.diff``. Every probe must return
@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import mve.index
 from mve.errors import ConsistencyError, CorruptIndexError, InvalidConfigError, InvalidInputError
 from mve.index import EmbeddingStore, IvfIndex, build_ivf, load_index, save_index, train_centroids
-from mve.retrieval import CandidateSet, _top_ids, ann_candidates
+from mve.retrieval import CandidateSet, _key_ids, _top_keys, ann_candidates
 
 from conftest import build_sample_index
 
@@ -135,6 +135,11 @@ def probe_inputs(draw):
     order = draw(st.permutations(range(len(runs))))
     ids = np.concatenate([np.empty(0, dtype=np.int64)] + [runs[i] for i in order])
     return ids.astype(np.int64), scores, k
+
+
+def _top_ids(ids, scores, k):
+    """The kept ids in the order ``ann_candidates`` returns its hits."""
+    return _key_ids(np.sort(_top_keys(ids, scores, k)))
 
 
 @settings(max_examples=600, deadline=None)

@@ -28,6 +28,7 @@ from mve.evaluation import Qrels
 from mve.index import EmbeddingStore, build_ivf, train_centroids
 from mve.retrieval import (
     CandidateSet,
+    _STABLE_SORT_MAX,
     _best_first,
     PruningConfig,
     Ranking,
@@ -544,7 +545,8 @@ EDGE_SCORES = (0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.22507385850720
 @settings(max_examples=200, deadline=None)
 @given(
     pool=st.lists(st.one_of(st.sampled_from(EDGE_SCORES), st.floats()), min_size=1, max_size=12),
-    size=st.integers(0, 3000),
+    # sizes on both sides of the stable-sort route's limit
+    size=st.one_of(st.integers(0, 2 * _STABLE_SORT_MAX), st.integers(0, 3000)),
     distinct=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -572,7 +574,9 @@ def test_ranking_type_enforces_order():
 
 
 def reference_ranking_check(pairs, k):
-    """The entry-by-entry check ``Ranking`` ran before it held columns."""
+    """The entry-by-entry check ``Ranking`` ran before it held columns, with
+    NaN ranked last and NaN ties ordered by doc id, as ``_best_first`` ranks
+    them."""
     if k < 1:
         raise InvalidConfigError(f"ranking depth must be >= 1, got {k}")
     if len(pairs) > k:
@@ -583,7 +587,7 @@ def reference_ranking_check(pairs, k):
         if doc_id in seen:
             raise InvalidInputError(f"duplicate doc id {doc_id!r} in ranking")
         seen.add(doc_id)
-        key = (-score, doc_id)
+        key = (True, 0.0, doc_id) if math.isnan(score) else (False, -score, doc_id)
         if previous is not None and key < previous:
             raise InvalidInputError("ranking violates the (score desc, doc id asc) order")
         previous = key
@@ -624,6 +628,25 @@ def test_column_check_accepts_and_rejects_what_the_pair_loop_does(pairs, in_orde
             assert ranking.entries == pairs and pairs == ranking.entries
             assert hash(ranking.entries) == hash(pairs)
             assert dataclasses.replace(ranking) == ranking
+
+
+def test_ranking_puts_nan_last_and_orders_nan_ties_by_doc_id():
+    nan = math.nan
+    for pairs in (
+        (("a", nan), ("b", 1.0)),  # NaN ahead of a score
+        (("b", nan), ("a", nan)),  # NaN tie out of doc-id order
+        (("a", 2.0), ("c", nan), ("b", nan)),
+        (("a", 2.0), ("b", nan), ("c", -math.inf)),
+    ):
+        with pytest.raises(InvalidInputError, match=r"violates the \(score desc, doc id asc\) order"):
+            Ranking(entries=pairs, k=3)
+    # NaN in last place, and NaN ties in doc-id order, as _best_first ranks them
+    for pairs in ((("b", 1.0), ("a", nan)), (("c", 1.0), ("a", nan), ("b", nan)), (("a", nan),)):
+        assert Ranking(entries=pairs, k=3).doc_ids() == [doc_id for doc_id, _ in pairs]
+    scores = np.array([nan, 1.0, nan, -0.0])
+    order = _best_first(scores)
+    ids = ["a", "b", "c", "d"]
+    Ranking(entries=[(ids[i], scores[i]) for i in order], k=4)
 
 
 def test_ranking_entries_read_as_a_tuple_of_pairs():
