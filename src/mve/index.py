@@ -31,6 +31,23 @@ FORMAT_VERSION = 1
 
 _SEED_MASK = (1 << 64) - 1
 _ASSIGN_CHUNK = 8192
+# MaxSim's table route, the list assignment over the store's table and the
+# k-means rounds over a sample's distinct rows all rest on a property of
+# OpenBLAS 0.3.31 (numpy's wheel) sgemm. Measured at dims 3 to 768 and 2 to
+# 32 columns: once rows x columns exceeds about 1,200 (the largest differing
+# product seen was 1,179), every entry of ``X[a:b] @ Q.T`` has the bits of
+# ``(X @ Q.T)[a:b]`` at any offset ``a``, and a row's entries have the same
+# bits in any other product above that size that holds the row. Below that
+# a small-matrix kernel gives other bits, and one column runs gemv, whose
+# bits depend on the row's position: on 60 random stores of 8,192 + 1 to 39
+# rows with 2 to 24 centroids, 38 final assignment chunks under the floor
+# had other bits than the table's product. A product is taken in place of
+# another only where both hold at least this many entries, well above that
+# boundary. test_retrieval.py's
+# test_blas_premise_of_the_in_place_route and test_index.py's
+# test_blas_premise_of_the_table_assignment check it at dims 3, 16, 17, 64,
+# 128 and 768.
+_STABLE_PRODUCT_FLOOR = 8192  # rows x columns
 # embeddings compared with their code's row at a time: of 1,024 to 16,384,
 # 2,048 checked the desk store (60,000 x 64) fastest, in about 2 ms
 _CODE_CHECK_CHUNK = 2048
@@ -110,7 +127,10 @@ class EmbeddingStore:
     compared with another: they are the table's rows by construction. The
     store keeps a read-only view of ``table`` (a copy only where it is not
     C-ordered float32), which the caller must not write afterwards, and its
-    own read-only intp copy of the codes.
+    own read-only intp copy of the codes. ``codes_checked=True`` says that
+    ``codes`` is what ``_check_codes(codes, len(table))`` returned, as a
+    load that checks them before its list section passes them; the store
+    then keeps that array without a second pass.
 
     ``doc_offsets[i] == (start, length)``, derived from the lengths, locates
     document ``i`` among the embeddings. ``doc_id_array`` holds the doc ids
@@ -132,7 +152,13 @@ class EmbeddingStore:
     doc_id_array: np.ndarray = field(repr=False)  # doc number -> doc id
 
     def __init__(
-        self, table: np.ndarray, codes: np.ndarray, lengths: np.ndarray, doc_ids: Sequence[str]
+        self,
+        table: np.ndarray,
+        codes: np.ndarray,
+        lengths: np.ndarray,
+        doc_ids: Sequence[str],
+        *,
+        codes_checked: bool = False,
     ) -> None:
         def set_(name: str, value: object) -> None:
             object.__setattr__(self, name, value)
@@ -147,7 +173,8 @@ class EmbeddingStore:
         table.flags.writeable = False
         if not np.isfinite(table).all():
             raise InvalidInputError("store vectors contain NaN or Inf")
-        codes = _check_codes(codes, len(table))
+        if not codes_checked:
+            codes = _check_codes(codes, len(table))
         doc_ids = tuple(doc_ids)
         index_of = dict(zip(doc_ids, range(len(doc_ids))))
         if len(index_of) != len(doc_ids):
@@ -328,23 +355,29 @@ def _kmeans_pp_init(sample: np.ndarray, n_list: int, rng: np.random.Generator) -
     """k-means++ seeding with squared chord distance 2 - 2*sim on unit vectors."""
     n = sample.shape[0]
     chosen = [int(rng.integers(n))]
+    taken = np.zeros(n, dtype=bool)
+    taken[chosen[0]] = True
     best_sim = sample @ sample[chosen[0]]
+    weights = np.empty(n, dtype=np.float64)
     while len(chosen) < n_list:
-        weights = np.maximum(2.0 - 2.0 * best_sim.astype(np.float64), 0.0)
-        weights[chosen] = 0.0
+        # 2 + (-2 * sim) is 2 - 2 * sim exactly, and -2 * sim is exact in float32
+        np.multiply(best_sim, -2.0, out=weights)
+        weights += 2.0
+        np.maximum(weights, 0.0, out=weights)
+        weights[taken] = 0.0
         total = weights.sum()
         if total <= 0.0:
             # All remaining points coincide with a centroid; take the lowest
             # index not yet chosen.
-            taken = np.zeros(n, dtype=bool)
-            taken[chosen] = True
-            pick = int(np.flatnonzero(~taken)[0])
+            pick = int(np.argmin(taken))
         else:
-            cutpoints = np.cumsum(weights / total)
+            weights /= total
+            cutpoints = np.cumsum(weights, out=weights)
             pick = int(np.searchsorted(cutpoints, rng.random(), side="right"))
             pick = min(pick, n - 1)
         chosen.append(pick)
-        best_sim = np.maximum(best_sim, sample @ sample[pick])
+        taken[pick] = True
+        np.maximum(best_sim, sample @ sample[pick], out=best_sim)
     return sample[np.array(chosen)].copy()
 
 
@@ -367,6 +400,15 @@ def train_centroids(
     order (one ``np.bincount`` over every (centroid, coordinate) cell), and
     each mean's norm is the square root of its own dot product, as
     ``np.linalg.norm`` takes it for one vector.
+
+    Sample points of one code are one row of ``store.table``, so each
+    round's similarity block is taken over the sample's distinct rows and
+    gathered back by code, once that block holds at least
+    ``_STABLE_PRODUCT_FLOOR`` entries (distinct rows x centroids) and there
+    are two centroids or more: its entries then have the bits of the whole
+    sample's block. Smaller blocks, one centroid (gemv) and samples without
+    repeats multiply the whole sample. The k-means++ seeding multiplies the
+    whole sample either way.
 
     Args:
         store: Embeddings to sample from.
@@ -394,6 +436,11 @@ def train_centroids(
     rng = np.random.default_rng(seed & _SEED_MASK)
     picked = np.sort(rng.choice(total, size=sample_size, replace=False))
     sample = _normalize_rows(store.rows(picked))
+    _, first, inverse = np.unique(store.codes[picked], return_index=True, return_inverse=True)
+    if n_list >= 2 and len(first) < sample_size and len(first) * n_list >= _STABLE_PRODUCT_FLOOR:
+        points, point_of = sample[first], inverse
+    else:
+        points, point_of = sample, slice(None)
 
     centroids = _kmeans_pp_init(sample, n_list, rng)
     dim = sample.shape[1]
@@ -401,9 +448,10 @@ def train_centroids(
     history: list[float] = []
     for _ in range(iterations):
         previous = centroids.copy()
-        sims = sample @ centroids.T
-        assign = np.argmax(sims, axis=1)  # first maximum = lowest centroid index
-        assigned_sim = sims[np.arange(sample_size), assign].astype(np.float64)
+        sims = points @ centroids.T
+        nearest = np.argmax(sims, axis=1)  # first maximum = lowest centroid index
+        assign = nearest[point_of]
+        assigned_sim = sims[np.arange(len(points)), nearest][point_of].astype(np.float64)
         history.append(float(assigned_sim.mean()))
 
         cells = (assign[:, None] * dim + np.arange(dim)).ravel()
@@ -431,20 +479,54 @@ def train_centroids(
     return Centroids(vectors=centroids, objective_history=tuple(history))
 
 
+def _argmax_chunks(
+    count: int, rows: Callable[[slice], np.ndarray], centroids: np.ndarray
+) -> np.ndarray:
+    """The argmax column of ``rows(s) @ centroids.T`` for each of ``count``
+    rows, read ``_ASSIGN_CHUNK`` rows at a time, as the narrowest unsigned
+    integers that hold a column index: numpy's stable sort takes keys of 16
+    bits or fewer by radix, which on desk's 60,000 list ids took 1 ms
+    against 5 ms as int64 (2-core host)."""
+    assign = np.empty(count, dtype=np.min_scalar_type(len(centroids) - 1))
+    for start in range(0, count, _ASSIGN_CHUNK):
+        block = rows(slice(start, start + _ASSIGN_CHUNK))
+        assign[start : start + len(block)] = np.argmax(block @ centroids.T, axis=1)
+    return assign
+
+
+def _smallest_chunk(count: int) -> int:
+    """The fewest rows of any chunk :func:`_argmax_chunks` multiplies for
+    ``count`` rows, ``count >= 1``."""
+    return count % _ASSIGN_CHUNK or _ASSIGN_CHUNK
+
+
 def build_ivf(store: EmbeddingStore, centroids: Centroids) -> IvfIndex:
     """Assign every stored embedding to its argmax-dot-product centroid.
 
     Ties go to the lowest centroid index. Full-precision vectors stay
     available through the store; the coarse assignment only routes probes.
+
+    An embedding is its code's row of ``store.table``, so where the table
+    has fewer rows than the store, each table row is assigned once, in
+    chunks of the table, and each embedding takes its code's centroid. That
+    gives every embedding the centroid a chunk of the embeddings themselves
+    would, bit for bit, as long as every chunk on both sides holds at least
+    ``_STABLE_PRODUCT_FLOOR`` entries (rows x centroids); otherwise (a tiny
+    table, a final chunk of a few rows, or codes ``0 ... n-1``) the store's
+    embeddings are multiplied chunk by chunk.
     """
     if centroids.dim != store.dim:
         raise InvalidInputError(
             f"dimension mismatch: store {store.dim}, centroids {centroids.dim}"
         )
-    assign = np.empty(store.num_embeddings, dtype=np.int64)
-    for start in range(0, store.num_embeddings, _ASSIGN_CHUNK):
-        block = store.rows(slice(start, start + _ASSIGN_CHUNK))
-        assign[start : start + block.shape[0]] = np.argmax(block @ centroids.vectors.T, axis=1)
+    vectors, table = centroids.vectors, store.table
+    if len(table) < store.num_embeddings and (
+        min(_smallest_chunk(len(table)), _smallest_chunk(store.num_embeddings)) * len(vectors)
+        >= _STABLE_PRODUCT_FLOOR
+    ):
+        assign = _argmax_chunks(len(table), table.__getitem__, vectors)[store.codes]
+    else:
+        assign = _argmax_chunks(store.num_embeddings, store.rows, vectors)
     # a stable sort keeps each list's embedding ids ascending
     order = np.argsort(assign, kind="stable")
     boundaries = np.searchsorted(assign[order], np.arange(centroids.n_list + 1))
@@ -675,7 +757,8 @@ def load_index(path: str | Path, codes_path: str | Path | None = None) -> IvfInd
 
     Either way the load ends in one call of
     ``EmbeddingStore(table, codes, lengths, doc_ids)``, which checks them as
-    it checks any store.
+    it checks any store, except that codes checked before the lists are not
+    checked a second time.
 
     On the desk index (60,000 embeddings of dim 64, 5,000 documents; a
     shared 2-core host, warm) a load with codes takes about 12-13.5 ms: 3 ms
@@ -752,7 +835,7 @@ def _load_index(path: Path, codes_path: Path | None) -> IvfIndex:
         if handle.read(1):
             raise CorruptIndexError("trailing data after the final inverted list")
 
-    store = EmbeddingStore(table, codes, lengths, doc_ids)
+    store = EmbeddingStore(table, codes, lengths, doc_ids, codes_checked=codes_path is not None)
     return IvfIndex(store=store, centroids=Centroids(centroid_vectors), lists=lists)
 
 

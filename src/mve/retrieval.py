@@ -55,7 +55,7 @@ another kernel and differ in the last bits.
   and takes each candidate's maxima over the rows of that product its
   tokens' codes name. Taken when there are two or more distinct query rows,
   the gathered product (candidate rows x distinct query rows) and the
-  table's product both hold at least ``_IN_PLACE_MIN_PRODUCT`` entries, and
+  table's product both hold at least ``_STABLE_PRODUCT_FLOOR`` entries, and
   the candidates hold at least ``_TABLE_MIN_SHARE`` of the table's rows.
 - *gather*: every other set gathers its rows into one block, multiplies
   it, and takes each candidate's maxima over its own rows of that product.
@@ -79,7 +79,7 @@ import numpy as np
 
 from .core import Lexicon, QueryEncoder, QueryRepresentation, TokenKind
 from .errors import ConsistencyError, InvalidConfigError, InvalidInputError
-from .index import EmbeddingStore, IvfIndex
+from .index import _STABLE_PRODUCT_FLOOR, EmbeddingStore, IvfIndex
 
 
 class Strategy(str, enum.Enum):
@@ -480,18 +480,10 @@ def exact_score(query: QueryRepresentation, doc_embeddings: np.ndarray) -> float
     return float(_position_sums(query, maxima)[0])
 
 
-# The table MaxSim route rests on a property of OpenBLAS 0.3.31
-# (numpy's wheel) sgemm. Measured at dims 3 to 768 and 2 to 32 distinct
-# query rows: once rows x distinct rows exceeds about 1,200 (the largest
-# differing product seen was 1,179), every entry of ``X[a:b] @ Q.T`` has the
-# bits of ``(X @ Q.T)[a:b]`` at any offset ``a``; and, measured at dims 3
-# to 768 and checked at dims 3, 16, 17, 64, 128 and 768 by test_retrieval.py's
-# test_blas_premise_of_the_in_place_route, a row's entries have the same
-# bits in any other product above that size that holds the row. Below that
-# a small-matrix kernel gives other bits, and one distinct row runs gemv,
-# whose bits depend on the row's position. The floor keeps the table's
-# product, and the gathered product it stands for, well above that boundary.
-_IN_PLACE_MIN_PRODUCT = 8192  # rows x distinct query rows
+# The table MaxSim route rests on the sgemm property described beside
+# ``mve.index._STABLE_PRODUCT_FLOOR``: it runs only where the table's
+# product, and the gathered product it stands for, both hold at least that
+# many entries (rows x distinct query rows).
 # Medians of 40 random candidate sets a point, one BLAS thread: on a store
 # of 60,000 contextual rows of dim 64 (every row its own code) gathering
 # cost as much as the whole table at a share of about 0.4 with 2 or 4
@@ -513,7 +505,7 @@ def _maxsim_route(store: EmbeddingStore, distinct: int, rows: int) -> str:
     table_rows = len(store.table)
     if (
         distinct >= 2
-        and min(rows, table_rows) * distinct >= _IN_PLACE_MIN_PRODUCT
+        and min(rows, table_rows) * distinct >= _STABLE_PRODUCT_FLOOR
         and rows >= _TABLE_MIN_SHARE * table_rows
     ):
         return "table"

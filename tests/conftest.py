@@ -120,6 +120,19 @@ def random_store(num_docs: int, dim: int, seed: int, min_len: int = 1, max_len: 
     return EmbeddingStore.from_blocks([(f"d{i:04d}", block) for i, block in enumerate(blocks)])
 
 
+def coded_store(num_docs: int, dim: int, num_codes: int, seed: int, max_len: int = 20):
+    """A store of ``num_docs`` documents whose rows repeat ``num_codes``
+    random distinct rows, each used at least once."""
+    from mve.index import EmbeddingStore
+
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, max_len + 1, size=num_docs)
+    table = rng.standard_normal((num_codes, dim)).astype(np.float32)
+    codes = rng.permutation(np.resize(np.arange(num_codes), int(lengths.sum())))
+    names = [f"d{i:04d}" for i in range(num_docs)]
+    return EmbeddingStore(table, codes, lengths, names)
+
+
 def named_store(doc_ids, dim: int = 4, seed: int = 0):
     """A store holding one random embedding for each of ``doc_ids``, in order."""
     from mve.index import EmbeddingStore

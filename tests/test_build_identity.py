@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mve.index
 from mve.core import (
     FIRST_WORDPIECE_ID,
     OOV_ID_BASE,
@@ -47,7 +48,7 @@ from mve.index import (
     train_centroids,
 )
 
-from conftest import random_store
+from conftest import coded_store, random_store
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -115,6 +116,27 @@ def reference_build_lexicon_from_ids(docs):
     return Lexicon(entries=entries, num_docs=len(docs), num_tokens=num_tokens)
 
 
+def reference_kmeans_pp_init(sample, n_list, rng):
+    n = sample.shape[0]
+    chosen = [int(rng.integers(n))]
+    best_sim = sample @ sample[chosen[0]]
+    while len(chosen) < n_list:
+        weights = np.maximum(2.0 - 2.0 * best_sim.astype(np.float64), 0.0)
+        weights[chosen] = 0.0
+        total = weights.sum()
+        if total <= 0.0:
+            taken = np.zeros(n, dtype=bool)
+            taken[chosen] = True
+            pick = int(np.flatnonzero(~taken)[0])
+        else:
+            cutpoints = np.cumsum(weights / total)
+            pick = int(np.searchsorted(cutpoints, rng.random(), side="right"))
+            pick = min(pick, n - 1)
+        chosen.append(pick)
+        best_sim = np.maximum(best_sim, sample @ sample[pick])
+    return sample[np.array(chosen)].copy()
+
+
 def reference_train_centroids(store, sample_fraction, n_list, iterations, seed):
     if not (0.0 < sample_fraction <= 1.0):
         raise InvalidConfigError(f"sample_fraction must be in (0, 1], got {sample_fraction}")
@@ -132,7 +154,7 @@ def reference_train_centroids(store, sample_fraction, n_list, iterations, seed):
     picked = np.sort(rng.choice(total, size=sample_size, replace=False))
     sample = _normalize_rows(store.vectors[picked])
 
-    centroids = _kmeans_pp_init(sample, n_list, rng)
+    centroids = reference_kmeans_pp_init(sample, n_list, rng)
     history: list[float] = []
     for _ in range(iterations):
         sims = sample @ centroids.T
@@ -438,6 +460,49 @@ def test_train_centroids_equals_the_reference_on_the_planted_engine(small_plante
     store = small_planted_engine.index.store
     for seed in (11, 12, 13):
         assert_same_centroids(store, 0.5, 16, 15, seed)
+
+
+@pytest.mark.parametrize(
+    "num_docs, dim, num_codes, sample_fraction, n_list, seed",
+    [
+        (600, 16, 600, 0.5, 16, 1),  # 600 distinct rows x 16 centroids: over the floor
+        (600, 16, 600, 0.5, 8, 2),  # 600 x 8: under the floor, the whole sample's block
+        (900, 3, 300, 1.0, 30, 3),
+        (700, 64, 1751, 0.4, 40, 4),
+        (300, 17, 50, 1.0, 12, 5),  # 50 x 12: under the floor
+        (1500, 8, 9000, 1.0, 1, 6),  # one centroid runs gemv: the whole sample's block
+    ],
+)
+def test_train_centroids_equals_the_reference_on_stores_whose_rows_repeat(
+    num_docs, dim, num_codes, sample_fraction, n_list, seed
+):
+    store = coded_store(num_docs, dim, num_codes, seed=seed + 200)
+    total = store.num_embeddings
+    rng = np.random.default_rng(seed & _SEED_MASK)
+    picked = rng.choice(total, size=min(total, math.ceil(sample_fraction * total)), replace=False)
+    distinct = len(np.unique(store.codes[picked]))
+    assert distinct < len(picked)  # rows repeat within the sample
+    over = distinct * n_list >= mve.index._STABLE_PRODUCT_FLOOR
+    assert over == (seed in (1, 3, 4, 6))
+    assert_same_centroids(store, sample_fraction, n_list, 12, seed)
+
+
+@pytest.mark.parametrize(
+    "n, dim, n_list, seed", [(50, 3, 8, 0), (400, 16, 40, 1), (3000, 64, 244, 2)]
+)
+def test_kmeans_pp_init_equals_the_reference(n, dim, n_list, seed):
+    rng = np.random.default_rng(seed)
+    sample = _normalize_rows(rng.standard_normal((n, dim)).astype(np.float32))
+    got = _kmeans_pp_init(sample, n_list, np.random.default_rng(seed + 10))
+    want = reference_kmeans_pp_init(sample, n_list, np.random.default_rng(seed + 10))
+    assert got.tobytes() == want.tobytes()
+    # five copies of two points: once both are chosen every weight is 0, and
+    # the rest are the lowest indexes not yet chosen
+    twice = np.repeat(sample[:2], 5, axis=0)
+    for seed in range(6):
+        got = _kmeans_pp_init(twice, 6, np.random.default_rng(seed))
+        want = reference_kmeans_pp_init(twice, 6, np.random.default_rng(seed))
+        assert got.tobytes() == want.tobytes()
 
 
 def single_vector_store(rows):

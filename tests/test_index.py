@@ -24,7 +24,7 @@ from mve.index import (
     write_embeddings_dump,
 )
 
-from conftest import build_sample_index, random_store
+from conftest import build_sample_index, coded_store, random_store
 from synthdata import planted_fixture
 
 
@@ -372,6 +372,149 @@ def test_build_ivf_rejects_dim_mismatch():
     store = random_store(10, 8, seed=15)
     with pytest.raises(InvalidInputError):
         build_ivf(store, Centroids(np.eye(4, dtype=np.float32)))
+
+
+def reference_build_ivf_lists(store, centroids):
+    """The lists of every embedding assigned chunk by chunk of the store's
+    embeddings, as build_ivf did before it assigned table rows."""
+    vectors = store.vectors
+    assign = np.empty(len(vectors), dtype=np.int64)
+    for start in range(0, len(vectors), 8192):
+        block = vectors[start : start + 8192]
+        assign[start : start + len(block)] = np.argmax(block @ centroids.vectors.T, axis=1)
+    return [np.flatnonzero(assign == c) for c in range(centroids.n_list)]
+
+
+def random_centroids(n_list, dim, seed):
+    rng = np.random.default_rng(seed)
+    return Centroids(unit(rng.standard_normal((n_list, dim))).reshape(n_list, dim))
+
+
+def spy_assignment_rows(monkeypatch):
+    """The row count of each chunked assignment build_ivf runs."""
+    counts = []
+    real = mve.index._argmax_chunks
+
+    def spy(count, rows, centroids):
+        counts.append(count)
+        return real(count, rows, centroids)
+
+    monkeypatch.setattr(mve.index, "_argmax_chunks", spy)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "num_docs, dim, num_codes, n_list, table_route",
+    [
+        # 11,854 embeddings: chunks of 8,192 and 3,662 rows, both over the floor
+        (1100, 16, 900, 24, True),
+        # 8,412 embeddings: the final chunk's product, 220 x 24, is under the floor
+        (790, 16, 900, 24, False),
+        # the table's product, 300 x 24, is under the floor
+        (1100, 16, 300, 24, False),
+        # a table of two chunks, the second's product 808 x 2 under the floor
+        (1800, 3, 9000, 2, False),
+        # a table of two chunks, 8,192 and 3,808 rows, and 25,347 embeddings
+        # whose final chunk holds 771 rows, all over the floor
+        (2400, 17, 12000, 24, True),
+        # 300 centroids: list ids past 8 bits
+        (900, 8, 600, 300, True),
+        # codes 0 ... n-1: the embeddings are the table
+        (900, 64, None, 244, False),
+    ],
+)
+def test_build_ivf_equals_the_per_embedding_assignment(
+    num_docs, dim, num_codes, n_list, table_route, monkeypatch
+):
+    if num_codes is None:
+        store = random_store(num_docs, dim, seed=n_list)
+    else:
+        store = coded_store(num_docs, dim, num_codes, seed=num_docs + dim)
+    centroids = random_centroids(n_list, dim, seed=dim)
+    counts = spy_assignment_rows(monkeypatch)
+    index = build_ivf(store, centroids)
+    assert counts == [len(store.table) if table_route else store.num_embeddings]
+    want = reference_build_ivf_lists(store, centroids)
+    assert [ids.tolist() for ids in index.lists] == [ids.tolist() for ids in want]
+
+
+def chunk_products(matrix, centroids):
+    """``matrix @ centroids.T`` taken as build_ivf takes it, chunk by chunk."""
+    chunk = mve.index._ASSIGN_CHUNK
+    return np.concatenate(
+        [matrix[start : start + chunk] @ centroids.T for start in range(0, len(matrix), chunk)]
+    )
+
+
+def test_blas_premise_of_the_table_assignment():
+    # build_ivf multiplies each table row once and gives every embedding its
+    # code's centroid, and train_centroids multiplies a sample's distinct
+    # rows only, because a row's entries in a product over the floor have
+    # the same bits in any other product over it that holds the row; a BLAS
+    # that breaks this would otherwise show up as a pinned list or index
+    # mismatch far from its cause
+    floor = mve.index._STABLE_PRODUCT_FLOOR
+    chunk = mve.index._ASSIGN_CHUNK
+    rng = np.random.default_rng(79)
+    for dim in (3, 16, 17, 64, 128, 768):
+        for n_list in (2, 16, 24, 244):
+            centroids = rng.standard_normal((n_list, dim)).astype(np.float32)
+            height = -(-floor // n_list)  # the fewest rows of a product over the floor
+            # a table just over the floor, the desk table's 1,751 rows, and
+            # (at narrow dims, to stay small in memory) one of two chunks
+            sizes = [height, height + 13, 1751] + ([chunk + height + 5] if dim <= 64 else [])
+            # one chunk of embeddings, and at narrow dims a full chunk and a
+            # final one just over the floor
+            totals = [chunk + height, chunk + height + 7] if dim <= 64 else [height + 1, height + 7]
+            for table_rows in sizes:
+                if table_rows * n_list < floor:
+                    continue
+                table = rng.standard_normal((table_rows, dim)).astype(np.float32)
+                by_row = chunk_products(table, centroids)
+                for total in totals:
+                    codes = rng.integers(0, table_rows, size=total)
+                    codes[1::2] = np.arange(total // 2) % table_rows  # rows at odd offsets
+                    embeddings = table[codes]
+                    whole = embeddings @ centroids.T
+                    for products in (chunk_products(embeddings, centroids), whole):
+                        assert np.array_equal(
+                            products.view(np.uint32), by_row[codes].view(np.uint32)
+                        ), (
+                            "BLAS premise of the table assignment broken: a row's product "
+                            f"differs in another matrix (dim {dim}, {n_list} centroids, "
+                            f"table of {table_rows}, {total} rows)"
+                        )
+
+
+def spy_calls(monkeypatch, name, calls):
+    """Record each call of ``mve.index.<name>`` in ``calls`` as its name."""
+    real = getattr(mve.index, name)
+
+    def spy(*args):
+        calls.append(name)
+        return real(*args)
+
+    monkeypatch.setattr(mve.index, name, spy)
+
+
+def test_a_coded_load_checks_its_codes_once_before_the_lists(tmp_path, monkeypatch):
+    store = coded_store(40, 8, 25, seed=3)
+    index = build_ivf(store, random_centroids(3, 8, seed=4))
+    path, codes_path = tmp_path / "index.mvix", tmp_path / "codes.bin"
+    save_index(index, path)
+    save_codes(store, codes_path)
+    calls = []
+    spy_calls(monkeypatch, "_check_codes", calls)
+    spy_calls(monkeypatch, "_read_lists", calls)
+    loaded = load_index(path, codes_path)
+    assert calls == ["_check_codes", "_read_lists"]
+    assert loaded.store.codes.tolist() == store.codes.tolist()
+    assert loaded.store.codes.dtype == np.intp and not loaded.store.codes.flags.writeable
+    assert_indexes_identical(index, loaded)
+    # without the codes file the store's constructor checks codes 0 ... n-1
+    calls.clear()
+    load_index(path)
+    assert calls == ["_read_lists", "_check_codes"]
 
 
 def test_default_n_list():

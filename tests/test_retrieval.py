@@ -41,7 +41,14 @@ from mve.retrieval import (
     score_documents,
 )
 
-from conftest import candidate_set, count_ann_calls, named_store, random_store, spy_routes
+from conftest import (
+    candidate_set,
+    coded_store,
+    count_ann_calls,
+    named_store,
+    random_store,
+    spy_routes,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -938,17 +945,6 @@ def own_table(store):
     )
 
 
-def coded_store(num_docs, dim, num_codes, seed, max_len=20):
-    """A store of ``num_docs`` documents whose rows repeat ``num_codes``
-    random distinct rows, and its codes."""
-    rng = np.random.default_rng(seed)
-    lengths = rng.integers(1, max_len + 1, size=num_docs)
-    table = rng.standard_normal((num_codes, dim)).astype(np.float32)
-    codes = rng.permutation(np.resize(np.arange(num_codes), int(lengths.sum())))
-    names = [f"d{i:04d}" for i in range(num_docs)]
-    return EmbeddingStore(table, codes, lengths, names)
-
-
 PLANTED_FIXTURE_OF = {
     "small_planted_engine": "small_planted",
     "padded_planted_engine": "small_planted",
@@ -1026,7 +1022,7 @@ def test_search_and_sweep_on_a_coded_engine_never_read_store_vectors(
 
 def takes_table(table_rows, candidate_rows, distinct):
     """Whether ``score_documents`` should multiply the whole table."""
-    floor = mve.retrieval._IN_PLACE_MIN_PRODUCT
+    floor = mve.index._STABLE_PRODUCT_FLOOR
     return (
         distinct >= 2
         and candidate_rows * distinct >= floor
@@ -1089,7 +1085,7 @@ def test_maxsim_table_route_agrees_on_random_coded_stores(dim, monkeypatch):
 
 
 def test_maxsim_table_route_needs_two_rows_a_large_product_and_a_saving(monkeypatch):
-    floor = mve.retrieval._IN_PLACE_MIN_PRODUCT
+    floor = mve.index._STABLE_PRODUCT_FLOOR
     share = mve.retrieval._TABLE_MIN_SHARE
     store = coded_store(2000, 16, 1200, seed=8)
     rng = np.random.default_rng(9)
@@ -1163,7 +1159,7 @@ def test_blas_premise_of_the_in_place_route():
         matrix = rng.standard_normal((total_rows, dim)).astype(np.float32)
         for distinct in (2, 9, 32):
             rows = rng.standard_normal((distinct, dim)).astype(np.float32)
-            height = -(-mve.retrieval._IN_PLACE_MIN_PRODUCT // distinct)
+            height = -(-mve.index._STABLE_PRODUCT_FLOOR // distinct)
             if total_rows == 30000:
                 whole = matrix @ rows.T
                 for offset in (1, 3, 17, 1001, 30000 - height - 7):
