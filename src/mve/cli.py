@@ -102,7 +102,8 @@ def build_parser() -> _Parser:
     sweep.add_argument("--p-values", dest="p_values",
                        help="values of p, e.g. '1-8' or '1,2,4,32' (default: 1-q_len)")
     sweep.add_argument("--alpha", type=float, default=0.05)
-    sweep.add_argument("--threads", type=int, default=1, help="worker threads across queries")
+    sweep.add_argument("--threads", type=int, default=1,
+                       help="worker threads across probes and queries")
 
     evaluate = sub.add_parser("eval", help="score a TREC run file against qrels")
     evaluate.add_argument("--run", required=True)

@@ -7,9 +7,10 @@ queries without judged-relevant documents score 0 for every metric and stay
 in the means; Bonferroni corrects over every (strategy, p, metric)
 comparison a sweep performs.
 
-The sweep computes only what its CSV reads. A vector that several of its
-queries hold (queries are embedded context-free, so CLS, MASK and repeated
-words are shared) is probed once per sweep call. Each cell's ranking ends
+The sweep computes only what its CSV reads. Every distinct query vector of a
+sweep call (queries are embedded context-free, so CLS, MASK and repeated
+words are shared) is probed once, before any query is evaluated, and its
+candidate set is held for the whole call. Each cell's ranking ends
 where its metrics stop reading: at the later of rank ``CUTOFF`` and the
 cell's last relevant hit within depth ``k``, so every metric is that of the
 full ranking, while the document counts count every hit.
@@ -26,13 +27,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .core import Lexicon, QueryEncoder, QueryRepresentation, is_single_field, open_text
 from .errors import InvalidConfigError, InvalidInputError
-from .index import IvfIndex
+from .index import EmbeddingStore, IvfIndex
+
+# perfbench's traced_sweep swaps ann_candidates, score_documents and Ranking,
+# like the metric functions and paired_t_test_bonferroni below, for timed
+# wrappers among this module's globals, so the sweep must keep calling them
+# through these names
 from .retrieval import (
     CandidateSet,
     RankedEntries,
@@ -349,58 +355,23 @@ class _QueryOutcome(NamedTuple):
     baseline: tuple[float, float, float]
 
 
-def _shared_probes(
-    queries: Sequence[QueryRepresentation],
-    index: IvfIndex,
-    k_prime: int,
-    n_probe: int,
-) -> dict[bytes, CandidateSet]:
-    """Candidate sets of the query vectors that two or more encoded
-    ``queries`` hold.
-
-    Queries are embedded context-free, so CLS, MASK and repeated words give
-    several queries one vector. Rows are keyed by their bytes, as
-    ``distinct_rows`` compares them, and each shared one is probed once, in
-    order of first appearance. Only shared vectors are kept.
-    """
-    holders: dict[bytes, int] = {}
-    rows: dict[bytes, np.ndarray] = {}
-    for query in queries:
-        for position in query.distinct_rows[0].tolist():
-            row = query.embeddings[position]
-            key = row.tobytes()
-            holders[key] = holders.get(key, 0) + 1
-            if holders[key] == 2:
-                rows[key] = row
-    return {
-        key: ann_candidates(index, rows[key], k_prime, n_probe)[1]
-        for key, count in holders.items()
-        if count > 1
-    }
-
-
 def _evaluate_query(
     query_id: str,
     query: QueryRepresentation,
-    index: IvfIndex,
+    store: EmbeddingStore,
     lexicon: Lexicon,
     qrels: Qrels,
     strategies: Sequence[Strategy],
     p_values: Sequence[int],
     k: int,
-    k_prime: int,
-    n_probe: int,
-    shared: Mapping[bytes, CandidateSet],
+    doc_sets: Sequence[CandidateSet],
 ) -> _QueryOutcome:
     """Evaluate every (strategy, p) cell for one encoded query in a single
-    pass.
+    pass, from ``doc_sets``, the candidate set of each query position.
 
-    Candidate generation runs once per distinct query vector and is shared
-    by every position holding it; a vector other queries hold too comes
-    probed already in ``shared``, keyed by its bytes. Each cell's candidate
-    set is a prefix union over the strategy's ordering of positions, and
-    every ranking is read off one shared scoring of the full union, so all
-    cells are mutually consistent by construction.
+    Each cell's candidate set is a prefix union over the strategy's ordering
+    of positions, and every ranking is read off one shared scoring of the
+    full union, so all cells are mutually consistent by construction.
 
     A cell's ranking holds only what its metrics read: its first ``k`` hits,
     ending at the later of rank ``CUTOFF`` and its last relevant hit. nDCG@10
@@ -408,16 +379,7 @@ def _evaluate_query(
     relevant ones, so each metric is that of the full ranking, bit for bit.
     The document counts count every hit.
     """
-    store = index.store
-    firsts, slots = query.distinct_rows
-    distinct_sets = []
-    for position in firsts.tolist():
-        row = query.embeddings[position]
-        docs = shared.get(row.tobytes())
-        if docs is None:
-            docs = ann_candidates(index, row, k_prime, n_probe)[1]
-        distinct_sets.append(docs)
-    doc_sets = [distinct_sets[slot] for slot in slots.tolist()]
+    distinct_sets = [doc_sets[position] for position in query.distinct_rows[0].tolist()]
     union = pruned_union(distinct_sets, len(distinct_sets))
     scores = score_documents(query, store, union.numbers)
     order = _best_first(scores)
@@ -481,12 +443,14 @@ def sweep(
     retrieved, and mean relevant documents retrieved over all queries, plus
     per-metric significance of a paired t-test against the unpruned baseline
     (p = q_len, which is strategy-independent). Bonferroni corrects across
-    all (strategy, p, metric) cells of this sweep. Queries are processed in
-    ascending query-id order; ``threads`` only distributes per-query work and
-    never changes the output.
+    all (strategy, p, metric) cells of this sweep, and every t-test needs two
+    queries or more. Queries are processed in ascending query-id order.
+    Every distinct query vector is probed once, before any query is
+    evaluated; ``threads`` only distributes the probes and the per-query
+    work and never changes the output.
     """
-    if not queries:
-        raise InvalidInputError("sweep needs at least one query")
+    if len(queries) < 2:  # every t-test pairs two queries or more
+        raise InvalidInputError(f"sweep needs at least two queries, got {len(queries)}")
     if isinstance(strategies, str):
         raise InvalidConfigError(
             f"strategies must be a sequence of strategies, not one string: {strategies!r}"
@@ -499,6 +463,8 @@ def sweep(
         _check_int("every p in p_values", p)
     for name, value in (("k", k), ("k_prime", k_prime), ("n_probe", n_probe), ("threads", threads)):
         _check_int(name, value)
+    if k < 1:
+        raise InvalidConfigError(f"k must be >= 1, got {k}")
     p_values = sorted(set(int(p) for p in p_values))
     if not p_values:
         raise InvalidConfigError("p_values must be non-empty")
@@ -513,24 +479,43 @@ def sweep(
     if len({qid for qid, _ in ordered_queries}) != len(ordered_queries):
         raise InvalidInputError("duplicate query ids")
 
-    # each query is encoded once, for the shared probes and its evaluation
+    # every distinct vector of the call, keyed by its bytes as distinct_rows
+    # compares rows, in order of first appearance; each query maps its
+    # positions to the vectors' numbers
     encoded = [encoder.encode(text) for _, text in ordered_queries]
-    shared = _shared_probes(encoded, index, k_prime, n_probe)
+    number_of: dict[bytes, int] = {}
+    vectors: list[np.ndarray] = []
+    position_vectors: list[list[int]] = []
+    for query in encoded:
+        firsts, slots = query.distinct_rows
+        numbers = []
+        for position in firsts.tolist():
+            row = query.embeddings[position]
+            number = number_of.setdefault(row.tobytes(), len(vectors))
+            if number == len(vectors):
+                vectors.append(row)
+            numbers.append(number)
+        position_vectors.append([numbers[slot] for slot in slots.tolist()])
 
-    def work(qid: str, query: QueryRepresentation) -> _QueryOutcome:
+    def probe(row: np.ndarray) -> CandidateSet:
+        return ann_candidates(index, row, k_prime, n_probe)[1]
+
+    def work(qid: str, query: QueryRepresentation, numbers: list[int]) -> _QueryOutcome:
         return _evaluate_query(
-            qid, query, index, lexicon, qrels,
-            strategies, p_values, k, k_prime, n_probe, shared,
+            qid, query, index.store, lexicon, qrels, strategies, p_values, k,
+            [doc_sets[number] for number in numbers],
         )
 
     qids = [qid for qid, _ in ordered_queries]
     if threads == 1:
-        outcomes = list(map(work, qids, encoded))
+        doc_sets = list(map(probe, vectors))
+        outcomes = list(map(work, qids, encoded, position_vectors))
     else:
         import concurrent.futures
 
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(work, qids, encoded))
+            doc_sets = list(pool.map(probe, vectors))
+            outcomes = list(pool.map(work, qids, encoded, position_vectors))
 
     num_queries = len(outcomes)
     baselines = {

@@ -160,6 +160,20 @@ def test_sweep_rejects_alpha_outside_unit_interval(tmp_path, capsys):
     assert cli.run([*sweep_args, "--alpha=0.5"]) == 0
 
 
+def test_sweep_of_one_query_exits_one_before_writing(tmp_path, capsys):
+    out = build_tiny_engine_dir(tmp_path)
+    queries_path = tmp_path / "queries.tsv"
+    qrels_path = tmp_path / "qrels.txt"
+    write_queries([("q1", "zebra stripes")], queries_path)
+    write_qrels({"q1": {"d2": 1}}, qrels_path)
+    code = cli.run(["sweep", "--index", str(out), "--queries", str(queries_path),
+                    "--qrels", str(qrels_path), "--out", str(tmp_path / "sweep.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines()[-1] == "error: sweep needs at least two queries, got 1"
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_corrupt_index_exits_two(tmp_path, capsys):
     out = build_tiny_engine_dir(tmp_path)
     index_path = out / "index.mvix"

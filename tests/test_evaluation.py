@@ -572,7 +572,7 @@ def full_depth_cells(query_id, text, index, lexicon, encoder, qrels, strategies,
 
 @pytest.mark.parametrize("engine_name", ["small_planted_engine", "padded_planted_engine"])
 def test_shallow_cells_equal_the_full_depth_cells(
-    engine_name, small_planted, small_planted_qrels, request
+    engine_name, small_planted, small_planted_qrels, request, monkeypatch
 ):
     engine = request.getfixturevalue(engine_name)
     strategies = list(Strategy)
@@ -581,15 +581,22 @@ def test_shallow_cells_equal_the_full_depth_cells(
     args = (engine.index, engine.lexicon, engine.encoder, small_planted_qrels, strategies,
             p_values)
     encoded = [engine.encoder.encode(text) for _, text in small_planted.queries]
-    shared = mve.evaluation._shared_probes(encoded, engine.index, k_prime, n_probe)
+    # every position probed on its own, as a per-position first stage does
+    position_sets = [
+        [ann_candidates(engine.index, row, k_prime, n_probe)[1] for row in query.embeddings]
+        for query in encoded
+    ]
+    probes = count_ann_calls(monkeypatch)
     deep = 0
     for k in (1, 5, 1000):
-        for (qid, text), query in zip(small_planted.queries, encoded):
-            outcome = mve.evaluation._evaluate_query(
-                qid, query, engine.index, engine.lexicon, small_planted_qrels, strategies,
-                p_values, k, k_prime, n_probe, shared,
-            )
+        for (qid, text), query, doc_sets in zip(small_planted.queries, encoded, position_sets):
             expected, baseline = full_depth_cells(qid, text, *args, k, k_prime, n_probe)
+            probes.clear()
+            outcome = mve.evaluation._evaluate_query(
+                qid, query, engine.index.store, engine.lexicon, small_planted_qrels,
+                strategies, p_values, k, doc_sets,
+            )
+            assert not probes  # the evaluation reads the sets it is given
             assert outcome.baseline == baseline
             assert outcome.per_config == expected
             deep += sum(cell[1] != 0.0 for cell in expected.values())
@@ -793,6 +800,33 @@ def test_sweep_rejects_counts_that_are_not_integers(
     want = engine.sweep(queries, small_planted_qrels, p_values=[1, 3]).to_csv()
     got = engine.sweep(queries, small_planted_qrels, p_values=[np.int64(1), np.uint8(3)])
     assert got.to_csv() == want
+
+
+def test_sweep_rejects_a_depth_below_one_before_any_work(
+    small_planted_engine, small_planted, small_planted_qrels, monkeypatch
+):
+    # k = 0 probed and scored every query, then failed in the first Ranking
+    monkeypatch.setattr(mve.evaluation, "ann_candidates", None)
+    engine, queries = small_planted_engine, small_planted.queries[:2]
+    for k in (0, -1):
+        with pytest.raises(InvalidConfigError, match=f"k must be >= 1, got {k}"):
+            sweep(
+                queries, small_planted_qrels, engine.index, engine.lexicon, engine.encoder,
+                [Strategy.FIRST], [1], k=k,
+            )
+
+
+def test_sweep_rejects_fewer_than_two_queries_before_any_work(
+    small_planted_engine, small_planted, small_planted_qrels, monkeypatch
+):
+    # one query was probed and scored in full before its t-tests failed
+    monkeypatch.setattr(mve.evaluation, "ann_candidates", None)
+    monkeypatch.setattr(QueryEncoder, "encode", None)
+    engine = small_planted_engine
+    for count in (0, 1):
+        queries = small_planted.queries[:count]
+        with pytest.raises(InvalidInputError, match=f"at least two queries, got {count}"):
+            engine.sweep(queries, small_planted_qrels)
 
 
 def test_sweep_encodes_each_query_once(small_planted_engine, small_planted, monkeypatch):
