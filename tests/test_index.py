@@ -1,6 +1,9 @@
 import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,6 +78,47 @@ def test_store_lengths_must_be_one_integer_per_doc_id(lengths):
     codes = [0, 1] * (1 if np.asarray(lengths).dtype == bool else 3)
     with pytest.raises(InvalidInputError, match="document lengths|differ in length"):
         EmbeddingStore(table, codes, lengths, ["a", "b"])
+
+
+# A fresh interpreter frees a 24 MB block, which by glibc's default raises its
+# mmap threshold to 24 MB, then allocates and frees a 12 MB one; it prints how
+# many bytes stay resident after that
+_HEAP_AFTER_FREE = """
+import os, sys
+import numpy as np
+if sys.argv[1] == "mve":
+    import mve
+def resident():
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+big = np.ones(24 << 20, dtype=np.uint8)
+del big
+before = resident()
+block = np.ones(12 << 20, dtype=np.uint8)
+del block
+print(resident() - before)
+"""
+
+
+@pytest.mark.skipif(
+    not (sys.platform.startswith("linux") and os.confstr("CS_GNU_LIBC_VERSION")),
+    reason="glibc's malloc thresholds",
+)
+def test_importing_mve_returns_a_freed_large_block_whatever_was_freed_before():
+    src = str(Path(mve.index.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+    def kept(imports: str) -> int:
+        done = subprocess.run(
+            [sys.executable, "-c", _HEAP_AFTER_FREE, imports],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        return int(done.stdout)
+
+    assert kept("numpy") >= 8 << 20  # the premise: without mve the heap keeps it
+    assert kept("mve") < 1 << 20
 
 
 def coded_vectors(codes, dim=4, seed=0):
