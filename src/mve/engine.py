@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -33,6 +32,7 @@ from .evaluation import Qrels, SweepTable, sweep
 from .index import (
     EmbeddingStore,
     IvfIndex,
+    _sample_size,
     build_ivf,
     default_n_list,
     load_index,
@@ -240,15 +240,11 @@ def build_engine(
         config = dataclasses.replace(config, dim=store.dim)
 
     if config.n_list is None:
-        sample_size = min(
-            store.num_embeddings, math.ceil(config.sample_fraction * store.num_embeddings)
-        )
-        n_list = min(default_n_list(store.num_embeddings), sample_size)
-    else:
-        n_list = config.n_list
-    config = dataclasses.replace(config, n_list=n_list)
+        total = store.num_embeddings
+        n_list = min(default_n_list(total), _sample_size(total, config.sample_fraction))
+        config = dataclasses.replace(config, n_list=n_list)
     centroids = train_centroids(
-        store, config.sample_fraction, n_list, config.iterations, config.seed
+        store, config.sample_fraction, config.n_list, config.iterations, config.seed
     )
     index = build_ivf(store, centroids)
     return Engine(config=config, vocab=vocab, lexicon=lexicon, index=index)
@@ -320,14 +316,12 @@ def load_engine(directory: str | Path) -> Engine:
     codes_path = directory / CODES_FILE
     with _engine_file(directory / INDEX_FILE):  # or codes.bin, which the error then names
         index = load_index(directory / INDEX_FILE, codes_path if codes_path.exists() else None)
-    if config.dim != index.dim:
-        raise CorruptIndexError(
-            f"config dim {config.dim} disagrees with index dim {index.dim}"
-        )
-    if config.n_list is not None and config.n_list != index.n_list:
-        raise CorruptIndexError(
-            f"config n_list {config.n_list} disagrees with index n_list {index.n_list}"
-        )
+    checked = (("dim", config.dim, index.dim), ("n_list", config.n_list, index.n_list))
+    for name, want, got in checked:
+        if want is not None and want != got:  # config.json may leave n_list null
+            raise CorruptIndexError(
+                f"{config_path}: config {name} {want} disagrees with index {name} {got}"
+            )
     with _engine_file(directory / LEXICON_FILE):
         try:
             lexicon, vocab = load_lexicon(directory / LEXICON_FILE, num_docs=index.store.num_docs)

@@ -21,7 +21,7 @@ from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
 
-from .core import DocumentEntry, is_single_field
+from .core import _SEED_MASK, DocumentEntry, is_single_field
 from .errors import CorruptIndexError, InvalidConfigError, InvalidInputError
 
 INDEX_MAGIC = b"MVIX"
@@ -29,25 +29,8 @@ CODES_MAGIC = b"MVCD"
 DUMP_MAGIC = b"MVED"
 FORMAT_VERSION = 1
 
-_SEED_MASK = (1 << 64) - 1
 _ASSIGN_CHUNK = 8192
-# MaxSim's table route, the list assignment over the store's table and the
-# k-means rounds over a sample's distinct rows all rest on a property of
-# OpenBLAS 0.3.31 (numpy's wheel) sgemm. Measured at dims 3 to 768 and 2 to
-# 32 columns: once rows x columns exceeds about 1,200 (the largest differing
-# product seen was 1,179), every entry of ``X[a:b] @ Q.T`` has the bits of
-# ``(X @ Q.T)[a:b]`` at any offset ``a``, and a row's entries have the same
-# bits in any other product above that size that holds the row. Below that
-# a small-matrix kernel gives other bits, and one column runs gemv, whose
-# bits depend on the row's position: on 60 random stores of 8,192 + 1 to 39
-# rows with 2 to 24 centroids, 38 final assignment chunks under the floor
-# had other bits than the table's product. A product is taken in place of
-# another only where both hold at least this many entries, well above that
-# boundary. test_retrieval.py's
-# test_blas_premise_of_the_in_place_route and test_index.py's
-# test_blas_premise_of_the_table_assignment check it at dims 3, 16, 17, 64,
-# 128 and 768.
-_STABLE_PRODUCT_FLOOR = 8192  # rows x columns
+_STABLE_PRODUCT_FLOOR = 8192  # rows x columns; read by _exact_in_place alone
 # embeddings compared with their code's row at a time: of 1,024 to 16,384,
 # 2,048 checked the desk store (60,000 x 64) fastest, in about 2 ms
 _CODE_CHECK_CHUNK = 2048
@@ -61,6 +44,31 @@ _CODE_CHECK_CHUNK = 2048
 _LOAD_CHECK_BATCH = 4096
 # the first stage packs an embedding id into 32 bits
 _MAX_EMBEDDINGS = 2**32
+
+
+def _exact_in_place(rows: int, columns: int) -> bool:
+    """Whether products of ``columns`` columns, the smaller of which holds
+    ``rows`` rows, give a row's entries the same bits in either, so one may
+    be taken in place of the other: MaxSim's table route, the list
+    assignment over the store's table and the k-means rounds over a
+    sample's distinct rows ask it.
+
+    It rests on OpenBLAS 0.3.31 (numpy's wheel) sgemm, measured at dims 3 to
+    768 and 2 to 32 columns: once rows x columns exceeds about 1,200 (the
+    largest differing product seen was 1,179), every entry of
+    ``X[a:b] @ Q.T`` has the bits of ``(X @ Q.T)[a:b]`` at any offset ``a``,
+    and a row's entries have the same bits in any other product above that
+    size that holds the row. Below that a small-matrix kernel gives other
+    bits, and one column runs gemv, whose bits depend on the row's position:
+    on 60 random stores of 8,192 + 1 to 39 rows with 2 to 24 centroids, 38
+    final assignment chunks under the floor had other bits than the table's
+    product. Hence two columns or more and ``_STABLE_PRODUCT_FLOOR`` entries,
+    well above that boundary. test_retrieval.py's
+    test_blas_premise_of_the_in_place_route and test_index.py's
+    test_blas_premise_of_the_table_assignment check it at dims 3, 16, 17,
+    64, 128 and 768.
+    """
+    return columns >= 2 and rows * columns >= _STABLE_PRODUCT_FLOOR
 
 
 def _check_codes(codes: object, bound: int) -> np.ndarray:
@@ -127,10 +135,8 @@ class EmbeddingStore:
     compared with another: they are the table's rows by construction. The
     store keeps a read-only view of ``table`` (a copy only where it is not
     C-ordered float32), which the caller must not write afterwards, and its
-    own read-only intp copy of the codes. ``codes_checked=True`` says that
-    ``codes`` is what ``_check_codes(codes, len(table))`` returned, as a
-    load that checks them before its list section passes them; the store
-    then keeps that array without a second pass.
+    own read-only intp copy of the codes. Every store, built or loaded,
+    passes these checks.
 
     ``doc_offsets[i] == (start, length)``, derived from the lengths, locates
     document ``i`` among the embeddings. ``doc_id_array`` holds the doc ids
@@ -157,8 +163,6 @@ class EmbeddingStore:
         codes: np.ndarray,
         lengths: np.ndarray,
         doc_ids: Sequence[str],
-        *,
-        codes_checked: bool = False,
     ) -> None:
         def set_(name: str, value: object) -> None:
             object.__setattr__(self, name, value)
@@ -173,8 +177,7 @@ class EmbeddingStore:
         table.flags.writeable = False
         if not np.isfinite(table).all():
             raise InvalidInputError("store vectors contain NaN or Inf")
-        if not codes_checked:
-            codes = _check_codes(codes, len(table))
+        codes = _check_codes(codes, len(table))
         doc_ids = tuple(doc_ids)
         index_of = dict(zip(doc_ids, range(len(doc_ids))))
         if len(index_of) != len(doc_ids):
@@ -345,6 +348,11 @@ def default_n_list(num_embeddings: int) -> int:
     return max(1, int(math.isqrt(num_embeddings)))
 
 
+def _sample_size(total: int, fraction: float) -> int:
+    """The k-means training sample drawn from ``total`` embeddings."""
+    return min(total, math.ceil(fraction * total))
+
+
 def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(matrix.astype(np.float64), axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
@@ -403,12 +411,11 @@ def train_centroids(
 
     Sample points of one code are one row of ``store.table``, so each
     round's similarity block is taken over the sample's distinct rows and
-    gathered back by code, once that block holds at least
-    ``_STABLE_PRODUCT_FLOOR`` entries (distinct rows x centroids) and there
-    are two centroids or more: its entries then have the bits of the whole
-    sample's block. Smaller blocks, one centroid (gemv) and samples without
-    repeats multiply the whole sample. The k-means++ seeding multiplies the
-    whole sample either way.
+    gathered back by code where :func:`_exact_in_place` (distinct rows x
+    centroids) allows it: its entries then have the bits of the whole
+    sample's block. Other blocks and samples without repeats multiply the
+    whole sample. The k-means++ seeding multiplies the whole sample either
+    way.
 
     Args:
         store: Embeddings to sample from.
@@ -428,7 +435,7 @@ def train_centroids(
     if iterations < 1:
         raise InvalidConfigError(f"iterations must be >= 1, got {iterations}")
     total = store.num_embeddings
-    sample_size = min(total, math.ceil(sample_fraction * total))
+    sample_size = _sample_size(total, sample_fraction)
     if n_list > sample_size:
         raise InvalidConfigError(
             f"n_list {n_list} exceeds the sample size {sample_size}"
@@ -437,7 +444,7 @@ def train_centroids(
     picked = np.sort(rng.choice(total, size=sample_size, replace=False))
     sample = _normalize_rows(store.rows(picked))
     _, first, inverse = np.unique(store.codes[picked], return_index=True, return_inverse=True)
-    if n_list >= 2 and len(first) < sample_size and len(first) * n_list >= _STABLE_PRODUCT_FLOOR:
+    if len(first) < sample_size and _exact_in_place(len(first), n_list):
         points, point_of = sample[first], inverse
     else:
         points, point_of = sample, slice(None)
@@ -494,12 +501,6 @@ def _argmax_chunks(
     return assign
 
 
-def _smallest_chunk(count: int) -> int:
-    """The fewest rows of any chunk :func:`_argmax_chunks` multiplies for
-    ``count`` rows, ``count >= 1``."""
-    return count % _ASSIGN_CHUNK or _ASSIGN_CHUNK
-
-
 def build_ivf(store: EmbeddingStore, centroids: Centroids) -> IvfIndex:
     """Assign every stored embedding to its argmax-dot-product centroid.
 
@@ -510,20 +511,19 @@ def build_ivf(store: EmbeddingStore, centroids: Centroids) -> IvfIndex:
     has fewer rows than the store, each table row is assigned once, in
     chunks of the table, and each embedding takes its code's centroid. That
     gives every embedding the centroid a chunk of the embeddings themselves
-    would, bit for bit, as long as every chunk on both sides holds at least
-    ``_STABLE_PRODUCT_FLOOR`` entries (rows x centroids); otherwise (a tiny
-    table, a final chunk of a few rows, or codes ``0 ... n-1``) the store's
-    embeddings are multiplied chunk by chunk.
+    would, bit for bit, where :func:`_exact_in_place` allows the smallest
+    chunk on either side (rows x centroids); otherwise (a tiny table, a
+    final chunk of a few rows, one centroid, or codes ``0 ... n-1``) the
+    store's embeddings are multiplied chunk by chunk.
     """
     if centroids.dim != store.dim:
         raise InvalidInputError(
             f"dimension mismatch: store {store.dim}, centroids {centroids.dim}"
         )
     vectors, table = centroids.vectors, store.table
-    if len(table) < store.num_embeddings and (
-        min(_smallest_chunk(len(table)), _smallest_chunk(store.num_embeddings)) * len(vectors)
-        >= _STABLE_PRODUCT_FLOOR
-    ):
+    # the fewest rows of any chunk _argmax_chunks multiplies on either side
+    smallest = min(n % _ASSIGN_CHUNK or _ASSIGN_CHUNK for n in (len(table), store.num_embeddings))
+    if len(table) < store.num_embeddings and _exact_in_place(smallest, len(vectors)):
         assign = _argmax_chunks(len(table), table.__getitem__, vectors)[store.codes]
     else:
         assign = _argmax_chunks(store.num_embeddings, store.rows, vectors)
@@ -604,15 +604,10 @@ def _read_exact(handle: BinaryIO, count: int, section: str) -> bytes:
 _DOC_FIELDS = np.dtype([("start", "<u8"), ("length", "<u4")])
 
 
-def _parse_doc_table(table: bytes, num_docs: int) -> tuple[tuple[str, ...], np.ndarray, int]:
-    """Parse the first ``num_docs`` entries of a document table.
-
-    Returns the doc ids, their lengths and the table's size in bytes, once
-    each entry's start is the sum of the lengths before it. One loop walks
-    the name lengths, noting where each entry starts; numpy then gathers the
-    names, each followed by a ``\n``, into one buffer that decodes in one
-    call, and the start and length fields into one structured array.
-    """
+def _walk_doc_table(table: bytes, num_docs: int) -> tuple[list[int], int]:
+    """Where each of the first ``num_docs`` entries of a document table
+    starts, by its name lengths, and where the last ends: past
+    ``len(table)`` if they do not fit."""
     unpack_len = _U32.unpack_from
     fixed = _U32.size + _DOC_TAIL.size
     entries: list[int] = []
@@ -623,9 +618,17 @@ def _parse_doc_table(table: bytes, num_docs: int) -> tuple[tuple[str, ...], np.n
             at += unpack_len(table, at)[0] + fixed
     except struct.error:  # a length field runs past the end
         at = len(table) + 1
-    if at > len(table):
-        raise CorruptIndexError("truncated index file: document table")
+    return entries, at
 
+
+def _parse_doc_table(
+    table: bytes, entries: list[int], at: int
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """The doc ids and lengths of the table entries :func:`_walk_doc_table`
+    found, once each entry's start is the sum of the lengths before it.
+    numpy gathers the names, each followed by a ``\n``, into one buffer that
+    decodes in one call, and the start and length fields into one array.
+    """
     data = np.frombuffer(table, dtype=np.uint8)
     starts = np.array(entries, dtype=np.int64) + _U32.size
     stops = np.append(starts[1:] - _U32.size, at) - _DOC_TAIL.size
@@ -640,7 +643,7 @@ def _parse_doc_table(table: bytes, num_docs: int) -> tuple[tuple[str, ...], np.n
     doc_ids = text.split("\n")
     # str.split() drops empty names and splits at whitespace, so it equals
     # the split at the separators only if every name is a single field
-    if len(doc_ids) != num_docs or text.split() != doc_ids:
+    if len(doc_ids) != len(entries) or text.split() != doc_ids:
         for i, (a, b) in enumerate(zip(starts.tolist(), stops.tolist())):
             try:
                 doc_id = table[a:b].decode("utf-8")
@@ -663,7 +666,7 @@ def _parse_doc_table(table: bytes, num_docs: int) -> tuple[tuple[str, ...], np.n
             f"document table: entry {i} starts at embedding {int(fields['start'][i])}, "
             f"but the entries before it hold {int(before[i])}"
         )
-    return tuple(doc_ids), lengths, at
+    return tuple(doc_ids), lengths
 
 
 # --------------------------------------------------------------------------
@@ -737,8 +740,11 @@ def load_index(path: str | Path, codes_path: str | Path | None = None) -> IvfInd
     against the file's size before anything is allocated, so a damaged
     count fails as corruption instead of as a huge allocation. Every section
     after the document table has a size the header fixes, so the table is
-    read in one call and parsed in bulk. Doc ids must decode as UTF-8 and,
-    as :func:`mve.engine.build_engine` requires, be non-empty and free of
+    read in one call and parsed in bulk; where its entries overrun that
+    read but are whole and sound in the file, the file was cut after the
+    table, and the error names the section it ends in and the bytes
+    missing. Doc ids must decode as UTF-8 and, as
+    :func:`mve.engine.build_engine` requires, be non-empty and free of
     whitespace, so that a run file can carry them, and each document must
     start where the lengths before it end, so damage to the table is found
     before the list section is read. The inverted lists are then read in
@@ -748,17 +754,17 @@ def load_index(path: str | Path, codes_path: str | Path | None = None) -> IvfInd
     embedding, which becomes the store's table, with codes ``0 ... n-1``.
 
     With ``codes_path`` the store takes the codes that file holds (see
-    :func:`save_codes`), read and checked once before the lists: one per
-    embedding, each below the number of embeddings, and every value up to
-    their maximum used. It keeps only one row per code, never the
+    :func:`save_codes`), read and checked before the lists, so that damage
+    to them fails before the list section is read: one per embedding, each
+    below the number of embeddings, and every value up to their maximum
+    used. It keeps only one row per code, never the
     ``(num_embeddings, dim)`` block: the first embedding of a code read
     becomes its row, and every embedding, in every list, is compared bit for
     bit with its code's row where it lies in the buffer.
 
     Either way the load ends in one call of
     ``EmbeddingStore(table, codes, lengths, doc_ids)``, which checks them as
-    it checks any store, except that codes checked before the lists are not
-    checked a second time.
+    it checks any store, the codes read from ``codes_path`` a second time.
 
     On the desk index (60,000 embeddings of dim 64, 5,000 documents; a
     shared 2-core host, warm) a load with codes takes about 12-13.5 ms: 3 ms
@@ -802,9 +808,19 @@ def _load_index(path: Path, codes_path: Path | None) -> IvfIndex:
             )
 
         table_at = handle.tell()
-        doc_ids, lengths, table_size = _parse_doc_table(
-            _read_exact(handle, file_size - table_at - rest, "document table"), num_docs
-        )
+        doc_table = _read_exact(handle, file_size - table_at - rest, "document table")
+        entries, table_size = _walk_doc_table(doc_table, num_docs)
+        if table_size > len(doc_table):  # a cut after the table if the table is whole
+            handle.seek(table_at)
+            whole = handle.read()
+            entries, end = _walk_doc_table(whole, num_docs)
+            if end > len(whole):
+                raise CorruptIndexError("truncated index file: document table")
+            _parse_doc_table(whole, entries, end)  # raises for a damaged table
+            cut = "centroid block" if len(whole) - end < n_list * dim * 4 else "inverted lists"
+            missing = end + rest - len(whole)
+            raise CorruptIndexError(f"truncated index file: {cut}, bytes missing: {missing}")
+        doc_ids, lengths = _parse_doc_table(doc_table, entries, table_size)
         handle.seek(table_at + table_size)
 
         centroid_bytes = _read_exact(handle, n_list * dim * 4, "centroid block")
@@ -835,7 +851,7 @@ def _load_index(path: Path, codes_path: Path | None) -> IvfIndex:
         if handle.read(1):
             raise CorruptIndexError("trailing data after the final inverted list")
 
-    store = EmbeddingStore(table, codes, lengths, doc_ids, codes_checked=codes_path is not None)
+    store = EmbeddingStore(table, codes, lengths, doc_ids)
     return IvfIndex(store=store, centroids=Centroids(centroid_vectors), lists=lists)
 
 

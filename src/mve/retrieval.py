@@ -53,18 +53,15 @@ another kernel and differ in the last bits.
 
 - *table*: multiplies the whole ``store.table`` in place, once per query,
   and takes each candidate's maxima over the rows of that product its
-  tokens' codes name. Taken when there are two or more distinct query rows,
-  the gathered product (candidate rows x distinct query rows) and the
-  table's product both hold at least ``_STABLE_PRODUCT_FLOOR`` entries, and
-  the candidates hold at least ``_TABLE_MIN_SHARE`` of the table's rows.
+  tokens' codes name. Taken where ``mve.index._exact_in_place`` allows the
+  smaller of the gathered product (candidate rows x distinct query rows)
+  and the table's, and the candidates hold at least ``_TABLE_MIN_SHARE``
+  of the table's rows.
 - *gather*: every other set gathers its rows into one block, multiplies
   it, and takes each candidate's maxima over its own rows of that product.
 
 Both take the maxima with one kernel, ``_table_maxima``, one token position
-at a time. Above the floor BLAS gives a row's entries the same bits in any
-product and at any row offset, while small products and gemv (one distinct
-row) do not, so the table route runs only where the gathered product's
-bits are already independent of where its rows sit.
+at a time.
 """
 
 from __future__ import annotations
@@ -79,7 +76,7 @@ import numpy as np
 
 from .core import Lexicon, QueryEncoder, QueryRepresentation, TokenKind
 from .errors import ConsistencyError, InvalidConfigError, InvalidInputError
-from .index import _STABLE_PRODUCT_FLOOR, EmbeddingStore, IvfIndex
+from .index import EmbeddingStore, IvfIndex, _exact_in_place
 
 
 class Strategy(str, enum.Enum):
@@ -480,10 +477,6 @@ def exact_score(query: QueryRepresentation, doc_embeddings: np.ndarray) -> float
     return float(_position_sums(query, maxima)[0])
 
 
-# The table MaxSim route rests on the sgemm property described beside
-# ``mve.index._STABLE_PRODUCT_FLOOR``: it runs only where the table's
-# product, and the gathered product it stands for, both hold at least that
-# many entries (rows x distinct query rows).
 # Medians of 40 random candidate sets a point, one BLAS thread: on a store
 # of 60,000 contextual rows of dim 64 (every row its own code) gathering
 # cost as much as the whole table at a share of about 0.4 with 2 or 4
@@ -495,19 +488,13 @@ _TABLE_MIN_SHARE = 0.6  # candidate rows / table rows
 
 def _maxsim_route(store: EmbeddingStore, distinct: int, rows: int) -> str:
     """The product ``score_documents`` takes for ``rows`` candidate rows
-    with ``distinct`` distinct query rows: ``"table"`` or ``"gather"``.
-
-    Only ``"gather"`` runs for one distinct row or a product under the
-    floor, whose bits depend on their rows' positions. Above it the whole
-    table is multiplied once the candidates hold a large enough share of
-    its rows.
+    with ``distinct`` distinct query rows: ``"table"`` where
+    ``mve.index._exact_in_place`` lets the table's product stand for the
+    gathered one and the candidates hold a large enough share of its rows,
+    else ``"gather"``.
     """
     table_rows = len(store.table)
-    if (
-        distinct >= 2
-        and min(rows, table_rows) * distinct >= _STABLE_PRODUCT_FLOOR
-        and rows >= _TABLE_MIN_SHARE * table_rows
-    ):
+    if _exact_in_place(min(rows, table_rows), distinct) and rows >= _TABLE_MIN_SHARE * table_rows:
         return "table"
     return "gather"
 
@@ -519,7 +506,7 @@ def score_documents(
 
     The candidates' token rows are scored from a per-query product of the
     store's whole table or of a gathered copy of their own rows; both routes
-    give the same bits (see the module docstring). ``doc_numbers`` must be
+    give the same bits (see ``mve.index._exact_in_place``). ``doc_numbers`` must be
     integer doc numbers of ``store``, and the query must have the store's
     dimension.
     """

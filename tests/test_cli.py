@@ -927,3 +927,173 @@ def test_ids_that_a_run_file_cannot_carry_are_rejected(tmp_path, capsys):
         code = cli.run(["sweep", "--index", str(out), "--queries", str(queries_path),
                         "--qrels", str(qrels_path), "--out", str(tmp_path / "sweep.csv")])
         assert code == 1 and f"query id {qid!r}" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Engine files that load but disagree, and input errors, each one line
+
+
+@pytest.mark.parametrize("cut", [1, 10, 100])
+def test_an_index_cut_inside_its_lists_names_the_lists(tmp_path, capsys, cut):
+    # long doc ids leave the header's size check slack, so the cut is found
+    # only where the document table, read as the bytes the fixed-size
+    # sections leave, runs past that read
+    corpus_path = tmp_path / "corpus.tsv"
+    write_corpus([(f"doc{'x' * 60}{i}", text) for i, (_, text) in enumerate(CORPUS)], corpus_path)
+    out = tmp_path / "engine"
+    assert cli.run(["index", "--corpus", str(corpus_path), "--out", str(out), "--dim", "4",
+                    "--q-len", "8", "--n-list", "2", "--sample-fraction", "1.0"]) == 0
+    capsys.readouterr()
+    index_path = out / "index.mvix"
+    index_path.write_bytes(index_path.read_bytes()[:-cut])
+    code = cli.run(["search", "--index", str(out), "--query", "zebras"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: truncated index file: inverted lists, bytes missing: {cut}\n"
+
+
+@pytest.mark.parametrize(
+    "key, value, named",
+    [("dim", 8, "config dim 8 disagrees with index dim 16"),
+     ("n_list", 3, "config n_list 3 disagrees with index n_list 2")],
+    ids=["dim", "n_list"],
+)
+def test_a_config_that_disagrees_with_the_index_exits_two(tmp_path, capsys, key, value, named):
+    out = build_tiny_engine_dir(tmp_path)
+    capsys.readouterr()
+    config_path = out / "config.json"
+    config_path.write_text(json.dumps({**json.loads(config_path.read_text()), key: value}))
+    code = cli.run(["search", "--index", str(out), "--query", "zebras"])
+    captured = capsys.readouterr()
+    assert_one_line_error(code, captured, config_path, exit_code=2)
+    assert named in captured.err
+
+
+def test_a_codes_file_of_another_version_exits_two(tmp_path, capsys):
+    out = build_tiny_engine_dir(tmp_path)
+    capsys.readouterr()
+    codes_path = out / "codes.bin"
+    data = bytearray(codes_path.read_bytes())
+    data[4:8] = struct.pack("<I", 2)
+    codes_path.write_bytes(bytes(data))
+    code = cli.run(["search", "--index", str(out), "--query", "zebras"])
+    captured = capsys.readouterr()
+    assert_one_line_error(code, captured, codes_path, exit_code=2)
+    assert "unsupported version 2" in captured.err
+
+
+def set_bytes(at: int, value: bytes):
+    def damage(data: bytearray) -> None:
+        data[at : at + len(value)] = value
+
+    return damage
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (set_bytes(4, struct.pack("<I", 2)), "unsupported dump version 2"),
+        (set_bytes(8, struct.pack("<I", 0)), "dump header declares no content"),
+        (set_bytes(12, struct.pack("<Q", 0)), "dump header declares no content"),
+        (set_bytes(24, b"\xff"), "dump doc 0: undecodable name"),
+        (lambda data: data.extend(b"\0"), "trailing data after the final dump document"),
+    ],
+    ids=["version", "zero dim", "zero docs", "undecodable name", "trailing byte"],
+)
+def test_a_damaged_embeddings_dump_exits_one(tmp_path, capsys, damage, message):
+    corpus_path = write_tiny_corpus(tmp_path)
+    dump_path = tmp_path / "docs.mved"
+    rng = np.random.default_rng(2)
+    write_embeddings_dump(
+        [(doc_id, rng.standard_normal((2, 4)).astype(np.float32)) for doc_id, _ in CORPUS],
+        dump_path,
+    )
+    data = bytearray(dump_path.read_bytes())
+    assert data[20:24] == b"\x02\0\0\0" and data[24:26] == b"d1"  # doc 0's name
+    damage(data)
+    dump_path.write_bytes(bytes(data))
+    code = cli.run(["index", "--corpus", str(corpus_path), "--out", str(tmp_path / "e"),
+                    "--embeddings-dump", str(dump_path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not (tmp_path / "e").exists()
+
+
+def assert_input_error(code: int, capsys, message: str) -> None:
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and message in lines[0], captured.err
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [("5-3", "empty range '5-3'"), (",", "no values in ','")],
+)
+def test_p_values_that_name_no_value_exit_one(tmp_path, capsys, spec, message):
+    code = cli.run(["sweep", "--index", str(tmp_path), "--queries", "q", "--qrels", "r",
+                    "--out", str(tmp_path / "sweep.csv"), "--p-values", spec])
+    assert_input_error(code, capsys, message)
+
+
+def test_a_non_integer_seed_variable_exits_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("MVE_SEED", "seven")
+    code = cli.run(["index", "--corpus", str(write_tiny_corpus(tmp_path)),
+                    "--out", str(tmp_path / "e")])
+    assert_input_error(code, capsys, "MVE_SEED must be an integer, got 'seven'")
+    assert not (tmp_path / "e").exists()
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"bogus": 1}, "unknown config keys: ['bogus']"),
+        ({"dim": 0}, "dim must be >= 1, got 0"),
+        ({"q_len": 1}, "q_len must be >= 2, got 1"),
+        ({"n_list": 0}, "n_list must be >= 1, got 0"),
+        ({"q_len": 8, "p": 9}, "p must be in [1, q_len=8], got 9"),
+    ],
+)
+def test_an_invalid_config_file_exits_one(tmp_path, capsys, values, message):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(values))
+    code = cli.run(["index", "--corpus", str(write_tiny_corpus(tmp_path)),
+                    "--out", str(tmp_path / "e"), "--config", str(config_path)])
+    assert_input_error(code, capsys, message)
+    assert not (tmp_path / "e").exists()
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [("q Q0 a 1 high t\n", ":1: non-numeric score"),
+     ("q Q0 a 1 0.5\n", ":1: expected 'qid Q0 doc_id rank score tag'")],
+    ids=["non-numeric score", "five fields"],
+)
+def test_a_malformed_run_line_exits_one(tmp_path, capsys, line, message):
+    run_path = tmp_path / "run.txt"
+    run_path.write_text(line, encoding="utf-8")
+    qrels_path = tmp_path / "qrels.txt"
+    write_qrels({"q": {"a": 1}}, qrels_path)
+    code = cli.run(["eval", "--run", str(run_path), "--qrels", str(qrels_path)])
+    assert_input_error(code, capsys, f"{run_path}{message}")
+
+
+@pytest.mark.parametrize(
+    "queries, qrels, message",
+    [
+        ("q1\tzebra\nq1\tfox\n", "q1 0 d2 1\n", "queries.tsv:2: duplicate query id 'q1'"),
+        ("\n", "q1 0 d2 1\n", "queries.tsv: no queries found"),
+        ("q1\tzebra\nq2\tfox\n", "q1 0 d2 high\n", "qrels.txt:1: non-integer grade"),
+    ],
+    ids=["repeated query id", "no queries", "non-integer grade"],
+)
+def test_malformed_queries_or_qrels_exit_one(tmp_path, capsys, queries, qrels, message):
+    out = build_tiny_engine_dir(tmp_path)
+    capsys.readouterr()
+    (tmp_path / "queries.tsv").write_text(queries, encoding="utf-8")
+    (tmp_path / "qrels.txt").write_text(qrels, encoding="utf-8")
+    code = cli.run(["sweep", "--index", str(out), "--queries", str(tmp_path / "queries.tsv"),
+                    "--qrels", str(tmp_path / "qrels.txt"), "--out", str(tmp_path / "sweep.csv")])
+    assert_input_error(code, capsys, message)
+    assert not (tmp_path / "sweep.csv").exists()

@@ -482,6 +482,28 @@ def test_build_ivf_equals_the_per_embedding_assignment(
     assert [ids.tolist() for ids in index.lists] == [ids.tolist() for ids in want]
 
 
+def test_one_rule_decides_every_in_place_product():
+    floor = mve.index._STABLE_PRODUCT_FLOOR
+    exact = mve.index._exact_in_place
+    assert exact(floor // 2, 2) and exact(floor, 2) and exact(1, floor)
+    assert not exact(floor // 2 - 1, 2)
+    assert not exact(floor, 1) and not exact(10 * floor, 1)  # one column runs gemv
+
+
+def test_one_centroid_assigns_every_embedding_to_its_one_list(monkeypatch):
+    # a table of one full chunk under two full chunks of embeddings, which
+    # the table route would take were it not for the one column
+    chunk = mve.index._ASSIGN_CHUNK
+    rng = np.random.default_rng(5)
+    table = rng.standard_normal((chunk, 3)).astype(np.float32)
+    codes = rng.permutation(np.resize(np.arange(chunk), 2 * chunk))
+    store = EmbeddingStore(table, codes, [2] * chunk, [f"d{i}" for i in range(chunk)])
+    counts = spy_assignment_rows(monkeypatch)
+    index = build_ivf(store, random_centroids(1, 3, seed=6))
+    assert counts == [store.num_embeddings]
+    assert len(index.lists) == 1 and index.lists[0].tolist() == list(range(2 * chunk))
+
+
 def chunk_products(matrix, centroids):
     """``matrix @ centroids.T`` taken as build_ivf takes it, chunk by chunk."""
     chunk = mve.index._ASSIGN_CHUNK
@@ -551,7 +573,9 @@ def test_a_coded_load_checks_its_codes_once_before_the_lists(tmp_path, monkeypat
     spy_calls(monkeypatch, "_check_codes", calls)
     spy_calls(monkeypatch, "_read_lists", calls)
     loaded = load_index(path, codes_path)
-    assert calls == ["_check_codes", "_read_lists"]
+    # damage to the codes fails before the lists are read; the store's
+    # constructor then checks them as it checks every store's
+    assert calls == ["_check_codes", "_read_lists", "_check_codes"]
     assert loaded.store.codes.tolist() == store.codes.tolist()
     assert loaded.store.codes.dtype == np.intp and not loaded.store.codes.flags.writeable
     assert_indexes_identical(index, loaded)
@@ -559,6 +583,26 @@ def test_a_coded_load_checks_its_codes_once_before_the_lists(tmp_path, monkeypat
     calls.clear()
     load_index(path)
     assert calls == ["_read_lists", "_check_codes"]
+
+
+def test_an_index_cut_inside_its_centroids_or_table_names_them(tmp_path):
+    store = EmbeddingStore(np.eye(2, dtype=np.float32), [0, 1], [1, 1], ["a" * 90, "b" * 90])
+    index = build_ivf(store, Centroids(np.eye(2, dtype=np.float32)))
+    path = tmp_path / "index.mvix"
+    save_index(index, path)
+    data = path.read_bytes()
+    lists = 2 * (8 + 8 + 2 * 4)  # per list: a count and one record
+    path.write_bytes(data[: -lists - 3])
+    with pytest.raises(CorruptIndexError, match=f"^truncated index file: centroid block, "
+                                                f"bytes missing: {lists + 3}$"):
+        load_index(path)
+    # a name length one larger runs the table into the bytes after it: the
+    # table is damaged, not the file cut
+    damaged = bytearray(data[:-1])
+    damaged[4 + 28] += 1
+    path.write_bytes(bytes(damaged))
+    with pytest.raises(CorruptIndexError, match="document table"):
+        load_index(path)
 
 
 def test_default_n_list():
